@@ -13,16 +13,11 @@ cached regime should be far faster and essentially independent of the
 worker count — that is the point of keying the cache on the canonical
 circuit digest.  Results land in ``benchmarks/results/service.json``.
 
-Two further suites compare the transports head to head:
-
-* ``test_frontend_comparison`` runs the same two regimes against both
-  the ``eventloop`` reactor and the legacy ``threaded`` server and
-  asserts the reactor does not regress throughput;
-* ``test_eventloop_saturation`` holds 1000 concurrent keep-alive
-  connections open against the reactor with the multi-process load
-  generator (:mod:`repro.service.loadgen`) — the regime where
-  thread-per-connection falls over — and publishes p50/p99 in the
-  campaign artifact format (``benchmarks/results/service_saturation.json``).
+``test_eventloop_saturation`` holds 1000 concurrent keep-alive
+connections open against the reactor with the multi-process load
+generator (:mod:`repro.service.loadgen`) — the regime where a
+thread per connection falls over — and publishes p50/p99 in the
+campaign artifact format (``benchmarks/results/service_saturation.json``).
 """
 
 from __future__ import annotations
@@ -220,60 +215,6 @@ def test_streaming_overhead(report):
 
 
 # ----------------------------------------------------------------------
-# front-end comparison: eventloop reactor vs legacy threaded server
-# ----------------------------------------------------------------------
-COMPARISON_WORKERS = 4
-COMPARISON_TOLERANCE = 0.90  # reactor must hold >= 90% of threaded rps
-
-
-def test_frontend_comparison(report):
-    """The reactor must match the threaded baseline at benchmark scale.
-
-    8 clients is where thread-per-connection is *comfortable*; the
-    reactor's advantage only shows at high connection counts (see the
-    saturation test).  Here it just has to not regress.
-    """
-    rows = ["frontend   regime    requests     req/s   p50[ms]   p99[ms]"]
-    stats = {}
-    for frontend in ("threaded", "eventloop"):
-        config = ServiceConfig(
-            port=0, workers=COMPARISON_WORKERS, cache_capacity=1024,
-            frontend=frontend,
-        )
-        with DDToolServer(config) as server:
-            uncached = _measure(server, [
-                [{"qasm": _fresh_qasm(), "shots": 16, "seed": 1}
-                 for _ in range(UNCACHED_PER_CLIENT)]
-                for _ in range(CLIENTS)
-            ])
-            shared = {"qasm": library.qft(3).to_qasm(), "shots": 16, "seed": 1}
-            _drive(server, [shared])
-            cached = _measure(server, [
-                [dict(shared) for _ in range(CACHED_PER_CLIENT)]
-                for _ in range(CLIENTS)
-            ])
-        stats[frontend] = {"uncached": uncached, "cached": cached}
-        for regime, entry in (("uncached", uncached), ("cached", cached)):
-            rows.append(
-                f"{frontend:9s}  {regime:8s}  {entry['requests']:8d}  "
-                f"{entry['rps']:8.1f}  {entry['p50_ms']:8.2f}  "
-                f"{entry['p99_ms']:8.2f}"
-            )
-    rows.append("---")
-    rows.append(json.dumps(stats, indent=2, sort_keys=True))
-    report("service_frontends", rows)
-
-    for regime in ("uncached", "cached"):
-        reactor = stats["eventloop"][regime]["rps"]
-        threaded = stats["threaded"][regime]["rps"]
-        assert reactor >= COMPARISON_TOLERANCE * threaded, (
-            f"{regime}: eventloop {reactor:.1f} req/s vs "
-            f"threaded {threaded:.1f} req/s "
-            f"(floor {COMPARISON_TOLERANCE:.0%})"
-        )
-
-
-# ----------------------------------------------------------------------
 # saturation: 1000 concurrent connections against the reactor
 # ----------------------------------------------------------------------
 SATURATION_CONNECTIONS = 1000
@@ -312,8 +253,7 @@ def test_eventloop_saturation(report, results_dir):
     ]
     report("service_saturation", rows)
 
-    artifact = load_artifact([result], frontend="eventloop",
-                             campaign="service-saturation")
+    artifact = load_artifact([result], campaign="service-saturation")
     with open(os.path.join(results_dir, "service_saturation.json"), "w",
               encoding="utf-8") as handle:
         json.dump(artifact, handle, indent=2, sort_keys=True)

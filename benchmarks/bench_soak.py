@@ -127,8 +127,7 @@ def _payload_cycle(seed_base: int = 0):
         elif slot == 7:
             yield ("session", {"kind": "simulation", "qasm": ghz})
         elif slot == 8:
-            yield ("simulate", {"qasm": ghz, "shots": 4,
-                                "matrix_path": index % 2 == 0})
+            yield ("simulate", {"qasm": ghz, "shots": 4})
         else:
             yield ("healthz", None)
 

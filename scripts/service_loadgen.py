@@ -51,8 +51,6 @@ def main(argv=None) -> int:
                         help="generator processes (default 2)")
     parser.add_argument("--workers", type=int, default=2,
                         help="server worker shards (default 2)")
-    parser.add_argument("--frontend", choices=("eventloop", "threaded"),
-                        default="eventloop")
     parser.add_argument("--modes", default="cached,uncached",
                         help="comma list of regimes (default cached,uncached)")
     parser.add_argument("--uncached-connections", type=int, default=None,
@@ -63,16 +61,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     modes = [mode.strip() for mode in args.modes.split(",") if mode.strip()]
-    config = ServiceConfig(
-        port=0, workers=args.workers, cache_capacity=4096,
-        frontend=args.frontend,
-    )
+    config = ServiceConfig(port=0, workers=args.workers, cache_capacity=4096)
     registry = MetricsRegistry(enabled=True)
     results = []
     with DDToolServer(config) as server:
         host, port = server.address
-        print(f"serving on {server.url} ({args.frontend} front end, "
-              f"{args.workers} worker shards)", file=sys.stderr)
+        print(f"serving on {server.url} ({args.workers} worker shards)",
+              file=sys.stderr)
         for mode in modes:
             connections = args.connections
             if mode == "uncached" and args.uncached_connections is not None:
@@ -95,12 +90,11 @@ def main(argv=None) -> int:
 
     report = run_report(
         registry,
-        title=f"service loadgen ({args.frontend}, "
-              f"{args.connections} connections)",
+        title=f"service loadgen ({args.connections} connections)",
     )
     print(report)
 
-    artifact = load_artifact(results, frontend=args.frontend)
+    artifact = load_artifact(results)
     args.output_dir.mkdir(parents=True, exist_ok=True)
     json_path = args.output_dir / "service_loadgen.json"
     text_path = args.output_dir / "service_loadgen.txt"

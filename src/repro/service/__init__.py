@@ -14,12 +14,11 @@ the self-contained ``/dashboard`` page (see ``docs/dashboard.md``).
 Layers (all stdlib, no new dependencies):
 
 * :mod:`repro.service.app` — transport-free request routing and handlers;
-* :mod:`repro.service.eventloop` — the non-blocking ``selectors``-based
-  reactor front end (default): incremental HTTP parsing, keep-alive,
+* :mod:`repro.service.eventloop` — the HTTP transport, a non-blocking
+  ``selectors`` reactor: incremental HTTP parsing, keep-alive,
   backpressure-aware streaming writes;
-* :mod:`repro.service.server` — front-end selection (event loop or the
-  legacy threaded ``http.server``) with graceful SIGTERM drain
-  (``qdd-tool serve``);
+* :mod:`repro.service.server` — :class:`DDToolServer`, the app bound to
+  the reactor, with graceful SIGTERM drain (``qdd-tool serve``);
 * :mod:`repro.service.loadgen` — the multi-process saturation load
   generator behind ``scripts/service_loadgen.py``;
 * :mod:`repro.service.sessions` — TTL/LRU session store with backpressure;

@@ -2,8 +2,8 @@
 
 This module is deliberately transport-free: :class:`ServiceApp` maps a
 plain :class:`Request` value to a :class:`Response` value, so the whole API
-is unit-testable without opening a socket.  ``server.py`` adapts it to
-``http.server``; a WSGI/ASGI adapter would be a dozen lines.
+is unit-testable without opening a socket.  ``eventloop.py`` serves it
+over HTTP; a WSGI/ASGI adapter would be a dozen lines.
 
 Routes (all JSON unless noted):
 
@@ -98,12 +98,7 @@ class ServiceConfig:
 
     host: str = "127.0.0.1"
     port: int = 8137
-    #: HTTP transport: the non-blocking ``selectors`` reactor
-    #: (``"eventloop"``, default) or one thread per connection
-    #: (``"threaded"``, the legacy front end).
-    frontend: str = "eventloop"
     #: Handler threads behind the event loop (0 = sized from ``workers``).
-    #: Irrelevant for the threaded front end.
     handler_threads: int = 0
     workers: int = 2
     max_sessions: int = 64
@@ -886,24 +881,18 @@ class ServiceApp:
         # A deterministic default seed makes repeated identical requests
         # cache-safe even for circuits with mid-circuit measurements.
         seed = self._int_field(payload.get("seed"), "seed", 0)
-        # Backend option: route through the legacy matrix-DD path instead
-        # of the direct apply kernels (the differential-testing oracle).
-        matrix_path = payload.get("matrix_path", False)
-        if not isinstance(matrix_path, bool):
-            raise BadRequestError("field 'matrix_path' must be a boolean")
         digest = parse_qasm(qasm).digest()
         # The cache key must fold every request parameter that changes the
-        # response — shots, seed and backend options — not just the circuit
-        # digest, or differing requests would collide on one cached result.
-        key = ("simulate", digest, shots, seed, matrix_path)
+        # response — shots and seed — not just the circuit digest, or
+        # differing requests would collide on one cached result.
+        key = ("simulate", digest, shots, seed)
         hit, cached = self.cache.get(key)
         if hit:
             return dict(cached, cached=True)
         # The digest is the shard key: every job for this circuit lands on
         # the same worker shard, whose compute/apply tables stay warm.
         result = self.pool.submit(
-            "simulate", simulate_job, qasm, shots, seed, matrix_path,
-            shard_key=digest,
+            "simulate", simulate_job, qasm, shots, seed, shard_key=digest,
         )
         result["digest"] = digest
         self.cache.put(key, result)

@@ -1,8 +1,8 @@
-"""Non-blocking ``selectors``-based HTTP front end for the service.
+"""The service's HTTP transport: a non-blocking ``selectors`` reactor.
 
-The thread-per-connection front end caps out at a few hundred concurrent
-clients: every open socket costs a thread, and a slow or idle client pins
-one forever.  This module holds *all* connections on a single readiness-
+A thread per connection caps out at a few hundred concurrent clients:
+every open socket costs a thread, and a slow or idle client pins one
+forever.  This module holds *all* connections on a single readiness-
 driven event loop instead:
 
 * **accept/read/write are non-blocking** — one reactor thread multiplexes
@@ -23,10 +23,10 @@ driven event loop instead:
   buffer and pauses whenever the buffer is above the high watermark, so
   one slow subscriber buffers kilobytes, not the whole event history.
 
-The protocol-level helpers (:func:`parse_content_length`,
-:func:`parse_query_strict`, :func:`display_host`, :func:`error_body`)
-are shared with the legacy threaded front end in ``server.py`` so both
-transports return identical structured errors.
+Malformed framing (an unparseable ``Content-Length``, duplicated query
+parameters, oversized heads or bodies) is answered with the same
+structured JSON error body :class:`ServiceApp` produces for application
+errors.
 """
 
 from __future__ import annotations
@@ -43,16 +43,7 @@ from urllib.parse import parse_qsl, urlsplit
 
 from repro.service.app import Request, Response, ServiceApp, StreamingResponse
 
-__all__ = [
-    "HTTPParser",
-    "ParsedRequest",
-    "ProtocolError",
-    "SelectorFrontEnd",
-    "display_host",
-    "error_body",
-    "parse_content_length",
-    "parse_query_strict",
-]
+__all__ = ["HTTPParser", "ParsedRequest", "SelectorFrontEnd", "display_host"]
 
 #: Bytes read per ``recv`` call on a readable socket.
 RECV_SIZE = 1 << 16
@@ -608,8 +599,7 @@ class SelectorFrontEnd:
             if head_only:
                 # A HEAD of a streaming endpoint answers with the stream's
                 # status and headers but no body; nothing meaningful can be
-                # resumed, so the connection closes (mirrors the threaded
-                # front end's always-close streams).
+                # resumed, so the connection closes, as after every stream.
                 response.close()
                 conn.out += self._head_bytes(
                     response.status, response.content_type, response.headers,

@@ -434,7 +434,6 @@ def publish_metrics(result: LoadResult, registry) -> None:
 
 def load_artifact(
     results: Sequence[LoadResult],
-    frontend: str,
     campaign: str = "service-loadgen",
 ) -> Dict[str, object]:
     """Serialize results in the campaign artifact format.
@@ -451,7 +450,7 @@ def load_artifact(
         status = "ok" if ok else "failed"
         statuses[status] = statuses.get(status, 0) + 1
         wall_total += result.duration_s
-        cell_id = f"loadgen/{frontend}/{result.mode}/c{result.connections}"
+        cell_id = f"loadgen/{result.mode}/c{result.connections}"
         cells[cell_id] = {
             "status": status,
             "metrics": {
@@ -475,7 +474,7 @@ def load_artifact(
                 "family": "service-loadgen",
                 "label": result.mode,
                 "size": result.connections,
-                "package": frontend,
+                "package": "service",
                 "seed": 0,
                 "rep": 0,
                 "mode": result.mode,
@@ -484,9 +483,7 @@ def load_artifact(
     return {
         "format": ARTIFACT_FORMAT,
         "campaign": campaign,
-        "description": (
-            f"service front-end saturation run ({frontend} transport)"
-        ),
+        "description": "service front-end saturation run",
         "spec_digest": None,
         "spec": None,
         "cells": {cell_id: cells[cell_id] for cell_id in sorted(cells)},

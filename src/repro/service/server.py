@@ -1,20 +1,12 @@
-"""HTTP front ends for :class:`~repro.service.app.ServiceApp`.
+"""The HTTP server in front of :class:`~repro.service.app.ServiceApp`.
 
-Two interchangeable transports sit in front of the transport-free app:
-
-* ``"eventloop"`` (default) — the non-blocking ``selectors``-based
-  reactor in :mod:`repro.service.eventloop`: one thread multiplexes every
-  connection, handlers run on a bounded pool, and streaming bodies are
-  written with backpressure.  This is the shape that holds thousands of
-  concurrent clients.
-* ``"threaded"`` — the original ``http.server.ThreadingHTTPServer``
-  adapter (one thread per connection), kept as the conservative fallback
-  and as the baseline the benchmarks compare against.
-
-Both speak identical HTTP: same structured JSON errors (including 400s
-for malformed ``Content-Length`` headers and duplicated query
-parameters), ``HEAD`` support for load-balancer probes, keep-alive, and
-chunked streaming responses.
+:class:`DDToolServer` binds the transport-free app to the non-blocking
+``selectors`` reactor in :mod:`repro.service.eventloop`: one thread
+multiplexes every connection, handlers run on a bounded pool, and
+streaming bodies are written with backpressure.  It answers structured
+JSON errors (including 400s for malformed ``Content-Length`` headers and
+duplicated query parameters), ``HEAD`` for load-balancer probes,
+keep-alive, and chunked streaming responses.
 
 Shutdown is graceful: ``SIGTERM``/``SIGINT`` stop the accept loop, wait
 for in-flight requests and open streams to drain (bounded by
@@ -29,216 +21,17 @@ import signal
 import sys
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Tuple
-from urllib.parse import urlsplit
 
 from repro.obs.metrics import MetricsRegistry
-from repro.service.app import Request, ServiceApp, ServiceConfig, StreamingResponse
-from repro.service.eventloop import (
-    ProtocolError,
-    SelectorFrontEnd,
-    display_host,
-    error_body,
-    parse_content_length,
-    parse_query_strict,
-)
+from repro.service.app import ServiceApp, ServiceConfig
+from repro.service.eventloop import SelectorFrontEnd, display_host
 
 __all__ = ["DDToolServer", "serve"]
 
 
-class _Handler(BaseHTTPRequestHandler):
-    server_version = "qdd-service/1.0"
-    protocol_version = "HTTP/1.1"
-    # Responses are written as (headers, body) — two small segments.  With
-    # Nagle on, the second one sits out a delayed ACK (~40ms) on loopback,
-    # capping cached-request latency; TCP_NODELAY removes that stall.
-    disable_nagle_algorithm = True
-
-    # ------------------------------------------------------------------
-    # request funnel
-    # ------------------------------------------------------------------
-    def _dispatch(self, method: str) -> None:
-        app: ServiceApp = self.server.app  # type: ignore[attr-defined]
-        split = urlsplit(self.path)
-        try:
-            length = parse_content_length(self.headers.get("Content-Length"))
-        except ProtocolError as error:
-            # The body (if any) was never framed, so the connection cannot
-            # be reused — answer structurally and close.
-            self._respond(
-                error.status, "application/json",
-                error_body(error.error_type, error.message, error.status),
-                close=True,
-            )
-            return
-        if length > app.config.max_body_bytes:
-            # Refuse to buffer an oversized body; close the connection so
-            # the unread remainder cannot poison the next request.
-            self._respond(
-                413, "application/json",
-                error_body(
-                    "RequestTooLargeError",
-                    f"request body of {length} bytes exceeds the "
-                    f"{app.config.max_body_bytes}-byte limit",
-                    413,
-                ),
-                close=True,
-            )
-            return
-        body = self.rfile.read(length) if length else b""
-        try:
-            query = parse_query_strict(split.query)
-        except ProtocolError as error:
-            # The body was fully read, so keep-alive is safe here.
-            self._respond(
-                error.status, "application/json",
-                error_body(error.error_type, error.message, error.status),
-            )
-            return
-        request = Request(
-            method=method,
-            path=split.path,
-            query=query,
-            body=body,
-            client=self.client_address[0] if self.client_address else "",
-            headers={name.lower(): value for name, value in self.headers.items()},
-        )
-        response = app.handle(request)
-        head_only = method == "HEAD"
-        if isinstance(response, StreamingResponse):
-            if head_only:
-                response.close()
-                self._respond(
-                    response.status, response.content_type, b"",
-                    close=True, headers=response.headers,
-                )
-                return
-            self._respond_stream(response)
-            return
-        self._respond(
-            response.status,
-            response.content_type,
-            response.body,
-            headers=response.headers,
-            head_only=head_only,
-        )
-
-    def _respond(
-        self,
-        status: int,
-        content_type: str,
-        body: bytes,
-        close: bool = False,
-        headers: Optional[dict] = None,
-        head_only: bool = False,
-    ) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        # HEAD advertises the entity length it *would* send for GET.
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        if close:
-            self.send_header("Connection", "close")
-            self.close_connection = True
-        self.end_headers()
-        if not head_only:
-            self.wfile.write(body)
-
-    def _respond_stream(self, response: StreamingResponse) -> None:
-        """Write a :class:`StreamingResponse` with chunked transfer encoding.
-
-        SSE connections are long-lived and end when the app closes the
-        stream or the client disconnects (detected on write); either way
-        the connection is closed rather than reused — resuming mid-stream
-        on a kept-alive socket has no meaning for ``text/event-stream``.
-        """
-        self.send_response(response.status)
-        self.send_header("Content-Type", response.content_type)
-        self.send_header("Transfer-Encoding", "chunked")
-        for name, value in response.headers.items():
-            self.send_header(name, value)
-        self.send_header("Connection", "close")
-        self.close_connection = True
-        self.end_headers()
-        try:
-            for chunk in response.chunks:
-                if not chunk:
-                    continue
-                self.wfile.write(b"%x\r\n" % len(chunk) + chunk + b"\r\n")
-                self.wfile.flush()
-            self.wfile.write(b"0\r\n\r\n")
-        except (BrokenPipeError, ConnectionResetError, OSError):
-            pass  # client went away; the finally below releases the slot
-        finally:
-            response.close()
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        self._dispatch("GET")
-
-    def do_POST(self) -> None:  # noqa: N802
-        self._dispatch("POST")
-
-    def do_DELETE(self) -> None:  # noqa: N802
-        self._dispatch("DELETE")
-
-    def do_HEAD(self) -> None:  # noqa: N802
-        # Load balancers probe with HEAD; answering 501 HTML (the
-        # http.server default) makes every probe fail.
-        self._dispatch("HEAD")
-
-    def log_message(self, fmt: str, *args) -> None:
-        if getattr(self.server, "verbose", False):  # pragma: no cover
-            sys.stderr.write(
-                f"[{self.log_date_time_string()}] {self.address_string()} "
-                f"{fmt % args}\n"
-            )
-
-
-class _ThreadedFrontEnd:
-    """The legacy one-thread-per-connection transport."""
-
-    def __init__(self, app: ServiceApp, host: str, port: int, verbose: bool):
-        self._httpd = ThreadingHTTPServer((host, port), _Handler)
-        # Handler threads are daemons: graceful drain is handled explicitly
-        # in DDToolServer.stop(), so an idle keep-alive connection cannot
-        # block exit.
-        self._httpd.daemon_threads = True
-        self._httpd.app = app  # type: ignore[attr-defined]
-        self._httpd.verbose = verbose  # type: ignore[attr-defined]
-        self.server_address: Tuple[str, int] = self._httpd.server_address[:2]
-        self._thread: Optional[threading.Thread] = None
-
-    def start(self) -> None:
-        if self._thread is not None:
-            return
-        self._thread = threading.Thread(
-            target=self.serve_forever, name="qdd-service", daemon=True
-        )
-        self._thread.start()
-
-    def serve_forever(self) -> None:
-        self._httpd.serve_forever(poll_interval=0.1)
-
-    def shutdown(self) -> None:
-        """Stop the accept loop; per-connection threads keep draining."""
-        self._httpd.shutdown()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-
-    def close(self) -> None:
-        self._httpd.server_close()
-
-
 class DDToolServer:
-    """An embeddable service instance bound to one host/port.
-
-    ``config.frontend`` selects the transport: the non-blocking
-    ``"eventloop"`` reactor (default) or the legacy ``"threaded"``
-    one-thread-per-connection server.
-    """
+    """An embeddable service instance bound to one host/port."""
 
     def __init__(
         self,
@@ -248,23 +41,13 @@ class DDToolServer:
     ):
         self.config = config if config is not None else ServiceConfig()
         self.app = ServiceApp(self.config, registry=registry)
-        if self.config.frontend == "threaded":
-            self._frontend = _ThreadedFrontEnd(
-                self.app, self.config.host, self.config.port, verbose
-            )
-        elif self.config.frontend == "eventloop":
-            self._frontend = SelectorFrontEnd(
-                self.app,
-                self.config.host,
-                self.config.port,
-                handler_threads=self.config.handler_threads,
-                verbose=verbose,
-            )
-        else:
-            raise ValueError(
-                f"unknown frontend {self.config.frontend!r} "
-                "(expected 'eventloop' or 'threaded')"
-            )
+        self._frontend = SelectorFrontEnd(
+            self.app,
+            self.config.host,
+            self.config.port,
+            handler_threads=self.config.handler_threads,
+            verbose=verbose,
+        )
 
     @property
     def address(self) -> Tuple[str, int]:
@@ -313,14 +96,20 @@ class DDToolServer:
             time.sleep(0.01)
         return self.app.active_streams == 0
 
-    def stop(self, drain: bool = True) -> None:
-        """Stop accepting, optionally drain in-flight work, reap the pool."""
+    def stop(self, drain: bool = True) -> bool:
+        """Stop accepting, optionally drain in-flight work, reap the pool.
+
+        Open streams and in-flight requests each get up to
+        ``config.drain_timeout`` to finish; True if both drained.
+        """
         self._frontend.shutdown()
+        drained = True
         if drain:
-            self.drain_streams()
-            self.drain()
+            streams_drained = self.drain_streams()
+            drained = self.drain() and streams_drained
         self._frontend.close()
         self.app.close()
+        return drained
 
     def __enter__(self) -> "DDToolServer":
         return self.start()
@@ -347,11 +136,9 @@ def serve(
     if install_signal_handlers:
         signal.signal(signal.SIGTERM, _request_stop)
         signal.signal(signal.SIGINT, _request_stop)
-    host, port = server.address
     print(
         f"qdd-service listening on {server.url} "
-        f"({server.config.frontend} front end, "
-        f"{server.config.workers} worker shard(s), "
+        f"({server.config.workers} worker shard(s), "
         f"{server.config.max_sessions} session slots); "
         "endpoints: /sessions /simulate /simulate/batch /verify /metrics "
         "/healthz /dashboard",
@@ -363,10 +150,7 @@ def serve(
             stop_requested.wait(timeout=0.2)
     except KeyboardInterrupt:  # pragma: no cover - no handler installed
         pass
-    server._frontend.shutdown()
-    drained = server.drain_streams() and server.drain()
-    server._frontend.close()
-    server.app.close()
+    drained = server.stop()
     print(
         "qdd-service stopped"
         + ("" if drained else " (drain timeout; some requests were cut off)"),

@@ -165,10 +165,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8137)
-    serve.add_argument("--frontend", choices=("eventloop", "threaded"),
-                       default="eventloop",
-                       help="HTTP transport: non-blocking selectors event "
-                            "loop (default) or one thread per connection")
     serve.add_argument("--handler-threads", type=int, default=0,
                        help="handler threads behind the event loop "
                             "(0 = sized from --workers)")
@@ -525,7 +521,6 @@ def _cmd_serve(args) -> int:
     config = ServiceConfig(
         host=args.host,
         port=args.port,
-        frontend=args.frontend,
         handler_threads=args.handler_threads,
         batch_max_jobs=args.batch_max_jobs,
         workers=args.workers,

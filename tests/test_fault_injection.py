@@ -315,7 +315,6 @@ class TestWorkerPoolChaos:
             library.ghz_state(2).to_qasm(),
             0,
             0,
-            False,
         )
         assert result["num_qubits"] == 2
 
@@ -329,7 +328,6 @@ class TestWorkerPoolChaos:
             library.bell_pair().to_qasm(),
             0,
             0,
-            False,
         )
         assert result["num_qubits"] == 2
 

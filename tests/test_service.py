@@ -365,25 +365,6 @@ class TestBatchEndpoints:
                             {"qasm": QFT, "shots": 8, "seed": 2}))
         assert other["cached"] is False
 
-    def test_cache_key_folds_backend_options(self, app):
-        # matrix_path selects a different backend (gate-DD multiply instead
-        # of the direct apply kernels); same circuit, different key.
-        kernels = _json(_post(app, "/simulate", {"qasm": QFT, "shots": 16}))
-        matrix = _json(_post(app, "/simulate",
-                             {"qasm": QFT, "shots": 16, "matrix_path": True}))
-        assert matrix["cached"] is False
-        # ... but the two paths must agree on the result.
-        assert matrix["nodes"] == kernels["nodes"]
-        assert matrix["counts"] == kernels["counts"]
-        again = _json(_post(app, "/simulate",
-                            {"qasm": QFT, "shots": 16, "matrix_path": True}))
-        assert again["cached"] is True
-
-    def test_matrix_path_must_be_boolean(self, app):
-        response = _post(app, "/simulate",
-                         {"qasm": QFT, "matrix_path": "yes"})
-        assert response.status == 400
-
     def test_verify_strategies_and_cache(self, app):
         payload = {"left": QFT, "right": QFT_COMPILED,
                    "strategy": "compilation-flow"}

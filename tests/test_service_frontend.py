@@ -1,9 +1,8 @@
-"""HTTP front-end regression suite, run against BOTH transports.
+"""HTTP regression suite for the service's ``selectors`` reactor.
 
-Every test here is parametrized over the ``eventloop`` reactor and the
-legacy ``threaded`` server: the two front ends must speak identical HTTP.
-The first four test groups are regressions for bugs the threaded front
-end shipped with (and which the reactor must not reintroduce):
+The first four test groups are regressions for bugs an earlier
+``http.server``-based front end shipped with, which the reactor must not
+reintroduce:
 
 * a malformed ``Content-Length`` header (``abc``) used to raise
   ``ValueError`` inside the handler and kill the connection with no
@@ -12,13 +11,12 @@ end shipped with (and which the reactor must not reintroduce):
   ``dict(parse_qsl(...))`` — now a structured 400 naming the parameter;
 * ``DDToolServer.url`` used to echo the wildcard bind host
   (``http://0.0.0.0:<port>``), which is not dialable — now loopback;
-* ``HEAD`` requests got ``http.server``'s default 501 HTML page — now
-  answered with the GET headers (including the entity's true
-  ``Content-Length``) and no body.
+* ``HEAD`` requests got a 501 HTML page — now answered with the GET
+  headers (including the entity's true ``Content-Length``) and no body.
 
 Plus keep-alive reuse on a single raw socket, the ``/simulate/batch``
-NDJSON endpoint, pipelined requests, and worker-shard affinity
-(repeated digests must land on the same shard's warm tables).
+NDJSON endpoint, pipelined requests, worker-shard affinity (repeated
+digests must land on the same shard's warm tables) and graceful drain.
 """
 
 import json
@@ -33,16 +31,14 @@ from repro.qc import library
 from repro.service import DDToolServer, ServiceConfig
 from repro.service.workers import WorkerPool, simulate_job
 
-FRONTENDS = ("threaded", "eventloop")
 QFT = library.qft(3).to_qasm()
 
 
-@pytest.fixture(scope="module", params=FRONTENDS)
-def server(request):
+@pytest.fixture(scope="module")
+def server():
     config = ServiceConfig(
         host="127.0.0.1", port=0, workers=0,
-        cache_capacity=64, frontend=request.param,
-        batch_max_jobs=8,
+        cache_capacity=64, batch_max_jobs=8,
     )
     instance = DDToolServer(config).start()
     yield instance
@@ -150,10 +146,8 @@ def test_distinct_query_parameters_still_accepted(server):
 # ----------------------------------------------------------------------
 # bugfix 3: wildcard bind host must not leak into the advertised URL
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("frontend", FRONTENDS)
-def test_wildcard_host_url_is_dialable(frontend):
-    config = ServiceConfig(host="0.0.0.0", port=0, workers=0,
-                           frontend=frontend)
+def test_wildcard_host_url_is_dialable():
+    config = ServiceConfig(host="0.0.0.0", port=0, workers=0)
     with DDToolServer(config) as instance:
         assert "0.0.0.0" not in instance.url
         assert instance.url.startswith("http://127.0.0.1:")
@@ -343,8 +337,7 @@ def test_keyed_jobs_stick_to_one_shard():
         expected = pool.shard_for(digest)
         for seed in range(4):
             result = pool.submit(
-                "simulate", simulate_job, QFT, 4, seed, False,
-                shard_key=digest,
+                "simulate", simulate_job, QFT, 4, seed, shard_key=digest,
             )
             assert result["nodes"] > 0
         counters = pool.shard_jobs
@@ -411,8 +404,7 @@ def test_http_requests_with_same_digest_share_a_shard(server):
 # graceful shutdown drains in-flight work on the reactor
 # ----------------------------------------------------------------------
 def test_eventloop_stop_completes_inflight_request():
-    config = ServiceConfig(host="127.0.0.1", port=0, workers=0,
-                           frontend="eventloop")
+    config = ServiceConfig(host="127.0.0.1", port=0, workers=0)
     instance = DDToolServer(config).start()
     host, port = instance.address
     connection = HTTPConnection(host, port, timeout=30)
@@ -424,7 +416,10 @@ def test_eventloop_stop_completes_inflight_request():
         )
         # Stop accepting while the request may still be in flight; the
         # reactor must keep the connection alive until it is answered.
-        shutdown = threading.Thread(target=instance.stop)
+        drained = []
+        shutdown = threading.Thread(
+            target=lambda: drained.append(instance.stop())
+        )
         time.sleep(0.01)
         shutdown.start()
         response = connection.getresponse()
@@ -432,5 +427,7 @@ def test_eventloop_stop_completes_inflight_request():
         response.read()
         shutdown.join(timeout=30)
         assert not shutdown.is_alive()
+        # Every in-flight request and stream finished inside the timeout.
+        assert drained == [True]
     finally:
         connection.close()
