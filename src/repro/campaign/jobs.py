@@ -1,12 +1,12 @@
 """Campaign cell execution — the job function workers run per cell.
 
 A cell builds its *own* :class:`~repro.dd.package.DDPackage` from the
-cell's package options (storage backend, apply kernels, tolerance,
-normalization scheme, sanitizer cadence, memory budget), constructs the
-circuit for its family/size/seed, runs it in the requested mode, and
-returns a plain dict of metrics.  The worker pool's long-lived service
-package is deliberately not reused: a campaign's whole point is comparing
-package configurations, so every cell starts from a cold, isolated table.
+cell's package options (apply kernels, tolerance, normalization scheme,
+sanitizer cadence, memory budget), constructs the circuit for its
+family/size/seed, runs it in the requested mode, and returns a plain dict
+of metrics.  The worker pool's long-lived service package is deliberately
+not reused: a campaign's whole point is comparing package configurations,
+so every cell starts from a cold, isolated table.
 
 Results split **metrics** (deterministic for a given seed and code
 version: node counts, operation counts, table sizes — what regression
@@ -190,8 +190,6 @@ def _make_package(options: Dict[str, Any]):
         "registry": MetricsRegistry(enabled=False),
         "use_apply_kernels": bool(options.get("use_apply_kernels", True)),
     }
-    if options.get("storage"):
-        kwargs["storage"] = options["storage"]
     if options.get("tolerance") is not None:
         kwargs["tolerance"] = float(options["tolerance"])
     if options.get("vector_scheme"):

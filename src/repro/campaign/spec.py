@@ -21,8 +21,8 @@ The schema (``qdd-campaign-spec-v1``) is intentionally small::
         "repetitions": 1,
         "shots": 0,
         "packages": [
-          {"label": "pooled", "storage": "pooled"},
-          {"label": "object", "storage": "object"}
+          {"label": "kernels"},
+          {"label": "matrix-path", "use_apply_kernels": false}
         ]
       },
       "execution": {"workers": 0, "cell_timeout": 120.0},
@@ -66,7 +66,6 @@ CELL_MODES = ("simulate", "functionality", "dense")
 #: Which direction of metric drift a gate fails on.
 GATE_DIRECTIONS = ("both", "increase", "decrease")
 
-_STORAGE_BACKENDS = (None, "pooled", "object")
 _VECTOR_SCHEMES = (None, "l2", "max-magnitude")
 _REORDER_MODES = ("off", "manual", "pressure")
 
@@ -98,7 +97,6 @@ class PackageSpec:
     """One :class:`~repro.dd.package.DDPackage` configuration axis value."""
 
     label: str
-    storage: Optional[str] = None
     use_apply_kernels: bool = True
     tolerance: Optional[float] = None
     vector_scheme: Optional[str] = None
@@ -115,7 +113,7 @@ class PackageSpec:
             raise CampaignSpecError(f"{where} must be an object")
         _require_keys(
             data,
-            ("label", "storage", "use_apply_kernels", "tolerance",
+            ("label", "use_apply_kernels", "tolerance",
              "vector_scheme", "sanitize_every", "budget_nodes", "budget_bytes",
              "budget_check_interval", "reorder", "identity_skipping"),
             where,
@@ -123,11 +121,6 @@ class PackageSpec:
         label = data.get("label")
         if not isinstance(label, str) or not label:
             raise CampaignSpecError(f"{where}: every package needs a non-empty 'label'")
-        storage = data.get("storage")
-        if storage not in _STORAGE_BACKENDS:
-            raise CampaignSpecError(
-                f"{where}: storage must be one of 'pooled'/'object', got {storage!r}"
-            )
         scheme = data.get("vector_scheme")
         if scheme not in _VECTOR_SCHEMES:
             raise CampaignSpecError(
@@ -167,7 +160,6 @@ class PackageSpec:
             )
         return cls(
             label=label,
-            storage=storage,
             use_apply_kernels=bool(data.get("use_apply_kernels", True)),
             tolerance=float(tolerance) if tolerance is not None else None,
             vector_scheme=scheme,
@@ -182,7 +174,6 @@ class PackageSpec:
     def as_dict(self) -> Dict[str, Any]:
         return {
             "label": self.label,
-            "storage": self.storage,
             "use_apply_kernels": self.use_apply_kernels,
             "tolerance": self.tolerance,
             "vector_scheme": self.vector_scheme,

@@ -34,6 +34,10 @@ Kernel taxonomy (reported through the ``dd_apply_total`` counter):
     SWAP / Fredkin via three CX kernel applications; iSWAP via
     ``SWAP . CZ . (S x S)``.
 
+The recursion itself is :class:`repro.dd.pooled.PooledApplyKernel`, which
+works on the engine's node and weight indices; this module builds kernels,
+caches them per gate and dispatches circuit operations onto them.
+
 All kernels share one dedicated compute table (``DDPackage._apply_cache``)
 keyed on ``(gate id, node)``, where the gate id canonicalizes the unitary's
 entries through the complex table, so repeated gates (GHZ cascades, Grover
@@ -51,9 +55,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.dd.complex_table import ComplexTable
-from repro.dd.edge import Edge, ZERO_EDGE
-from repro.dd.node import MatrixNode, Node, VectorNode
+from repro.dd.edge import Edge
 from repro.dd.pooled import PooledApplyKernel
 from repro.errors import DDError
 from repro.obs.metrics import DEFAULT_TIME_BUCKETS
@@ -104,349 +106,11 @@ def _observe(package, kernel: str, start: Optional[float]) -> None:
 
 
 # ----------------------------------------------------------------------
-# the recursive kernel
-# ----------------------------------------------------------------------
-class _ApplyKernel:
-    """One prepared gate application: a 2x2 unitary at ``target`` with
-    control lines, specialized to a DD mode.
-
-    ``mode`` selects how node successors are traversed:
-
-    * ``"v"``  — vector nodes, successors indexed by the qubit value;
-    * ``"ml"`` — matrix nodes, the gate multiplies from the *left* (acts
-      on the row index ``i`` of successor ``2*i + j``);
-    * ``"mr"`` — matrix nodes, the gate multiplies from the *right* (acts
-      on the column index ``j``; realized by transposing the unitary and
-      reusing the row recursion on column-grouped successors).
-    """
-
-    __slots__ = (
-        "package", "table", "mode", "u", "target", "controls",
-        "low", "below", "below_low", "op_key", "proj_key", "kernel",
-        "skipping", "high", "lines", "below_lines", "below_map",
-    )
-
-    def __init__(
-        self,
-        package,
-        mode: str,
-        matrix: np.ndarray,
-        target: int,
-        controls: Dict[int, int],
-    ):
-        self.package = package
-        self.table = package.complex_table
-        self.mode = mode
-        matrix = np.asarray(matrix, dtype=complex)
-        if matrix.shape != (2, 2):
-            raise DDError(f"expected a 2x2 matrix, got shape {matrix.shape}")
-        if mode == "mr":
-            matrix = matrix.T
-        self.u = tuple(self._canonical(matrix[i, j]) for i in (0, 1) for j in (0, 1))
-        self.target = target
-        self.controls = dict(controls)
-        for line, bit in self.controls.items():
-            if line == target:
-                raise DDError("target and control lines must be distinct")
-            if bit not in (0, 1):
-                raise DDError(f"control value must be 0 or 1, got {bit!r}")
-        levels = [target, *self.controls]
-        self.low = min(levels)
-        self.high = max(levels)
-        self.lines = tuple(sorted(levels, reverse=True))
-        self.below = tuple(
-            sorted((line, bit) for line, bit in self.controls.items() if line < target)
-        )
-        self.below_low = self.below[0][0] if self.below else target
-        self.below_map = dict(self.below)
-        self.below_lines = tuple(sorted(self.below_map, reverse=True))
-        # Matrix DDs in identity-skipping packages may skip gate lines; the
-        # level-tracking recursion (`_rec_s`) materializes skipped levels on
-        # demand.  Vector DDs stay dense, so mode "v" keeps the fast path.
-        self.skipping = mode != "v" and bool(
-            getattr(package, "identity_skipping", False)
-        )
-        ctrl_key = tuple(sorted(self.controls.items()))
-        self.op_key = ("apply", mode, self.u, target, ctrl_key)
-        self.proj_key = ("proj", mode, self.below)
-        if self.controls:
-            self.kernel = "controlled"
-        elif self.u[1] == ComplexTable.ZERO and self.u[2] == ComplexTable.ZERO:
-            self.kernel = "diagonal"
-        elif self.u[0] == ComplexTable.ZERO and self.u[3] == ComplexTable.ZERO:
-            self.kernel = "antidiagonal"
-        else:
-            self.kernel = "generic"
-
-    def _canonical(self, value: complex) -> complex:
-        value = complex(value)
-        if self.table.is_zero(value):
-            return ComplexTable.ZERO
-        return self.table.lookup(value)
-
-    # -- entry -----------------------------------------------------------
-    def run(self, root: Edge) -> Edge:
-        if root.is_zero:
-            return ZERO_EDGE
-        node = root.node
-        if self.skipping:
-            if not node.is_terminal and not isinstance(node, MatrixNode):
-                raise DDError("apply kernels need a matrix DD root")
-            entry = self.high if node.is_terminal else max(self.high, node.var)
-            return self._rec_s(node, entry).scaled(root.weight, self.table)
-        expected = VectorNode if self.mode == "v" else MatrixNode
-        if node.is_terminal or not isinstance(node, expected):
-            kind = "vector" if self.mode == "v" else "matrix"
-            raise DDError(f"apply kernels need a non-trivial {kind} DD root")
-        if node.var < self.target or (self.controls and node.var < max(self.controls)):
-            raise DDError(
-                f"gate lines exceed the DD's qubit range (root level {node.var})"
-            )
-        return self._rec(node).scaled(root.weight, self.table)
-
-    # -- recursion over untouched upper levels ---------------------------
-    def _rec(self, node: Node) -> Edge:
-        if node.var < self.low:
-            # Everything the gate touches lies above: the subtree (possibly
-            # the terminal) is shared unchanged.
-            return Edge(node, ComplexTable.ONE)
-        cache = self.package._apply_cache
-        key = (self.op_key, node)
-        cached = cache.lookup(key)
-        if cached is None:
-            cached = self._expand(node)
-            cache.insert(key, cached)
-        return cached
-
-    def _rec_edge(self, edge: Edge) -> Edge:
-        if edge.is_zero:
-            return ZERO_EDGE
-        return self._rec(edge.node).scaled(edge.weight, self.table)
-
-    def _expand(self, node: Node) -> Edge:
-        var = node.var
-        pairs = self._pairs(node)
-        if var == self.target:
-            new_pairs = [self._apply_target(pair) for pair in pairs]
-        else:
-            bit = self.controls.get(var)
-            if bit is None:
-                # A line between the gate's lines: descend on both branches.
-                new_pairs = [
-                    tuple(self._rec_edge(child) for child in pair) for pair in pairs
-                ]
-            else:
-                # Control above the (remaining) gate lines: the active branch
-                # continues, the inactive branch is shared unchanged.
-                new_pairs = []
-                for pair in pairs:
-                    updated = list(pair)
-                    updated[bit] = self._rec_edge(pair[bit])
-                    new_pairs.append(tuple(updated))
-        return self._make(var, new_pairs)
-
-    # -- the target level -----------------------------------------------
-    def _apply_target(self, pair: Tuple[Edge, Edge]) -> Tuple[Edge, Edge]:
-        u00, u01, u10, u11 = self.u
-        c0, c1 = pair
-        table = self.table
-        if self.below:
-            # Controls below the target: CU = I + P (U - I), with the
-            # projector chain P applied to the subtrees first.
-            add = self.package._add
-            d00 = self._canonical(u00 - 1.0)
-            d11 = self._canonical(u11 - 1.0)
-            p0 = self._proj_edge(c0)
-            p1 = self._proj_edge(c1)
-            new0 = add(c0, add(p0.scaled(d00, table), p1.scaled(u01, table)))
-            new1 = add(c1, add(p0.scaled(u10, table), p1.scaled(d11, table)))
-            return (new0, new1)
-        if u01 == ComplexTable.ZERO and u10 == ComplexTable.ZERO:
-            # Diagonal shortcut: only the edge weights change.
-            return (c0.scaled(u00, table), c1.scaled(u11, table))
-        if u00 == ComplexTable.ZERO and u11 == ComplexTable.ZERO:
-            # Anti-diagonal shortcut (X/Y): swap the successors.
-            return (c1.scaled(u01, table), c0.scaled(u10, table))
-        add = self.package._add
-        new0 = add(c0.scaled(u00, table), c1.scaled(u01, table))
-        new1 = add(c0.scaled(u10, table), c1.scaled(u11, table))
-        return (new0, new1)
-
-    # -- projector chain for controls below the target -------------------
-    def _proj_edge(self, edge: Edge) -> Edge:
-        if edge.is_zero:
-            return ZERO_EDGE
-        return self._proj(edge.node).scaled(edge.weight, self.table)
-
-    def _proj(self, node: Node) -> Edge:
-        if node.var < self.below_low:
-            return Edge(node, ComplexTable.ONE)
-        cache = self.package._apply_cache
-        key = (self.proj_key, node)
-        cached = cache.lookup(key)
-        if cached is None:
-            var = node.var
-            pairs = self._pairs(node)
-            bit = dict(self.below).get(var)
-            new_pairs = []
-            for pair in pairs:
-                if bit is None:
-                    new_pairs.append(tuple(self._proj_edge(child) for child in pair))
-                else:
-                    updated = [ZERO_EDGE, ZERO_EDGE]
-                    updated[bit] = self._proj_edge(pair[bit])
-                    new_pairs.append(tuple(updated))
-            cached = self._make(var, new_pairs)
-            cache.insert(key, cached)
-        return cached
-
-    # -- identity-skipping recursion (matrix modes) ----------------------
-    # Skipped levels stand for identities, so a gate line may fall *inside*
-    # a skipped range.  Memoizing by node alone would collide (two parents
-    # can reach the same node with different remaining gate lines), so the
-    # recursion tracks the next gate line and keys the cache on it.
-    @staticmethod
-    def _next_line(lines: Tuple[int, ...], level: int) -> Optional[int]:
-        for line in lines:
-            if line <= level:
-                return line
-        return None
-
-    def _pairs_at(self, node: Node, virtual: bool):
-        if not virtual:
-            return self._pairs(node)
-        # The node skips this level: virtually a diagonal (e, 0, 0, e),
-        # identical under row ("ml") and column ("mr") grouping.
-        unit = Edge(node, ComplexTable.ONE)
-        return ((unit, ZERO_EDGE), (ZERO_EDGE, unit))
-
-    def _rec_s_edge(self, edge: Edge, level: int) -> Edge:
-        if edge.is_zero:
-            return ZERO_EDGE
-        return self._rec_s(edge.node, level).scaled(edge.weight, self.table)
-
-    def _rec_s(self, node: Node, level: int) -> Edge:
-        line = self._next_line(self.lines, level)
-        if line is None:
-            return Edge(node, ComplexTable.ONE)
-        cache = self.package._apply_cache
-        key = (self.op_key, node, line)
-        cached = cache.lookup(key)
-        if cached is not None:
-            return cached
-        if not node.is_terminal and node.var > line:
-            pairs = self._pairs(node)
-            new_pairs = [
-                tuple(self._rec_s_edge(child, node.var - 1) for child in pair)
-                for pair in pairs
-            ]
-            cached = self._make(node.var, new_pairs)
-        else:
-            virtual = node.is_terminal or node.var < line
-            pairs = self._pairs_at(node, virtual)
-            if line == self.target:
-                new_pairs = [self._apply_target_s(pair) for pair in pairs]
-            else:
-                bit = self.controls[line]
-                new_pairs = []
-                for pair in pairs:
-                    updated = list(pair)
-                    updated[bit] = self._rec_s_edge(pair[bit], line - 1)
-                    new_pairs.append(tuple(updated))
-            cached = self._make(line, new_pairs)
-        cache.insert(key, cached)
-        return cached
-
-    def _apply_target_s(self, pair: Tuple[Edge, Edge]) -> Tuple[Edge, Edge]:
-        u00, u01, u10, u11 = self.u
-        c0, c1 = pair
-        table = self.table
-        if self.below:
-            add = self.package._add
-            d00 = self._canonical(u00 - 1.0)
-            d11 = self._canonical(u11 - 1.0)
-            p0 = self._proj_s_edge(c0, self.target - 1)
-            p1 = self._proj_s_edge(c1, self.target - 1)
-            new0 = add(c0, add(p0.scaled(d00, table), p1.scaled(u01, table)))
-            new1 = add(c1, add(p0.scaled(u10, table), p1.scaled(d11, table)))
-            return (new0, new1)
-        if u01 == ComplexTable.ZERO and u10 == ComplexTable.ZERO:
-            return (c0.scaled(u00, table), c1.scaled(u11, table))
-        if u00 == ComplexTable.ZERO and u11 == ComplexTable.ZERO:
-            return (c1.scaled(u01, table), c0.scaled(u10, table))
-        add = self.package._add
-        new0 = add(c0.scaled(u00, table), c1.scaled(u01, table))
-        new1 = add(c0.scaled(u10, table), c1.scaled(u11, table))
-        return (new0, new1)
-
-    def _proj_s_edge(self, edge: Edge, level: int) -> Edge:
-        if edge.is_zero:
-            return ZERO_EDGE
-        return self._proj_s(edge.node, level).scaled(edge.weight, self.table)
-
-    def _proj_s(self, node: Node, level: int) -> Edge:
-        line = self._next_line(self.below_lines, level)
-        if line is None:
-            return Edge(node, ComplexTable.ONE)
-        cache = self.package._apply_cache
-        key = (self.proj_key, node, line)
-        cached = cache.lookup(key)
-        if cached is not None:
-            return cached
-        if not node.is_terminal and node.var > line:
-            pairs = self._pairs(node)
-            new_pairs = [
-                tuple(self._proj_s_edge(child, node.var - 1) for child in pair)
-                for pair in pairs
-            ]
-            cached = self._make(node.var, new_pairs)
-        else:
-            virtual = node.is_terminal or node.var < line
-            pairs = self._pairs_at(node, virtual)
-            bit = self.below_map[line]
-            new_pairs = []
-            for pair in pairs:
-                updated = [ZERO_EDGE, ZERO_EDGE]
-                updated[bit] = self._proj_s_edge(pair[bit], line - 1)
-                new_pairs.append(tuple(updated))
-            cached = self._make(line, new_pairs)
-        cache.insert(key, cached)
-        return cached
-
-    # -- mode-dependent successor layout ---------------------------------
-    def _pairs(self, node: Node):
-        """Successors grouped into 2-vectors along the gate's active index."""
-        edges = node.edges
-        if self.mode == "v":
-            return (edges,)
-        if self.mode == "ml":
-            # Row pairs per column j: (U_0j, U_1j).
-            return ((edges[0], edges[2]), (edges[1], edges[3]))
-        # "mr": column pairs per row i: (U_i0, U_i1).
-        return ((edges[0], edges[1]), (edges[2], edges[3]))
-
-    def _make(self, var: int, new_pairs) -> Edge:
-        if self.mode == "v":
-            return self.package.make_vector_node(var, new_pairs[0])
-        if self.mode == "ml":
-            (e00, e10), (e01, e11) = new_pairs
-        else:
-            (e00, e01), (e10, e11) = new_pairs
-        return self.package.make_matrix_node(var, (e00, e01, e10, e11))
-
-
-# ----------------------------------------------------------------------
 # public vector-DD API
 # ----------------------------------------------------------------------
 def _make_kernel(package, mode, matrix, target, controls):
-    """Build the kernel matching the package's storage backend.
-
-    Both kernels share recursion structure, shortcuts and arithmetic, so
-    the two backends stay bit-identical (the differential suite's check).
-    """
-    engine = getattr(package, "_pooled", None)
-    if engine is None:
-        return _ApplyKernel(package, mode, matrix, target, controls)
+    """Build (or reuse) the pooled engine's kernel for one gate."""
+    engine = package._pooled
     if type(matrix) is np.ndarray and not matrix.flags.writeable:
         # An immutable (interned gate-library) matrix can be keyed by
         # identity; the cache entry pins it so its id stays valid.

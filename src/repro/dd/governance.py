@@ -20,15 +20,15 @@ This module provides the Pythonic counterpart:
     the current :class:`PressureLevel` and runs tiered collections:
 
     * **SOFT** — shrink every compute table to half (dropping the oldest
-      entries), which releases the strong references that pin otherwise
-      dead nodes in the weak unique tables;
+      entries);
     * **HARD** — clear the compute tables entirely *and* mark-and-sweep
-      the complex table: weights reachable from live nodes (and from
-      reference-counted root edges) are marked, everything else is swept.
+      the node and weight pools: nodes reachable from live Python views
+      (and from reference-counted root edges) and their weights are
+      marked, everything else is freed.
 
 Reference counting is *assistive*, not authoritative: node liveness is
-governed by ordinary Python references (the unique tables hold nodes
-weakly), but the complex table cannot know which weights are still in use.
+governed by ordinary Python references to node views, but the weight pool
+cannot know which root weights are still in use.
 Holders of long-lived root edges — simulators, verification engines,
 service sessions — register them via :meth:`DDPackage.incref` /
 :meth:`DDPackage.decref` so a sweep never purges the canonical
@@ -57,17 +57,14 @@ __all__ = [
     "MemoryBudget",
     "PressureLevel",
     "ResourceGovernor",
-    "NODE_BYTES_ESTIMATE",
     "COMPLEX_ENTRY_BYTES_ESTIMATE",
     "COMPUTE_ENTRY_BYTES_ESTIMATE",
 ]
 
-#: Rough per-entry resident-size estimates (CPython 3.11, 64-bit): a node
-#: object with its edge tuple plus its unique-table slot; a complex value
-#: plus its bucket share; a compute-table key tuple plus the dict slot.
+#: Rough per-entry resident-size estimates (CPython 3.11, 64-bit): a complex
+#: value plus its bucket share; a compute-table key tuple plus the dict slot.
 #: They only need to be the right order of magnitude — budgets are coarse
 #: guardrails, not an allocator.
-NODE_BYTES_ESTIMATE = 480
 COMPLEX_ENTRY_BYTES_ESTIMATE = 160
 COMPUTE_ENTRY_BYTES_ESTIMATE = 320
 
@@ -289,21 +286,14 @@ class ResourceGovernor:
     def table_bytes(self) -> int:
         """Resident bytes of all tables.
 
-        Pooled storage reports the *actual* byte size of its flat index
-        arrays (node pools, unique-table slots, weight components); the
-        value-level complex buckets and the compute tables remain coarse
-        per-entry estimates, as does everything on the object backend.
+        The flat index arrays (node pools, unique-table slots, weight
+        components) report their *actual* byte size; the value-level
+        complex buckets and the compute tables remain coarse per-entry
+        estimates.
         """
         package = self.package
-        engine = getattr(package, "_pooled", None)
-        if engine is not None:
-            return (
-                engine.table_bytes()
-                + len(package.complex_table) * COMPLEX_ENTRY_BYTES_ESTIMATE
-                + self.compute_entry_count() * COMPUTE_ENTRY_BYTES_ESTIMATE
-            )
         return (
-            self.node_count() * NODE_BYTES_ESTIMATE
+            package._pooled.table_bytes()
             + len(package.complex_table) * COMPLEX_ENTRY_BYTES_ESTIMATE
             + self.compute_entry_count() * COMPUTE_ENTRY_BYTES_ESTIMATE
         )
@@ -376,18 +366,11 @@ class ResourceGovernor:
             for table in package._compute_tables():
                 dropped += len(table)
                 table.clear()
-            engine = getattr(package, "_pooled", None)
-            if engine is not None:
-                # Index-keyed caches are empty now, so the engine may free
-                # and recycle pool slots: mark every Python-reachable view
-                # and refcounted root, sweep the rest, rebuild the unique
-                # tables tombstone-free, then sweep orphaned weight indices.
-                engine.sweep(self._live_roots())
-            else:
-                # Dropping the compute tables releases the strong references
-                # that pinned dead nodes; the weak unique tables shed them
-                # immediately (CPython refcounting; diagrams are acyclic).
-                package.complex_table.sweep(self._mark())
+            # Index-keyed caches are empty now, so the engine may free and
+            # recycle pool slots: mark every Python-reachable view and
+            # refcounted root, sweep the rest, rebuild the unique tables
+            # tombstone-free, then sweep orphaned weight indices.
+            package._pooled.sweep(self._live_roots())
         stats.compute_entries_dropped = dropped
         stats.nodes_after = self.node_count()
         stats.complex_after = len(package.complex_table)
@@ -427,23 +410,6 @@ class ResourceGovernor:
                 "nodes": self.node_count(),
             })
             self._last_published_pressure = level
-
-    def _mark(self) -> set:
-        """Weights that must survive a complex-table sweep.
-
-        Successor weights of every live node plus the weights of
-        reference-counted root edges (root weights live on edges, not in
-        any node, so without refcounts a sweep would orphan them).
-        """
-        marked = set()
-        package = self.package
-        for table in (package._vector_unique, package._matrix_unique):
-            for node in table.live_nodes():
-                for edge in node.edges:
-                    marked.add(edge.weight)
-        for _node, weight in self._live_roots():
-            marked.add(weight)
-        return marked
 
     def _live_roots(self) -> List[Tuple[object, complex]]:
         """Live ``(node, weight)`` root pairs; purges dead registry entries."""

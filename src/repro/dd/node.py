@@ -6,9 +6,10 @@ corresponding to the four equally-sized sub-matrices ``U_ij`` (paper Sec.
 III-A): edge ``2*i + j`` describes how the rest of the system is transformed
 given that ``q_var`` is mapped from ``|j>`` to ``|i>``.
 
-Nodes are hash-consed through :class:`repro.dd.unique_table.UniqueTable`;
-therefore node *identity* implies structural equality and nodes use the
-default identity hash.  Both node classes are immutable after construction.
+Nodes are hash-consed through the pooled engine's unique tables
+(:mod:`repro.dd.pooled`), which hand out views of these classes; therefore
+node *identity* implies structural equality and nodes use the default
+identity hash.  Both node classes are immutable after construction.
 
 The unique terminal node :data:`TERMINAL` sits below level 0 (``var == -1``)
 and carries no successors.  Following the paper, the terminal is *not*

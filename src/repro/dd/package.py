@@ -12,7 +12,9 @@ tables, and exposes every operation the paper builds on:
 * queries — node counts (terminal excluded, as in the paper), amplitudes,
   dense reconstruction, inner products and norms.
 
-All edge weights flowing through the package are canonicalized through the
+The recursions run on the pooled index engine of :mod:`repro.dd.pooled`;
+the package converts between its node indices and public edges.  All edge
+weights flowing through the package are canonicalized through the
 complex table, so edges compare with plain ``==`` and two structurally equal
 diagrams share the very same root node (canonicity; paper Sec. III-C).
 
@@ -33,12 +35,11 @@ from repro.dd.complex_table import ComplexTable, DEFAULT_TOLERANCE
 from repro.dd.compute_table import ComputeTable
 from repro.dd.edge import Edge, ONE_EDGE, ZERO_EDGE
 from repro.dd.governance import GcStats, MemoryBudget, ResourceGovernor
-from repro.dd.node import MatrixNode, Node, TERMINAL, VectorNode
-from repro.dd.normalization import NormalizationScheme, normalize
+from repro.dd.node import MatrixNode, TERMINAL
+from repro.dd.normalization import NormalizationScheme
 from repro.dd.pool import WeightPool
 from repro.dd.pooled import MATRIX, PooledEngine, PooledUniqueAdapter, VECTOR
-from repro.dd.unique_table import UniqueTable
-from repro.errors import DDError, DimensionMismatchError, InvalidStateError
+from repro.errors import DDError, InvalidStateError
 from repro.obs.metrics import DEFAULT_TIME_BUCKETS, MetricsRegistry
 
 _ID2 = np.eye(2, dtype=complex)
@@ -113,15 +114,6 @@ class DDPackage:
         publishes structured events: ``dd.gc`` per collection,
         ``dd.pressure`` per pressure-tier transition and ``dd.sanitize``
         per failing sanitizer run (the live dashboard's state feed).
-    storage:
-        DD storage backend.  ``"pooled"`` (the default) keeps nodes in
-        flat index arrays behind an open-addressed unique table
-        (:mod:`repro.dd.pooled`); ``"object"`` is the legacy one-heap-
-        object-per-node core, retained as the differential-testing oracle.
-        Both backends produce byte-for-byte identical canonical weights
-        and isomorphic diagrams.  ``None`` reads the ``REPRO_DD_STORAGE``
-        environment variable (unset means pooled).  Diagrams must never
-        be mixed across packages, and hence across backends.
     reorder:
         Dynamic variable-reordering mode.  ``"off"`` (the default) keeps
         the level-to-qubit mapping fixed; ``"manual"`` enables explicit
@@ -153,7 +145,6 @@ class DDPackage:
         budget: Optional[MemoryBudget] = None,
         sanitize_every: Optional[int] = None,
         event_bus=None,
-        storage: Optional[str] = None,
         reorder: Optional[str] = None,
         identity_skipping: Optional[bool] = None,
     ):
@@ -163,11 +154,6 @@ class DDPackage:
         #: publishes its verdicts, feeding the service's live streams.
         self.event_bus = event_bus
         self.use_apply_kernels = use_apply_kernels
-        if storage is None:
-            storage = os.environ.get("REPRO_DD_STORAGE", "").strip() or "pooled"
-        if storage not in ("pooled", "object"):
-            raise DDError(f"unknown DD storage backend {storage!r}")
-        self.storage = storage
         if reorder is None:
             reorder = os.environ.get("REPRO_DD_REORDER", "").strip() or "off"
         if reorder not in self._REORDER_MODES:
@@ -192,13 +178,9 @@ class DDPackage:
         self._in_reorder = False
         self._reorder_pending = False
         self._reorder_cooldown = 0
-        self._identity_skips = 0
         self._reorder_runs = 0
         self._reorder_swaps = 0
-        if storage == "pooled":
-            self.complex_table = WeightPool(tolerance, registry=self.registry)
-        else:
-            self.complex_table = ComplexTable(tolerance, registry=self.registry)
+        self.complex_table = WeightPool(tolerance, registry=self.registry)
         self.vector_scheme = vector_scheme
         self._add_cache = ComputeTable("add", cache_capacity, registry=self.registry)
         self._mult_mv_cache = ComputeTable(
@@ -217,35 +199,26 @@ class DDPackage:
         self._apply_cache = ComputeTable(
             "apply", cache_capacity, registry=self.registry
         )
-        if storage == "pooled":
-            self._pooled = PooledEngine(
-                self.complex_table,
-                vector_scheme,
-                {
-                    "add": self._add_cache,
-                    "mult-mv": self._mult_mv_cache,
-                    "mult-mm": self._mult_mm_cache,
-                    "kron": self._kron_cache,
-                    "adjoint": self._adjoint_cache,
-                    "inner": self._inner_cache,
-                    "apply": self._apply_cache,
-                },
-                identity_skipping=self.identity_skipping,
-            )
-            self._vector_unique = PooledUniqueAdapter(
-                self._pooled, "vector", registry=self.registry
-            )
-            self._matrix_unique = PooledUniqueAdapter(
-                self._pooled, "matrix", registry=self.registry
-            )
-        else:
-            self._pooled = None
-            self._vector_unique = UniqueTable(
-                VectorNode, registry=self.registry, kind="vector"
-            )
-            self._matrix_unique = UniqueTable(
-                MatrixNode, registry=self.registry, kind="matrix"
-            )
+        self._pooled = PooledEngine(
+            self.complex_table,
+            vector_scheme,
+            {
+                "add": self._add_cache,
+                "mult-mv": self._mult_mv_cache,
+                "mult-mm": self._mult_mm_cache,
+                "kron": self._kron_cache,
+                "adjoint": self._adjoint_cache,
+                "inner": self._inner_cache,
+                "apply": self._apply_cache,
+            },
+            identity_skipping=self.identity_skipping,
+        )
+        self._vector_unique = PooledUniqueAdapter(
+            self._pooled, "vector", registry=self.registry
+        )
+        self._matrix_unique = PooledUniqueAdapter(
+            self._pooled, "matrix", registry=self.registry
+        )
         # Operation counters/timers cover only the *public* entry points;
         # the recursive workers below them stay uninstrumented so the hot
         # recursion pays nothing.
@@ -378,32 +351,13 @@ class DDPackage:
         """
         if var < 0:
             raise DDError("vector nodes require a non-negative level")
-        if self._pooled is not None:
-            return self._pooled.make_node_public(VECTOR, var, edges)
-        factor, normalized = normalize(edges, self.complex_table, self.vector_scheme)
-        if factor == ComplexTable.ZERO:
-            return ZERO_EDGE
-        node = self._vector_unique.get_or_create(var, normalized)
-        return Edge(node, factor)
+        return self._pooled.make_node_public(VECTOR, var, edges)
 
     def make_matrix_node(self, var: int, edges: Sequence[Edge]) -> Edge:
         """Create (or reuse) a normalized matrix node; returns its edge."""
         if var < 0:
             raise DDError("matrix nodes require a non-negative level")
-        if self._pooled is not None:
-            return self._pooled.make_node_public(MATRIX, var, edges)
-        if self.identity_skipping:
-            e0, e1, e2, e3 = edges
-            if e1.is_zero and e2.is_zero and not e0.is_zero and e0 == e3:
-                self._identity_skips += 1
-                return e0
-        factor, normalized = normalize(
-            edges, self.complex_table, NormalizationScheme.MAX_MAGNITUDE
-        )
-        if factor == ComplexTable.ZERO:
-            return ZERO_EDGE
-        node = self._matrix_unique.get_or_create(var, normalized)
-        return Edge(node, self.complex_table.lookup(factor))
+        return self._pooled.make_node_public(MATRIX, var, edges)
 
     # ------------------------------------------------------------------
     # state construction
@@ -635,104 +589,15 @@ class DDPackage:
         if right.is_zero:
             return left
         engine = self._pooled
-        if engine is not None:
-            lt, rt = left.node.is_terminal, right.node.is_terminal
-            if not lt and not rt and type(left.node) is not type(right.node):
-                raise DDError("cannot add a vector DD and a matrix DD")
-            probe = right.node if lt else left.node
-            kind = MATRIX if isinstance(probe, MatrixNode) else VECTOR
-            return engine.to_edge(
-                kind,
-                engine.add(kind, engine.from_edge(left), engine.from_edge(right)),
-            )
-        if left.node.is_terminal and right.node.is_terminal:
-            total = left.weight + right.weight
-            if self.complex_table.is_zero(total):
-                return ZERO_EDGE
-            return Edge(TERMINAL, self.complex_table.lookup(total))
-        if self.identity_skipping and (
-            left.node.is_terminal
-            or right.node.is_terminal
-            or left.node.var != right.node.var
-        ):
-            if isinstance(left.node, MatrixNode) or isinstance(
-                right.node, MatrixNode
-            ):
-                return self._add_skipping(left, right)
-        if left.node.var != right.node.var:
-            raise DimensionMismatchError(
-                f"cannot add DDs at levels {left.node.var} and {right.node.var}"
-            )
-        if type(left.node) is not type(right.node):
+        lt, rt = left.node.is_terminal, right.node.is_terminal
+        if not lt and not rt and type(left.node) is not type(right.node):
             raise DDError("cannot add a vector DD and a matrix DD")
-        # Addition is commutative: order operands for better cache reuse.
-        if right.node.uid < left.node.uid:
-            left, right = right, left
-        # Factor the left weight out: l + r = w_l * (l/w_l + r/w_l).
-        ratio = self.complex_table.lookup(right.weight / left.weight)
-        key = (left.node, right.node, ratio)
-        cached = self._add_cache.lookup(key)
-        if cached is None:
-            children = tuple(
-                self._add(
-                    left.node.edges[index],
-                    right.node.edges[index].scaled(ratio, self.complex_table),
-                )
-                for index in range(len(left.node.edges))
-            )
-            if isinstance(left.node, MatrixNode):
-                cached = self.make_matrix_node(left.node.var, children)
-            else:
-                cached = self.make_vector_node(left.node.var, children)
-            self._add_cache.insert(key, cached)
-        return cached.scaled(left.weight, self.complex_table)
-
-    @staticmethod
-    def _is_matrix_like(node: Node) -> bool:
-        return node.is_terminal or isinstance(node, MatrixNode)
-
-    def _matrix_children_at(self, node: Node, var: int, weight) -> Tuple[Edge, ...]:
-        """Children of ``weight * node`` viewed as a matrix node at ``var``.
-
-        With identity skipping, a terminal or a node below ``var`` stands for
-        ``I ⊗ ... ⊗ node`` — virtually a diagonal node ``(e, 0, 0, e)``.
-        """
-        if not node.is_terminal and node.var == var:
-            if weight == ComplexTable.ONE:
-                return tuple(node.edges)
-            return tuple(
-                edge.scaled(weight, self.complex_table) for edge in node.edges
-            )
-        unit = Edge(node, weight)
-        return (unit, ZERO_EDGE, ZERO_EDGE, unit)
-
-    def _add_skipping(self, left: Edge, right: Edge) -> Edge:
-        """Matrix addition where either side skips levels (or is terminal)."""
-        if not self._is_matrix_like(left.node) or not self._is_matrix_like(
-            right.node
-        ):
-            raise DDError("cannot add a vector DD and a matrix DD")
-        var = max(
-            left.node.var if not left.node.is_terminal else -1,
-            right.node.var if not right.node.is_terminal else -1,
+        probe = right.node if lt else left.node
+        kind = MATRIX if isinstance(probe, MatrixNode) else VECTOR
+        return engine.to_edge(
+            kind,
+            engine.add(kind, engine.from_edge(left), engine.from_edge(right)),
         )
-        if right.node.uid < left.node.uid:
-            left, right = right, left
-        ratio = self.complex_table.lookup(right.weight / left.weight)
-        key = (left.node, right.node, ratio)
-        cached = self._add_cache.lookup(key)
-        if cached is None:
-            lchildren = self._matrix_children_at(
-                left.node, var, ComplexTable.ONE
-            )
-            rchildren = self._matrix_children_at(right.node, var, ratio)
-            children = tuple(
-                self._add(lchildren[index], rchildren[index])
-                for index in range(4)
-            )
-            cached = self.make_matrix_node(var, children)
-            self._add_cache.insert(key, cached)
-        return cached.scaled(left.weight, self.complex_table)
 
     def multiply(self, operation: Edge, operand: Edge) -> Edge:
         """Matrix-vector or matrix-matrix product (paper Fig. 4).
@@ -776,130 +641,19 @@ class DDPackage:
         if m_edge.is_zero or v_edge.is_zero:
             return ZERO_EDGE
         engine = self._pooled
-        if engine is not None:
-            return engine.to_edge(
-                VECTOR,
-                engine.multiply_mv(
-                    engine.from_edge(m_edge), engine.from_edge(v_edge)
-                ),
-            )
-        factor = self.complex_table.lookup(m_edge.weight * v_edge.weight)
-        if m_edge.node.is_terminal and v_edge.node.is_terminal:
-            return Edge(TERMINAL, factor)
-        if self.identity_skipping and not v_edge.node.is_terminal:
-            if m_edge.node.is_terminal:
-                # w * I applied to the (dense) state: rescale only.
-                return Edge(v_edge.node, factor)
-            if m_edge.node.var < v_edge.node.var:
-                return self._multiply_mv_skipping(m_edge, v_edge, factor)
-        if m_edge.node.var != v_edge.node.var:
-            raise DimensionMismatchError(
-                f"matrix level {m_edge.node.var} does not match vector level "
-                f"{v_edge.node.var}"
-            )
-        key = (m_edge.node, v_edge.node)
-        cached = self._mult_mv_cache.lookup(key)
-        if cached is None:
-            children = []
-            for i in (0, 1):
-                partial = self._add(
-                    self._multiply_mv(m_edge.node.edges[2 * i], v_edge.node.edges[0]),
-                    self._multiply_mv(m_edge.node.edges[2 * i + 1], v_edge.node.edges[1]),
-                )
-                children.append(partial)
-            cached = self.make_vector_node(m_edge.node.var, children)
-            self._mult_mv_cache.insert(key, cached)
-        return cached.scaled(factor, self.complex_table)
-
-    def _multiply_mv_skipping(self, m_edge: Edge, v_edge: Edge, factor) -> Edge:
-        """Matrix-vector product where the matrix skips the vector's level."""
-        var = v_edge.node.var
-        key = (m_edge.node, v_edge.node)
-        cached = self._mult_mv_cache.lookup(key)
-        if cached is None:
-            mchildren = self._matrix_children_at(
-                m_edge.node, var, ComplexTable.ONE
-            )
-            children = []
-            for i in (0, 1):
-                partial = self._add(
-                    self._multiply_mv(mchildren[2 * i], v_edge.node.edges[0]),
-                    self._multiply_mv(mchildren[2 * i + 1], v_edge.node.edges[1]),
-                )
-                children.append(partial)
-            cached = self.make_vector_node(var, children)
-            self._mult_mv_cache.insert(key, cached)
-        return cached.scaled(factor, self.complex_table)
+        return engine.to_edge(
+            VECTOR,
+            engine.multiply_mv(engine.from_edge(m_edge), engine.from_edge(v_edge)),
+        )
 
     def _multiply_mm(self, a_edge: Edge, b_edge: Edge) -> Edge:
         if a_edge.is_zero or b_edge.is_zero:
             return ZERO_EDGE
         engine = self._pooled
-        if engine is not None:
-            return engine.to_edge(
-                MATRIX,
-                engine.multiply_mm(
-                    engine.from_edge(a_edge), engine.from_edge(b_edge)
-                ),
-            )
-        factor = self.complex_table.lookup(a_edge.weight * b_edge.weight)
-        if a_edge.node.is_terminal and b_edge.node.is_terminal:
-            return Edge(TERMINAL, factor)
-        if self.identity_skipping:
-            # w * I absorbs into the other operand's weight.
-            if a_edge.node.is_terminal:
-                return Edge(b_edge.node, factor)
-            if b_edge.node.is_terminal:
-                return Edge(a_edge.node, factor)
-            if a_edge.node.var != b_edge.node.var:
-                return self._multiply_mm_skipping(a_edge, b_edge, factor)
-        if a_edge.node.var != b_edge.node.var:
-            raise DimensionMismatchError(
-                f"cannot multiply matrix DDs at levels {a_edge.node.var} and "
-                f"{b_edge.node.var}"
-            )
-        key = (a_edge.node, b_edge.node)
-        cached = self._mult_mm_cache.lookup(key)
-        if cached is None:
-            children = []
-            for i in (0, 1):
-                for j in (0, 1):
-                    entry = self._add(
-                        self._multiply_mm(
-                            a_edge.node.edges[2 * i], b_edge.node.edges[j]
-                        ),
-                        self._multiply_mm(
-                            a_edge.node.edges[2 * i + 1], b_edge.node.edges[2 + j]
-                        ),
-                    )
-                    children.append(entry)
-            cached = self.make_matrix_node(a_edge.node.var, children)
-            self._mult_mm_cache.insert(key, cached)
-        return cached.scaled(factor, self.complex_table)
-
-    def _multiply_mm_skipping(self, a_edge: Edge, b_edge: Edge, factor) -> Edge:
-        """Matrix-matrix product across mismatched (skipped) levels."""
-        var = max(a_edge.node.var, b_edge.node.var)
-        key = (a_edge.node, b_edge.node)
-        cached = self._mult_mm_cache.lookup(key)
-        if cached is None:
-            achildren = self._matrix_children_at(
-                a_edge.node, var, ComplexTable.ONE
-            )
-            bchildren = self._matrix_children_at(
-                b_edge.node, var, ComplexTable.ONE
-            )
-            children = []
-            for i in (0, 1):
-                for j in (0, 1):
-                    entry = self._add(
-                        self._multiply_mm(achildren[2 * i], bchildren[j]),
-                        self._multiply_mm(achildren[2 * i + 1], bchildren[2 + j]),
-                    )
-                    children.append(entry)
-            cached = self.make_matrix_node(var, children)
-            self._mult_mm_cache.insert(key, cached)
-        return cached.scaled(factor, self.complex_table)
+        return engine.to_edge(
+            MATRIX,
+            engine.multiply_mm(engine.from_edge(a_edge), engine.from_edge(b_edge)),
+        )
 
     def kron(
         self, top: Edge, bottom: Edge, bottom_qubits: Optional[int] = None
@@ -935,38 +689,12 @@ class DDPackage:
             raise DDError("cannot tensor a vector DD with a matrix DD")
         shift = bottom.node.var + 1 if bottom_qubits is None else bottom_qubits
         engine = self._pooled
-        if engine is not None:
-            probe = bottom.node if top.node.is_terminal else top.node
-            kind = MATRIX if isinstance(probe, MatrixNode) else VECTOR
-            return engine.to_edge(
-                kind,
-                engine.kron(
-                    kind, engine.from_edge(top), engine.from_edge(bottom), shift
-                ),
-            )
-        factor = self.complex_table.lookup(top.weight * bottom.weight)
-        result = self._kron_nodes(top.node, bottom.node, shift)
-        return result.scaled(factor, self.complex_table)
-
-    def _kron_nodes(self, top: Node, bottom: Node, shift: int) -> Edge:
-        if top.is_terminal:
-            return Edge(bottom, ComplexTable.ONE)
-        key = (top, bottom, shift)
-        cached = self._kron_cache.lookup(key)
-        if cached is None:
-            children = []
-            for edge in top.edges:
-                if edge.is_zero:
-                    children.append(ZERO_EDGE)
-                else:
-                    sub = self._kron_nodes(edge.node, bottom, shift)
-                    children.append(sub.scaled(edge.weight, self.complex_table))
-            if isinstance(top, MatrixNode):
-                cached = self.make_matrix_node(top.var + shift, children)
-            else:
-                cached = self.make_vector_node(top.var + shift, children)
-            self._kron_cache.insert(key, cached)
-        return cached
+        probe = bottom.node if top.node.is_terminal else top.node
+        kind = MATRIX if isinstance(probe, MatrixNode) else VECTOR
+        return engine.to_edge(
+            kind,
+            engine.kron(kind, engine.from_edge(top), engine.from_edge(bottom), shift),
+        )
 
     # ------------------------------------------------------------------
     # direct gate application (no gate DD is constructed)
@@ -1036,31 +764,12 @@ class DDPackage:
     def _adjoint(self, operation: Edge) -> Edge:
         if operation.is_zero:
             return ZERO_EDGE
-        engine = self._pooled
-        if engine is not None:
-            if not operation.node.is_terminal and not isinstance(
-                operation.node, MatrixNode
-            ):
-                raise DDError("adjoint is only defined for matrix DDs")
-            return engine.to_edge(MATRIX, engine.adjoint(engine.from_edge(operation)))
-        weight = self.complex_table.lookup(operation.weight.conjugate())
-        result = self._adjoint_node(operation.node)
-        return result.scaled(weight, self.complex_table)
-
-    def _adjoint_node(self, node: Node) -> Edge:
-        if node.is_terminal:
-            return ONE_EDGE
-        if not isinstance(node, MatrixNode):
+        if not operation.node.is_terminal and not isinstance(
+            operation.node, MatrixNode
+        ):
             raise DDError("adjoint is only defined for matrix DDs")
-        cached = self._adjoint_cache.lookup(node)
-        if cached is None:
-            transposed = (
-                node.edges[0], node.edges[2], node.edges[1], node.edges[3]
-            )
-            children = tuple(self._adjoint(edge) for edge in transposed)
-            cached = self.make_matrix_node(node.var, children)
-            self._adjoint_cache.insert(node, cached)
-        return cached
+        engine = self._pooled
+        return engine.to_edge(MATRIX, engine.adjoint(engine.from_edge(operation)))
 
     # ------------------------------------------------------------------
     # queries
@@ -1076,21 +785,10 @@ class DDPackage:
         The terminal is not counted, following the paper's convention
         (Ex. 6: the Bell-state DD "consists of 3 nodes").
         """
-        edge = self._resolve(edge)
-        if self._pooled is not None and not edge.node.is_terminal:
-            node = edge.node
-            if getattr(node, "_engine", None) is self._pooled:
-                return self._pooled.count_nodes(node._KIND, node._index)
-        seen = set()
-        stack = [edge.node]
-        while stack:
-            node = stack.pop()
-            if node.is_terminal or node in seen:
-                continue
-            seen.add(node)
-            for child in node.edges:
-                stack.append(child.node)
-        return len(seen)
+        node = self._resolve(edge).node
+        if node.is_terminal:
+            return 0
+        return self._pooled.count_nodes(node._KIND, self._pooled.node_index(node))
 
     def amplitude(self, state: Edge, basis: BitString, num_qubits: Optional[int] = None) -> complex:
         """Amplitude of ``|basis>`` in ``state`` (product of path weights)."""
@@ -1252,41 +950,12 @@ class DDPackage:
             raise DDError("the inner product is defined on vector DDs")
         factor = left.weight.conjugate() * right.weight
         engine = self._pooled
-        if engine is not None:
-            return self.complex_table.lookup(
-                factor
-                * engine.inner_nodes(
-                    engine.node_index(left.node), engine.node_index(right.node)
-                )
-            )
         return self.complex_table.lookup(
-            factor * self._inner_nodes(left.node, right.node)
-        )
-
-    def _inner_nodes(self, left: Node, right: Node) -> complex:
-        if left.is_terminal and right.is_terminal:
-            return complex(1.0, 0.0)
-        if left.var != right.var:
-            raise DimensionMismatchError(
-                f"inner product of DDs at levels {left.var} and {right.var}"
+            factor
+            * engine.inner_nodes(
+                engine.node_index(left.node), engine.node_index(right.node)
             )
-        key = (left, right)
-        cached = self._inner_cache.lookup(key)
-        if cached is None:
-            total = complex(0.0, 0.0)
-            for index in (0, 1):
-                l_edge = left.edges[index]
-                r_edge = right.edges[index]
-                if l_edge.is_zero or r_edge.is_zero:
-                    continue
-                total += (
-                    l_edge.weight.conjugate()
-                    * r_edge.weight
-                    * self._inner_nodes(l_edge.node, r_edge.node)
-                )
-            cached = total
-            self._inner_cache.insert(key, cached)
-        return cached
+        )
 
     def norm_squared(self, state: Edge) -> float:
         """Squared L2 norm of a vector DD."""
@@ -1384,16 +1053,8 @@ class DDPackage:
         SWAP-ed twin is also rooted) would alias two meanings onto one
         node object and :meth:`_resolve` would translate fresh edges.
         """
-        if self._pooled is not None:
-            for node in nodes:
-                self._pooled.retire_node(node)
-            return
-        matrix = [node for node in nodes if isinstance(node, MatrixNode)]
-        vector = [node for node in nodes if not isinstance(node, MatrixNode)]
-        if vector:
-            self._vector_unique.evict(vector)
-        if matrix:
-            self._matrix_unique.evict(matrix)
+        for node in nodes:
+            self._pooled.retire_node(node)
 
     def _apply_reorder_remap(self, mapping: Dict[object, Edge]) -> None:
         """Fold a swap's old-node -> new-edge map into the package remap.
@@ -1523,8 +1184,7 @@ class DDPackage:
         """Drop all memoized operation results (unique tables are kept)."""
         for table in self._compute_tables():
             table.clear()
-        if self._pooled is not None:
-            self._pooled.clear_memos()
+        self._pooled.clear_memos()
 
     def _compute_tables(self) -> Tuple[ComputeTable, ...]:
         return (
@@ -1564,11 +1224,7 @@ class DDPackage:
                 "hit_ratio": table.hit_ratio,
             }
         result["governance"] = self.governor.stats()
-        result["storage"] = (
-            {"backend": self.storage}
-            if self._pooled is None
-            else {"backend": self.storage, **self._pooled.stats()}
-        )
+        result["storage"] = self._pooled.stats()
         result["sanitizer"] = {
             "every": self.sanitize_every,
             "runs": self.sanitize_runs,
@@ -1589,7 +1245,4 @@ class DDPackage:
     @property
     def identity_skip_count(self) -> int:
         """Total matrix-node reductions performed by identity skipping."""
-        skips = self._identity_skips
-        if self._pooled is not None:
-            skips += self._pooled.identity_skips
-        return skips
+        return self._pooled.identity_skips

@@ -1,11 +1,11 @@
-"""Struct-of-arrays storage primitives for the pooled DD backend.
+"""Struct-of-arrays storage primitives for the pooled DD engine.
 
-The object-based hot core allocates one heap object per node and per edge
-and chases pointers through a dict-backed complex table.  Production DD
-packages instead keep nodes in flat arrays and refer to successors and
-weights by *integer index* (arXiv:2108.07027 Sec. "the node pool";
-arXiv:1911.12691 for the table-based complex management).  This module
-provides the three storage primitives the pooled backend is built from:
+Production DD packages keep nodes in flat arrays and refer to successors
+and weights by *integer index* instead of allocating one heap object per
+node and per edge (arXiv:2108.07027 Sec. "the node pool"; arXiv:1911.12691
+for the table-based complex management).  This module provides the three
+storage primitives the pooled engine (:mod:`repro.dd.pooled`) is built
+from:
 
 :class:`WeightPool`
     A :class:`~repro.dd.complex_table.ComplexTable` subclass that assigns
@@ -23,8 +23,7 @@ provides the three storage primitives the pooled backend is built from:
     weight indices and a monotonically increasing creation ``order`` are
     kept in parallel ``array`` objects, ``arity`` entries per node, with a
     free-list for slot reuse after a GC sweep.  ``order`` values are never
-    reused, so they serve as stable node uids (creation-ordered, exactly
-    like the object backend's global uid counter).
+    reused, so they serve as stable, creation-ordered node uids.
 
 :class:`PooledUniqueTable`
     An open-addressed integer hash table keyed on

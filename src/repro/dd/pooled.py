@@ -4,10 +4,10 @@ The engine keeps every node in a :class:`~repro.dd.pool.NodePool` and every
 edge weight in a :class:`~repro.dd.pool.WeightPool`; the hot recursions
 (addition, multiplication, tensor products, the direct apply kernels) pass
 ``(node_index, weight_index)`` integer pairs and never allocate node or edge
-objects.  Each operation mirrors its object-backend counterpart *line by
-line* — same arithmetic, same operand ordering, same complex-table lookup
-sequence — so both backends produce byte-for-byte identical canonical
-weights and isomorphic diagrams (the differential suite's contract).
+objects.  Every weight is canonicalized through one complex table (the
+design of arXiv:1911.12691), so edges compare with ``==`` and structurally
+equal diagrams share one root.  The differential suite checks the engine's
+gate kernels and its matrix path against an independent dense simulator.
 
 At the package boundary the engine hands out lightweight *views*
 (:class:`PooledVectorNode` / :class:`PooledMatrixNode`): real
@@ -15,8 +15,7 @@ At the package boundary the engine hands out lightweight *views*
 materialized lazily from the pool arrays.  Views keep ``isinstance`` checks,
 serialization, visualization and the sanitizer working unchanged, and they
 double as GC roots: a diagram is live exactly while some view of it is
-reachable from Python (mirroring the object backend's weak-table semantics,
-where ordinary references govern liveness).
+reachable from Python, so ordinary references govern liveness.
 
 Index invariants (enforced by the sanitizer's ``pool-*`` checks):
 
@@ -79,8 +78,8 @@ class _PooledViewMixin:
     that builds the successor tuple from the pool arrays on demand.  The
     ``edges`` *setter* stores an override used by fault injection to model
     post-consing mutation; the sanitizer compares the override against the
-    pool-derived signature, exactly as the object backend compares a mutated
-    node against its stored table key.
+    pool-derived signature, so a node mutated after consing no longer
+    matches its stored table key.
     """
 
     __slots__ = ()
@@ -135,13 +134,13 @@ class PooledMatrixNode(_PooledViewMixin, MatrixNode):
 class PooledUniqueAdapter:
     """Object-API facade over one pooled unique table.
 
-    Exposes the :class:`~repro.dd.unique_table.UniqueTable` surface the
-    rest of the package relies on — ``len``, ``hits``/``misses``,
-    ``live_nodes``, ``audit_entries``, ``get_or_create`` — backed by the
-    open-addressed table and the node pool.  ``audit_entries`` rebuilds the
-    stored signature from the *pool arrays* while the paired view reports
-    its (possibly fault-overridden) ``edges``, so the sanitizer's
-    ``unique-key`` comparison retains its mutation-detection power.
+    Exposes the unique-table surface the rest of the package relies on —
+    ``len``, ``hits``/``misses``, ``audit_entries``, ``get_or_create`` —
+    backed by the open-addressed table and the node pool.
+    ``audit_entries`` rebuilds the stored signature from the *pool arrays*
+    while the paired view reports its (possibly fault-overridden)
+    ``edges``, so the sanitizer's ``unique-key`` comparison retains its
+    mutation-detection power.
     """
 
     def __init__(
@@ -191,11 +190,6 @@ class PooledUniqueAdapter:
 
     def __len__(self) -> int:
         return len(self._raw)
-
-    def live_nodes(self):
-        engine = self._engine
-        kind = self._kindbit
-        return iter([engine.view(kind, index) for index in self._pool.live_indices()])
 
     def audit_entries(self) -> list:
         engine = self._engine
@@ -250,8 +244,8 @@ class PooledEngine:
 
     Owns the node pools, the open-addressed unique tables and the view
     caches; shares the package's :class:`WeightPool` and compute tables so
-    statistics, governance accounting and cache eviction behave identically
-    to the object backend.
+    statistics, governance accounting and cache eviction all see one set
+    of tables.
     """
 
     def __init__(
@@ -303,8 +297,8 @@ class PooledEngine:
         # representative is minted closer to the raw value.  The memos are
         # therefore valid only for one ``weights.generation`` — every
         # helper clears them when the generation has moved, which keeps
-        # the pooled backend's arithmetic bit-for-bit the object
-        # backend's (the object backend re-resolves every lookup).
+        # the memoized arithmetic bit-for-bit what a fresh lookup of every
+        # value would return.
         # A result is *stable* when the raw value resolved at distance
         # zero (bit-identical to its representative, or canonically zero):
         # no later mint can ever resolve it differently, so those entries
@@ -491,8 +485,8 @@ class PooledEngine:
         while stack:
             base = pop() * arity
             for k in range(base, base + arity):
-                # Mirror the object walk: any stored successor counts,
-                # even under a (theoretical) zero weight.
+                # Any stored successor counts, even under a (theoretical)
+                # zero weight.
                 child = succ[k]
                 if child >= 0 and child not in seen:
                     seen.add(child)
@@ -534,10 +528,9 @@ class PooledEngine:
     ) -> Tuple[int, int]:
         """Normalize + cons from ``Edge(node_index, raw_weight)`` tuples.
 
-        Runs the *same* :func:`~repro.dd.normalization.normalize` as the
-        object backend (the ``node`` field of the throwaway edges is an
-        integer pool index, which normalization carries through untouched),
-        so factor extraction and canonicalization are bit-identical.
+        Runs :func:`~repro.dd.normalization.normalize` on edges whose
+        ``node`` field is an integer pool index (normalization carries it
+        through untouched), so the shared normalization rules apply.
         """
         if kind == MATRIX and self.identity_skipping:
             e0, e1, e2, e3 = value_edges
@@ -735,7 +728,7 @@ class PooledEngine:
         return self.to_edge(kind, self.make_node_values(kind, var, converted))
 
     # ------------------------------------------------------------------
-    # arithmetic (index level; each mirrors the object backend)
+    # arithmetic (index level)
     # ------------------------------------------------------------------
     def add(
         self, kind: int, left: Tuple[int, int], right: Tuple[int, int]
@@ -760,8 +753,8 @@ class PooledEngine:
             raise DimensionMismatchError(
                 f"cannot add DDs at levels {lvar} and {rvar}"
             )
-        # Addition is commutative: order operands for better cache reuse
-        # (creation-order stamps mirror the object backend's uid ordering).
+        # Addition is commutative: order operands by creation stamp for
+        # better cache reuse.
         order = pool.order
         if order[rn] < order[ln]:
             ln, lw, rn, rw = rn, rw, ln, lw
@@ -1233,13 +1226,18 @@ class PooledEngine:
 # direct gate application on pooled storage
 # ----------------------------------------------------------------------
 class PooledApplyKernel:
-    """Index-level mirror of :class:`repro.dd.apply._ApplyKernel`.
+    """One prepared direct gate application (see :mod:`repro.dd.apply`).
 
-    Same recursion, same shortcuts (diagonal / antidiagonal / controlled /
-    projector chain), same arithmetic on the same canonical values — but
-    operating on ``(node_index, weight_index)`` pairs, with the apply-cache
-    keyed ``(interned gate id, node index)`` so repeated gates hash two
-    small integers instead of a nested unitary tuple.
+    A 2x2 unitary at ``target`` with control lines, specialized to a DD
+    mode: ``"v"`` (vector nodes), ``"ml"`` (matrix nodes, gate multiplied
+    from the left, acting on the row index) or ``"mr"`` (from the right,
+    realized by transposing the unitary and recursing on column pairs).
+    The recursion takes the diagonal / antidiagonal shortcuts, selects
+    branches for controls above the target and uses the projector chain
+    ``CU = I + P (U - I)`` for controls below it.  It operates on
+    ``(node_index, weight_index)`` pairs, with the apply-cache keyed
+    ``(interned gate id, node index)`` so repeated gates hash two small
+    integers instead of a nested unitary tuple.
     """
 
     __slots__ = (
@@ -1303,8 +1301,8 @@ class PooledApplyKernel:
         self.below_map = dict(self.below)
         self.below_low = self.below[0][0] if self.below else target
         self.below_lines = tuple(sorted(self.below_map, reverse=True))
-        # Identity-skipping matrix DDs may skip gate lines; `_rec_s` mirrors
-        # the object kernel's level-tracking recursion (vector DDs stay
+        # Identity-skipping matrix DDs may skip gate lines; `_rec_s` tracks
+        # levels and materializes skipped ones on demand (vector DDs stay
         # dense, so mode "v" keeps the fast path).
         self.skipping = mode != "v" and bool(
             getattr(package, "identity_skipping", False)
@@ -1460,9 +1458,9 @@ class PooledApplyKernel:
         return cached
 
     # -- identity-skipping recursion (matrix modes) ----------------------
-    # Mirror of `_ApplyKernel._rec_s`: skipped levels stand for identities,
-    # so the recursion tracks the next gate line and keys the cache on it
-    # (node-only keys would collide when gate lines fall in skipped ranges).
+    # Skipped levels stand for identities, so the recursion tracks the next
+    # gate line and keys the cache on it (node-only keys would collide when
+    # gate lines fall in skipped ranges).
     @staticmethod
     def _next_line(lines: Tuple[int, ...], level: int):
         for line in lines:

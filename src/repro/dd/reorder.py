@@ -29,10 +29,9 @@ The package keeps a remap (old root node -> new edge) so edges handed
 out before a reorder keep working; every public ``DDPackage`` entry
 point funnels operands through it (``DDPackage._resolve``).
 
-Works identically over both storage backends: the recursion only uses
-``node.edges`` / ``node.var`` and the package's normalizing
-constructors, which the pooled backend exposes through its flyweight
-node views.
+The recursion only uses ``node.edges`` / ``node.var`` and the package's
+normalizing constructors, which the pooled engine exposes through its
+flyweight node views.
 """
 
 from __future__ import annotations

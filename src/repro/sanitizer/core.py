@@ -54,19 +54,18 @@ Invariant families
     every amplitude/sample/serialization query).
 
 ``skip-level-*``
-    Identity-skipping consistency (both backends): in a dense package no
-    matrix edge may skip a level (``skip-level-dense``), and in a
-    skipping package no explicit identity node ``(e, 0, 0, e)`` may
-    survive construction (``skip-level-unreduced``) — the reduction rule
-    must have fired.
+    Identity-skipping consistency: in a dense package no matrix edge may
+    skip a level (``skip-level-dense``), and in a skipping package no
+    explicit identity node ``(e, 0, 0, e)`` may survive construction
+    (``skip-level-unreduced``) — the reduction rule must have fired.
 
 ``pool-*``
-    Pooled-storage index integrity (``storage="pooled"`` only): every live
-    node's successor indices point at live pool slots (never into the
-    free-list), every weight index points at a live weight-pool entry,
-    the free-list holds exactly the freed slots with no duplicates, and
-    every live node is reachable through its own unique-table probe chain
-    (open addressing never strands a live entry).
+    Pooled-storage index integrity: every live node's successor indices
+    point at live pool slots (never into the free-list), every weight
+    index points at a live weight-pool entry, the free-list holds exactly
+    the freed slots with no duplicates, and every live node is reachable
+    through its own unique-table probe chain (open addressing never
+    strands a live entry).
 """
 
 from __future__ import annotations
@@ -79,10 +78,17 @@ from typing import Dict, List, Tuple
 from repro.dd.complex_table import ComplexTable
 from repro.dd.node import Node, VectorNode
 from repro.dd.normalization import NormalizationScheme
-from repro.dd.unique_table import _signature
 from repro.errors import SanitizerError
 
 __all__ = ["DDSanitizer", "SanitizeReport", "Violation", "NORM_SLACK_FACTOR"]
+
+
+def _signature(var: int, edges) -> tuple:
+    """A node's hash-consing key: its level plus each successor's
+    ``(uid, weight)``.  Node uids suffice because successors are themselves
+    hash-consed, and canonical weights compare exactly."""
+    return (var,) + tuple((edge.node.uid, edge.weight) for edge in edges)
+
 
 #: Normalization checks allow this many tolerances of slack: canonical
 #: representatives are each within one tolerance of the exact value, so a
@@ -486,9 +492,7 @@ class DDSanitizer:
     # pooled storage: index integrity
     # ------------------------------------------------------------------
     def _check_pools(self, report: SanitizeReport) -> None:
-        engine = getattr(self.package, "_pooled", None)
-        if engine is None:
-            return
+        engine = self.package._pooled
         from repro.dd.pool import FREED_VAR, TERMINAL_INDEX
 
         weights = engine.weights

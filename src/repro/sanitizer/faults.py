@@ -24,9 +24,9 @@ fault                          detected by
 ``duplicate-complex-rep``      ``complex-duplicate`` (two reps in one
                                ball)
 ``pooled-dangling-successor``  ``pool-dangling-successor`` (edge index
-                               into the free-list; pooled storage only)
+                               into the free-list)
 ``pooled-stale-weight``        ``pool-stale-weight`` (weight slot freed
-                               under a live edge; pooled storage only)
+                               under a live edge)
 ``corrupt-order-map``          ``order-map`` (level-to-qubit permutation
                                with a duplicated entry)
 ``skip-across-level``          ``skip-level-dense`` (identity-skip edge
@@ -51,7 +51,6 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.dd.complex_table import ComplexTable
 from repro.dd.edge import Edge
 from repro.dd.node import Node
-from repro.dd.unique_table import _signature
 from repro.errors import DDError
 
 __all__ = [
@@ -101,9 +100,9 @@ class FaultInjector:
     before sampling, so a given ``(package history, seed)`` always plants
     the same fault — failures reproduce exactly from the reported seed.
 
-    The injector keeps strong references to any objects it plants
-    (``_pinned``), so a planted alias cannot be silently garbage-collected
-    before the sanitizer gets to see it.
+    The injector keeps strong references to any node views it corrupts
+    (``_pinned``), so a planted edge override cannot be silently
+    garbage-collected before the sanitizer gets to see it.
     """
 
     def __init__(self, package, seed: int = 0):
@@ -111,8 +110,8 @@ class FaultInjector:
         self.seed = seed
         self.rng = random.Random(seed)
         # Pins live on the *package* (not the injector): planted objects
-        # must survive the injector going out of scope, or the weak unique
-        # table silently drops the corruption before the sanitizer runs.
+        # must survive the injector going out of scope, or the weakly cached
+        # node view silently drops the corruption before the sanitizer runs.
         if not hasattr(package, "_fault_pins"):
             package._fault_pins = []
         self._pinned: List[Any] = package._fault_pins
@@ -180,26 +179,15 @@ class FaultInjector:
         }
 
     def alias_unique_entry(self) -> Dict[str, Any]:
-        """Insert a structural clone of a live node under a second key.
+        """Insert a structural clone of a live node into the unique table.
 
         Hash consing now answers queries with *either* node depending on
-        the key used — exactly the aliasing a buggy table resize or rehash
-        would produce.  The clone is pinned so the weak table keeps it.
+        the probe path — exactly the aliasing a buggy table resize or
+        rehash would produce.
         """
-        table, _key, node = self._pick_entry()
-        engine = getattr(self.package, "_pooled", None)
-        if engine is not None:
-            clone_index = engine.clone_node_for_fault(node)
-            return {
-                "fault": "alias-unique-entry",
-                "node": node.uid,
-                "clone": clone_index,
-            }
-        clone = type(node)(node.var, node.edges)
-        self._pinned.append(clone)
-        alias_key = _signature(node.var, node.edges) + ("alias",)
-        table._table[alias_key] = clone
-        return {"fault": "alias-unique-entry", "node": node.uid, "clone": clone.uid}
+        _table, _key, node = self._pick_entry()
+        clone_index = self.package._pooled.clone_node_for_fault(node)
+        return {"fault": "alias-unique-entry", "node": node.uid, "clone": clone_index}
 
     def skew_refcount(self) -> Dict[str, Any]:
         """Zero a live root's refcount without removing the registration."""
@@ -271,14 +259,6 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # pooled-storage fault classes
     # ------------------------------------------------------------------
-    def _pooled_engine(self):
-        engine = getattr(self.package, "_pooled", None)
-        if engine is None:
-            raise DDError(
-                "pooled fault classes require DDPackage(storage='pooled')"
-            )
-        return engine
-
     def pooled_dangling_successor(self) -> Dict[str, Any]:
         """Free a pool slot that a live node still points at.
 
@@ -288,7 +268,7 @@ class FaultInjector:
         """
         from repro.dd.pooled import MATRIX, VECTOR
 
-        engine = self._pooled_engine()
+        engine = self.package._pooled
         candidates = []
         for kind, pool in ((VECTOR, engine.vpool), (MATRIX, engine.mpool)):
             for index in pool.live_indices():
@@ -320,7 +300,7 @@ class FaultInjector:
         """
         from repro.dd.pooled import MATRIX, VECTOR
 
-        engine = self._pooled_engine()
+        engine = self.package._pooled
         weights = engine.weights
         referenced = set()
         for pool in (engine.vpool, engine.mpool):

@@ -232,7 +232,7 @@ REWRITES: Dict[str, Callable[[QuantumCircuit, random.Random], QuantumCircuit]] =
 }
 
 #: Rewrites whose transformed leg runs under a non-default package.  The
-#: options mirror the campaign spec's package block (storage-agnostic).
+#: options mirror the campaign spec's package block.
 ENVIRONMENT_OPTIONS: Dict[str, Dict[str, object]] = {
     "reorder-under-pressure": {"reorder": "pressure", "budget_nodes": 24},
 }

@@ -385,10 +385,8 @@ def _cmd_stats(args) -> int:
     all_stats = package.stats()
     governance = all_stats.pop("governance", None)
     sanitizer = all_stats.pop("sanitizer", None)
-    storage = all_stats.pop("storage", None)
+    all_stats.pop("storage", None)
     reorder = all_stats.pop("reorder", None)
-    if storage:
-        print(f"storage backend: {storage.get('backend', '?')}")
     print(f"{'table':16s} {'entries':>9s} {'hits':>10s} {'misses':>10s} "
           f"{'hit ratio':>10s}")
     for name, values in all_stats.items():

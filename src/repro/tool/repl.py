@@ -245,11 +245,9 @@ class InteractiveTool:
         all_stats = session.simulator.package.stats()
         governance = all_stats.pop("governance", None)
         sanitizer = all_stats.pop("sanitizer", None)
-        storage = all_stats.pop("storage", None)
+        all_stats.pop("storage", None)
         reorder = all_stats.pop("reorder", None)
         lines = []
-        if storage:
-            lines.append(f"{'storage':16s} backend={storage.get('backend', '?')}")
         for name, values in all_stats.items():
             lines.append(
                 f"{name:16s} entries={values['entries']:.0f} "

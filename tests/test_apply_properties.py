@@ -16,8 +16,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.dd.apply import _ApplyKernel, apply_controlled
+from repro.dd.apply import apply_controlled
 from repro.dd.package import DDPackage
+from repro.dd.pooled import PooledApplyKernel
 from repro.qc import library
 from repro.qc.dd_builder import apply_gate
 from repro.qc.operations import GateOp
@@ -68,17 +69,22 @@ def test_apply_then_inverse_is_identity_on_the_dd(operation):
     assert package.complex_table.approx_equal(returned.weight, state.weight)
 
 
-class _ForcedGenericKernel(_ApplyKernel):
+class _ForcedGenericKernel(PooledApplyKernel):
     """The generic target-level formula with the shortcuts disabled."""
+
+    def __init__(self, package, *args):
+        super().__init__(package, *args)
+        # Separate the cache namespace so the comparison is not answered
+        # from the shortcut kernel's own cached results.
+        self.op_id = package._pooled.gate_id(("generic-test", self.op_id))
 
     def _apply_target(self, pair):
         u00, u01, u10, u11 = self.u
         c0, c1 = pair
-        add = self.package._add
-        table = self.table
+        add, scale, kind = self.engine.add, self.engine.scale, self.kind
         return (
-            add(c0.scaled(u00, table), c1.scaled(u01, table)),
-            add(c0.scaled(u10, table), c1.scaled(u11, table)),
+            add(kind, scale(c0, u00), scale(c1, u01)),
+            add(kind, scale(c0, u10), scale(c1, u11)),
         )
 
 
@@ -90,9 +96,6 @@ def test_diagonal_shortcut_equals_generic_kernel(gate_name):
     matrix = GateOp(gate=gate_name, targets=(1,)).matrix()
     shortcut = apply_controlled(package, state, matrix, 1)
     generic = _ForcedGenericKernel(package, "v", matrix, 1, {})
-    # Separate the cache namespace so the comparison is not answered from
-    # the shortcut kernel's own cached results.
-    generic.op_key = ("generic-test",) + generic.op_key
     reference = generic.run(state)
     assert shortcut.node is reference.node
     assert shortcut.weight == reference.weight
@@ -106,7 +109,6 @@ def test_antidiagonal_shortcut_equals_generic_kernel(gate_name):
     matrix = GateOp(gate=gate_name, targets=(2,)).matrix()
     shortcut = apply_controlled(package, state, matrix, 2)
     generic = _ForcedGenericKernel(package, "v", matrix, 2, {})
-    generic.op_key = ("generic-test",) + generic.op_key
     reference = generic.run(state)
     assert shortcut.node is reference.node
     assert shortcut.weight == reference.weight
@@ -124,9 +126,9 @@ def test_kernel_tables_never_exceed_matrix_path(seed):
     num_qubits = int(rng.integers(2, 6))
     circuit = random_mixed_circuit(num_qubits, 20, rng)
 
-    kernel_sim = DDSimulator(circuit, use_apply_kernels=True)
+    kernel_sim = DDSimulator(circuit)
     kernel_sim.run_all()
-    matrix_sim = DDSimulator(circuit, use_apply_kernels=False)
+    matrix_sim = DDSimulator(circuit, package=DDPackage(use_apply_kernels=False))
     matrix_sim.run_all()
 
     kernel_unique, kernel_compute = _table_footprint(kernel_sim.package)

@@ -114,9 +114,11 @@ class TestSpecValidation:
             parse_spec(data)
 
     def test_bad_storage_backend_rejected(self):
+        # There is one DD engine: a package block naming a storage backend
+        # is an unknown key like any other typo.
         data = make_spec_dict()
-        data["cells"]["packages"] = [{"label": "x", "storage": "quantum"}]
-        with pytest.raises(CampaignSpecError, match="storage"):
+        data["cells"]["packages"] = [{"label": "x", "storage": "pooled"}]
+        with pytest.raises(CampaignSpecError, match=r"unknown key\(s\) storage"):
             parse_spec(data)
 
     def test_bad_mode_rejected(self):

@@ -1,19 +1,16 @@
-"""Differential fuzzer: storage backends vs. matrix path vs. dense reference.
+"""Differential fuzzer: apply kernels vs. matrix path vs. dense reference.
 
 Every seeded random circuit (1-6 qubits; mixed single-qubit, controlled,
-multi-controlled and two-qubit gates; no measurements) is executed four
+multi-controlled and two-qubit gates; no measurements) is executed three
 ways:
 
-* the direct apply kernels on **pooled** index storage (the default);
-* the direct apply kernels on **object** storage (the storage oracle —
-  the two backends run the same arithmetic in the same order, so their
-  statevectors must agree *bit for bit*, not merely within tolerance);
-* the legacy matrix-DD path (gate DD + multiply), the structural oracle;
+* the direct apply kernels (the default gate path);
+* the matrix-DD path (gate DD + multiply, paper Fig. 4), the structural
+  oracle;
 * the dense statevector simulator of :mod:`repro.simulation.statevector`,
   the independent numerical oracle.
 
-Kernel/matrix/dense must agree amplitude-by-amplitude to ``1e-10``;
-pooled/object must be byte-identical and build identically sized DDs.
+All three must agree amplitude-by-amplitude to ``1e-10``.
 
 The base seed rotates in CI (``DIFFERENTIAL_SEED`` environment variable,
 derived from the run number and echoed into the log); locally it defaults
@@ -22,7 +19,6 @@ to 0 so the suite is reproducible.  To replay a CI failure::
     DIFFERENTIAL_SEED=<seed from the CI log> python -m pytest \
         tests/test_differential_apply.py -q
 """
-
 from __future__ import annotations
 
 import os
@@ -140,17 +136,14 @@ def _case_circuit(case: int) -> QuantumCircuit:
 @pytest.mark.parametrize("case", range(NUM_CASES))
 def test_three_way_amplitude_agreement(case):
     circuit = _case_circuit(case)
-    kernel_sim = DDSimulator(circuit, use_apply_kernels=True, storage="pooled")
+    kernel_sim = DDSimulator(circuit)
     kernel_sim.run_all()
-    object_sim = DDSimulator(circuit, use_apply_kernels=True, storage="object")
-    object_sim.run_all()
-    matrix_sim = DDSimulator(circuit, use_apply_kernels=False)
+    matrix_sim = DDSimulator(circuit, package=DDPackage(use_apply_kernels=False))
     matrix_sim.run_all()
     dense = StatevectorSimulator(circuit)
     dense.run()
 
     kernel_vector = kernel_sim.statevector()
-    object_vector = object_sim.statevector()
     matrix_vector = matrix_sim.statevector()
     label = f"case {case} (base seed {BASE_SEED}): {circuit.name}"
     assert np.abs(kernel_vector - dense.state).max() < TOLERANCE, (
@@ -162,17 +155,8 @@ def test_three_way_amplitude_agreement(case):
     assert np.abs(kernel_vector - matrix_vector).max() < TOLERANCE, (
         f"{label}: kernel path deviates from the matrix path"
     )
-    # Storage oracle: pooled and object run the same arithmetic in the
-    # same order — byte-identical amplitudes, identically sized DDs.
-    assert np.array_equal(kernel_vector, object_vector), (
-        f"{label}: pooled storage is not bit-exact against object storage"
-    )
-    assert kernel_sim.node_count() == object_sim.node_count(), (
-        f"{label}: storage backends disagree on the final DD size"
-    )
     # The kernel path never constructs an operation DD.
     assert kernel_sim.package._matrix_unique.misses == 0
-    assert object_sim.package._matrix_unique.misses == 0
 
 
 # Aggregate bookkeeping for the 4-way sweep: tiny circuits may never hit
@@ -185,59 +169,48 @@ _PRESSURE_STATS = {"cases": 0, "reorder_runs": 0, "identity_skips": 0}
 def test_four_way_reorder_and_skipping_agreement(case):
     """The 4-way differential sweep over the dynamic-order features.
 
-    Each seeded circuit runs on {object, pooled} storage under (a)
-    ``identity_skipping=True`` on the legacy matrix path — every gate is
-    a full matrix DD, so the skip reduction fires constantly — and (b)
-    ``reorder="pressure"`` under a deliberately tiny node budget, so the
-    governor sifts mid-circuit.  All four legs must agree with the legacy
-    object-path oracle amplitude-by-amplitude to ``TOLERANCE``
-    (``to_vector`` undoes the recorded qubit permutation), and the two
-    skipping legs must additionally be bit-exact against each other.
+    Each seeded circuit runs under (a) ``identity_skipping=True`` on the
+    matrix path — every gate is a full matrix DD, so the skip reduction
+    fires constantly — and (b) ``reorder="pressure"`` under a deliberately
+    tiny node budget, so the governor sifts mid-circuit.  Both legs must
+    agree amplitude-by-amplitude to ``TOLERANCE`` with the plain matrix
+    path (the oracle) and with the dense statevector (``to_vector`` undoes
+    the recorded qubit permutation).
     """
     circuit = _case_circuit(case)
-    oracle = DDSimulator(circuit, use_apply_kernels=False, storage="object")
+    oracle = DDSimulator(circuit, package=DDPackage(use_apply_kernels=False))
     oracle.run_all()
     reference = oracle.statevector()
+    dense = StatevectorSimulator(circuit)
+    dense.run()
     label = f"case {case} (base seed {BASE_SEED}): {circuit.name}"
-
-    skip_vectors = {}
-    skip_nodes = {}
-    for storage in ("pooled", "object"):
-        skip_package = DDPackage(
-            storage=storage, identity_skipping=True, use_apply_kernels=False
-        )
-        skip_sim = DDSimulator(circuit, package=skip_package)
-        skip_sim.run_all()
-        vector = skip_sim.statevector()
-        assert np.abs(vector - reference).max() < TOLERANCE, (
-            f"{label}: identity-skipping ({storage}) deviates from the oracle"
-        )
-        skip_vectors[storage] = vector
-        skip_nodes[storage] = skip_sim.node_count()
-        _PRESSURE_STATS["identity_skips"] += skip_package.identity_skip_count
-
-        pressure_package = DDPackage(
-            storage=storage,
-            use_apply_kernels=True,
-            reorder="pressure",
-            budget=MemoryBudget(max_nodes=30, check_interval=1),
-        )
-        pressure_sim = DDSimulator(circuit, package=pressure_package)
-        pressure_sim.run_all()
-        vector = pressure_sim.statevector()
-        assert np.abs(vector - reference).max() < TOLERANCE, (
-            f"{label}: pressure reordering ({storage}) deviates from the "
-            f"oracle (order {pressure_package.qubit_order})"
-        )
-        _PRESSURE_STATS["reorder_runs"] += pressure_package._reorder_runs
-    # The two skipping legs run the same arithmetic in the same order:
-    # byte-identical amplitudes, identically sized DDs.
-    assert np.array_equal(skip_vectors["pooled"], skip_vectors["object"]), (
-        f"{label}: skipping legs are not bit-exact across storage backends"
+    assert np.abs(reference - dense.state).max() < TOLERANCE, (
+        f"{label}: the matrix-path oracle deviates from the dense reference"
     )
-    assert skip_nodes["pooled"] == skip_nodes["object"], (
-        f"{label}: skipping legs disagree on the final DD size"
+
+    skip_package = DDPackage(identity_skipping=True, use_apply_kernels=False)
+    skip_sim = DDSimulator(circuit, package=skip_package)
+    skip_sim.run_all()
+    pressure_package = DDPackage(
+        reorder="pressure", budget=MemoryBudget(max_nodes=30, check_interval=1)
     )
+    pressure_sim = DDSimulator(circuit, package=pressure_package)
+    pressure_sim.run_all()
+    legs = {
+        "identity-skipping": skip_sim.statevector(),
+        f"pressure reordering (order {pressure_package.qubit_order})": (
+            pressure_sim.statevector()
+        ),
+    }
+    for leg, vector in legs.items():
+        assert np.abs(vector - reference).max() < TOLERANCE, (
+            f"{label}: {leg} deviates from the matrix-path oracle"
+        )
+        assert np.abs(vector - dense.state).max() < TOLERANCE, (
+            f"{label}: {leg} deviates from the dense reference"
+        )
+    _PRESSURE_STATS["identity_skips"] += skip_package.identity_skip_count
+    _PRESSURE_STATS["reorder_runs"] += pressure_package._reorder_runs
     _PRESSURE_STATS["cases"] += 1
 
 

@@ -36,9 +36,9 @@ from repro.service import Request, ServiceApp, ServiceConfig
 from repro.service import workers as service_workers
 
 
-def _seeded_package(storage: str = None) -> DDPackage:
+def _seeded_package() -> DDPackage:
     """A package with live nodes, complex entries and GC roots to corrupt."""
-    package = DDPackage(storage=storage)
+    package = DDPackage()
     state = package.from_state_vector([0.5, 0.5j, -0.5, 0.5])
     package.incref(state)
     # A second root with a non-trivial weight, so root-targeting faults
@@ -60,10 +60,6 @@ def _seeded_package(storage: str = None) -> DDPackage:
     # for the duration of the test.
     package._test_pin = (state, scaled, skew, gate)
     return package
-
-
-#: Fault classes that only make sense against pooled index storage.
-_POOLED_ONLY = {"pooled-dangling-successor", "pooled-stale-weight"}
 
 
 # ----------------------------------------------------------------------
@@ -114,13 +110,13 @@ class TestFaultDetection:
         assert "complex-duplicate" in report.checks_failed, report.summary()
 
     def test_pooled_dangling_successor_detected(self):
-        package = _seeded_package(storage="pooled")
+        package = _seeded_package()
         inject_fault(package, "pooled-dangling-successor", seed=0)
         report = package.sanitize()
         assert "pool-dangling-successor" in report.checks_failed, report.summary()
 
     def test_pooled_stale_weight_detected(self):
-        package = _seeded_package(storage="pooled")
+        package = _seeded_package()
         inject_fault(package, "pooled-stale-weight", seed=0)
         report = package.sanitize()
         assert "pool-stale-weight" in report.checks_failed, report.summary()
@@ -145,23 +141,15 @@ class TestFaultDetection:
         with pytest.raises(DDError, match="dense"):
             inject_fault(package, "skip-across-level", seed=0)
 
-    @pytest.mark.parametrize("fault", sorted(_POOLED_ONLY))
-    def test_pooled_faults_refused_on_object_storage(self, fault):
-        with pytest.raises(DDError, match="pooled"):
-            inject_fault(_seeded_package(storage="object"), fault, seed=0)
-
-    @pytest.mark.parametrize("storage", ["pooled", "object"])
     @pytest.mark.parametrize("fault", sorted(FAULT_CLASSES))
     @pytest.mark.parametrize("seed", [1, 7, 42, 12345])
-    def test_detected_across_seeds(self, fault, seed, storage):
+    def test_detected_across_seeds(self, fault, seed):
         """No fault class escapes detection, whatever the seed picks."""
-        if storage == "object" and fault in _POOLED_ONLY:
-            pytest.skip("fault class targets pooled storage only")
-        package = _seeded_package(storage=storage)
+        package = _seeded_package()
         inject_fault(package, fault, seed=seed)
         report = package.sanitize()
         assert EXPECTED_CHECKS[fault] in report.checks_failed, (
-            f"{fault} (seed={seed}, {storage}) missed: {report.summary()}"
+            f"{fault} (seed={seed}) missed: {report.summary()}"
         )
 
     @pytest.mark.parametrize("fault", sorted(FAULT_CLASSES))
@@ -172,13 +160,10 @@ class TestFaultDetection:
         so compare the injection details modulo identity fields.
         """
         identity_keys = {"node", "clone", "uid", "root"}
-        # Pooled-only faults need the pooled backend regardless of the
-        # process-wide REPRO_DD_STORAGE default (the storage-matrix CI leg).
-        storage = "pooled" if fault in _POOLED_ONLY else None
         details = []
         checks = []
         for _ in range(2):
-            package = _seeded_package(storage=storage)
+            package = _seeded_package()
             detail = inject_fault(package, fault, seed=99)
             details.append(
                 {k: v for k, v in detail.items() if k not in identity_keys}

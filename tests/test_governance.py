@@ -291,13 +291,12 @@ class TestGovernorLifecycle:
         assert stats.compute_entries_dropped >= 0
         assert package.governor.compute_entry_count() <= entries_before
 
-    @pytest.mark.parametrize("storage", ["pooled", "object"])
-    def test_hard_collection_resets_compute_table_hit_ratios(self, storage):
+    def test_hard_collection_resets_compute_table_hit_ratios(self):
         """After a HARD collection empties the compute tables, their
         hit/miss counters must restart from zero — otherwise ``stats()``
         and ``/metrics`` report a stale pre-collection ratio against an
         empty table (ISSUE 7, satellite 4)."""
-        package = DDPackage(storage=storage)
+        package = DDPackage()
         simulator = DDSimulator(library.qft(4), package=package)
         simulator.run_all()
         tables = list(package._compute_tables())

@@ -13,22 +13,10 @@ from repro.simulation import DDSimulator
 
 
 class TestGarbageCollection:
-    def test_dropped_diagrams_are_reclaimed(self):
-        # Weak-reference reclamation is an object-storage behaviour: nodes
-        # die with their last Python reference.
-        package = DDPackage(storage="object")
-        state = package.zero_state(20)
-        package.clear_caches()
-        stats = package.stats()
-        assert stats["unique_vector"]["entries"] == 20
-        del state
-        gc.collect()
-        assert package.stats()["unique_vector"]["entries"] == 0
-
     def test_dropped_diagrams_are_reclaimed_pooled(self):
         # Pooled slots are not weakly held — an explicit mark-and-sweep
         # (the governor's HARD tier) reclaims unreachable indices instead.
-        package = DDPackage(storage="pooled")
+        package = DDPackage()
         state = package.zero_state(20)
         package.clear_caches()
         assert package.stats()["unique_vector"]["entries"] == 20

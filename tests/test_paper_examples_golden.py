@@ -50,15 +50,12 @@ def _circuit(name: str):
     }[name]()
 
 
-def compute_payload(
-    use_apply_kernels: bool, storage: str = None, identity_skipping: bool = False
-) -> dict:
+def compute_payload(use_apply_kernels: bool, identity_skipping: bool = False) -> dict:
     """Everything the golden file freezes, computed on one execution path."""
 
     def make_package() -> DDPackage:
         return DDPackage(
             use_apply_kernels=use_apply_kernels,
-            storage=storage,
             identity_skipping=identity_skipping,
         )
 

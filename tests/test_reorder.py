@@ -21,20 +21,18 @@ from repro.qc.library import random_circuit
 from repro.sanitizer.core import sanitize_package
 from repro.simulation.simulator import DDSimulator
 
-STORAGES = ("pooled", "object")
-
 #: Exact-preservation bound: a reorder goes through the same normalizing
 #: constructors and canonical weight table as the original build, so the
 #: reconstructed amplitudes match to rounding noise, not merely 1e-10.
 EXACT = 1e-12
 
 
-def _random_state_package(storage: str, num_qubits: int, seed: int):
+def _random_state_package(num_qubits: int, seed: int):
     """A package holding one random (dense) state rooted via incref."""
     rng = np.random.default_rng(seed)
     vector = rng.normal(size=1 << num_qubits) + 1j * rng.normal(size=1 << num_qubits)
     vector /= np.linalg.norm(vector)
-    package = DDPackage(storage=storage, reorder="manual")
+    package = DDPackage(reorder="manual")
     state = package.incref(package.from_state_vector(vector))
     return package, state, vector
 
@@ -44,11 +42,10 @@ def _assert_clean(package, label: str) -> None:
     assert not report.violations, f"{label}: sanitizer found {report.violations}"
 
 
-@pytest.mark.parametrize("storage", STORAGES)
 @pytest.mark.parametrize("seed", range(5))
-def test_every_adjacent_swap_preserves_the_statevector(storage, seed):
+def test_every_adjacent_swap_preserves_the_statevector(seed):
     num_qubits = 4
-    package, state, vector = _random_state_package(storage, num_qubits, seed)
+    package, state, vector = _random_state_package(num_qubits, seed)
     # Walk a pseudo-random sequence of adjacent swaps; after each one the
     # order-aware readout must still produce the original amplitudes and
     # the full sanitizer sweep must pass (order map, normalization,
@@ -67,9 +64,8 @@ def test_every_adjacent_swap_preserves_the_statevector(storage, seed):
     assert sorted(package.qubit_order) == list(range(num_qubits))
 
 
-@pytest.mark.parametrize("storage", STORAGES)
-def test_swap_adjacent_is_its_own_inverse(storage):
-    package, state, vector = _random_state_package(storage, 3, seed=7)
+def test_swap_adjacent_is_its_own_inverse():
+    package, state, vector = _random_state_package(3, seed=7)
     order_before = package.qubit_order or [0, 1, 2]
     swap_adjacent(package, 1)
     swap_adjacent(package, 1)
@@ -78,11 +74,10 @@ def test_swap_adjacent_is_its_own_inverse(storage):
     assert np.abs(package.to_vector(state, 3) - vector).max() < EXACT
 
 
-@pytest.mark.parametrize("storage", STORAGES)
 @pytest.mark.parametrize("seed", range(8))
-def test_sift_preserves_the_statevector_and_sanity(storage, seed):
+def test_sift_preserves_the_statevector_and_sanity(seed):
     circuit = random_circuit(4, 16, seed=seed)
-    package = DDPackage(storage=storage, reorder="manual")
+    package = DDPackage(reorder="manual")
     simulator = DDSimulator(circuit, package=package)
     simulator.run_all()
     before = simulator.statevector()
@@ -94,19 +89,17 @@ def test_sift_preserves_the_statevector_and_sanity(storage, seed):
     _assert_clean(package, f"after sift (seed {seed})")
 
 
-@pytest.mark.parametrize("storage", STORAGES)
 @pytest.mark.parametrize("seed", range(8))
-def test_sift_never_increases_the_node_count(storage, seed):
+def test_sift_never_increases_the_node_count(seed):
     circuit = random_circuit(5, 20, seed=100 + seed)
-    package = DDPackage(storage=storage, reorder="manual")
+    package = DDPackage(reorder="manual")
     simulator = DDSimulator(circuit, package=package)
     simulator.run_all()
     summary = package.reorder()
     assert summary["nodes_after"] <= summary["nodes_before"], summary
 
 
-@pytest.mark.parametrize("storage", STORAGES)
-def test_sifting_is_idempotent_at_a_local_minimum(storage):
+def test_sifting_is_idempotent_at_a_local_minimum():
     # Blocked bell pairs: partners n/2 apart, exponential under the static
     # order, linear once sifting moves partners adjacent.  After the first
     # sift the diagram sits at a local minimum, so a second sift must keep
@@ -118,7 +111,7 @@ def test_sifting_is_idempotent_at_a_local_minimum(storage):
     for index in range(half):
         circuit.h(index + half)
         circuit.cx(index + half, index)
-    package = DDPackage(storage=storage, reorder="manual")
+    package = DDPackage(reorder="manual")
     simulator = DDSimulator(circuit, package=package)
     simulator.run_all()
     reference = simulator.statevector()
@@ -136,14 +129,12 @@ def test_sifting_is_idempotent_at_a_local_minimum(storage):
     _assert_clean(package, "after repeated sifts")
 
 
-@pytest.mark.parametrize("storage", STORAGES)
-def test_sift_preserves_matrix_roots_under_identity_skipping(storage):
+def test_sift_preserves_matrix_roots_under_identity_skipping():
     # A controlled gate rooted in a skipping package: the sift's virtual
     # identity tops and diagonal rows must reproduce the same operator.
     num_qubits = 3
     package = DDPackage(
-        storage=storage, reorder="manual", identity_skipping=True,
-        use_apply_kernels=False,
+        reorder="manual", identity_skipping=True, use_apply_kernels=False
     )
     gate = package.incref(
         package.controlled_gate(num_qubits, [[0, 1], [1, 0]], 0, controls=(2,))
@@ -156,24 +147,23 @@ def test_sift_preserves_matrix_roots_under_identity_skipping(storage):
     _assert_clean(package, "after sifting a skipping matrix root")
 
 
-@pytest.mark.parametrize("storage", STORAGES)
-def test_fresh_package_load_adopts_a_reordered_document(storage):
+def test_fresh_package_load_adopts_a_reordered_document():
     # A document serialized under a sifted order loads into a *fresh*
     # package (which adopts the order), but a package already holding a
     # live root under a different order must refuse it.
     from repro.dd import serialize
 
-    package, state, vector = _random_state_package(storage, 3, seed=11)
+    package, state, vector = _random_state_package(3, seed=11)
     swap_adjacent(package, 0)
     swap_adjacent(package, 1)
     data = serialize.dd_to_dict(package, package._resolve(state), 3)
 
-    fresh = DDPackage(storage=storage)
+    fresh = DDPackage()
     loaded = fresh.incref(serialize.dd_from_dict(fresh, data))
     assert fresh.qubit_order == package.qubit_order
     assert np.abs(fresh.to_vector(loaded, 3) - vector).max() < EXACT
 
-    busy = DDPackage(storage=storage)
+    busy = DDPackage()
     # The binding matters: roots are tracked weakly, so an unreferenced
     # edge dies immediately and the package would count as fresh again.
     keep = busy.incref(busy.from_state_vector(np.array([1.0, 0.0])))
@@ -182,14 +172,13 @@ def test_fresh_package_load_adopts_a_reordered_document(storage):
     assert keep is not None
 
 
-@pytest.mark.parametrize("storage", STORAGES)
-def test_stale_edges_resolve_after_multiple_reorders(storage):
+def test_stale_edges_resolve_after_multiple_reorders():
     # Edges captured before any reorder keep reading back correctly after
     # several reorders — including when a rebuilt diagram collides with
     # another stale root (two states that are qubit-permutations of each
     # other, the regression behind the unique-table retirement).
     num_qubits = 2
-    package = DDPackage(storage=storage, reorder="manual")
+    package = DDPackage(reorder="manual")
     rng = np.random.default_rng(42)
     vector = rng.normal(size=4) + 1j * rng.normal(size=4)
     vector /= np.linalg.norm(vector)

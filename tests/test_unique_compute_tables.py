@@ -5,14 +5,19 @@ import gc
 import pytest
 
 from repro.dd.compute_table import ComputeTable
-from repro.dd.edge import Edge, ONE_EDGE, ZERO_EDGE
-from repro.dd.node import VectorNode
-from repro.dd.unique_table import UniqueTable
+from repro.dd.edge import ONE_EDGE, ZERO_EDGE
+from repro.dd.package import DDPackage
+
+
+def _vector_table():
+    """A fresh package (to keep alive) and its vector unique table."""
+    package = DDPackage()
+    return package, package._vector_unique
 
 
 class TestUniqueTable:
     def test_identical_structure_shares_node(self):
-        table = UniqueTable(VectorNode)
+        _package, table = _vector_table()
         a = table.get_or_create(0, (ZERO_EDGE, ONE_EDGE))
         b = table.get_or_create(0, (ZERO_EDGE, ONE_EDGE))
         assert a is b
@@ -20,27 +25,30 @@ class TestUniqueTable:
         assert table.misses == 1
 
     def test_different_levels_are_distinct(self):
-        table = UniqueTable(VectorNode)
+        _package, table = _vector_table()
         a = table.get_or_create(0, (ZERO_EDGE, ONE_EDGE))
         b = table.get_or_create(1, (ZERO_EDGE, ONE_EDGE))
         assert a is not b
 
     def test_different_weights_are_distinct(self):
-        table = UniqueTable(VectorNode)
+        _package, table = _vector_table()
         a = table.get_or_create(0, (ONE_EDGE, ZERO_EDGE))
         b = table.get_or_create(0, (ONE_EDGE, ONE_EDGE))
         assert a is not b
 
     def test_weak_references_allow_collection(self):
-        table = UniqueTable(VectorNode)
+        # The engine caches node views weakly: once the last view is gone,
+        # the next full collection frees the slot.
+        package, table = _vector_table()
         node = table.get_or_create(0, (ZERO_EDGE, ONE_EDGE))
         assert len(table) == 1
         del node
         gc.collect()
+        package.gc(force=True)
         assert len(table) == 0
 
     def test_clear(self):
-        table = UniqueTable(VectorNode)
+        _package, table = _vector_table()
         keep = table.get_or_create(0, (ZERO_EDGE, ONE_EDGE))
         table.clear()
         assert len(table) == 0
