@@ -4,10 +4,13 @@ Implements the paper's Sec. III-B / IV-B semantics:
 
 * **sampling** (weak simulation, [16]): a randomized single-path traversal.
   Under the L2 normalization scheme every sub-tree represents a norm-1
-  vector, so at each node the squared magnitude of the |0>/|1> successor
-  weight *is* the branch probability and sampling costs one root-to-terminal
-  walk.  Under other schemes a (cached) subtree-norm computation provides
-  the probabilities instead.
+  vector, so at each node the squared magnitude of the |0> successor weight
+  *is* the branch probability; under other schemes subtree norms provide
+  it instead.  Either way the probability is computed once per node per
+  call, straight from the pooled engine's arrays, into a flat branch table
+  (|0> probability and two successor positions per node).  Every shot is
+  then one root-to-terminal walk over those plain lists: one float
+  comparison per level and no node or edge objects.
 * **measurement** of a single qubit: the outcome probabilities are reported,
   an outcome is chosen (by the caller or at random), and the state collapses
   irreversibly via the corresponding projector, renormalized.  Measurements
@@ -21,14 +24,15 @@ Implements the paper's Sec. III-B / IV-B semantics:
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.dd.edge import Edge
-from repro.dd.node import Node
+from repro.dd.node import Node, VectorNode
 from repro.dd.normalization import NormalizationScheme
 from repro.dd.package import DDPackage
+from repro.dd.pool import WeightPool
 from repro.errors import DDError, InvalidStateError
 
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -119,30 +123,79 @@ def sample(
 
     Returns the big-endian bit string ``q_{n-1} ... q_0`` (paper footnote 1).
     """
-    state = package._resolve(state)
-    if state.is_zero:
-        raise InvalidStateError("cannot sample from the zero vector")
-    if rng is None:
-        rng = np.random.default_rng()
+    return next(iter(sample_counts(package, state, 1, rng)))
+
+
+def _branch_table(
+    package: DDPackage, root: int
+) -> Tuple[List[float], List[int], List[int]]:
+    """Per-node ``(p0, zero_successor, one_successor)`` rows, root at 0.
+
+    Visits every node reachable from pool index ``root`` once.  Successor
+    entries are table positions (-1 for the terminal and for zero stubs).
+    A zero-weight successor gets ``p0`` of exactly 0.0 or 1.0, so a walk
+    never takes it.
+    """
+    engine = package._pooled
+    pool = engine.vpool
+    var, succ, wsucc = pool.var, pool.succ, pool.wsucc
+    values = engine.weights._values
+    zero_weight = WeightPool.ZERO_INDEX
+    position = {root: 0}
+    order = [root]
+    # Breadth-first: ``order`` grows while it is walked, level by level.
+    for index in order:
+        level = var[index]
+        for k in (2 * index, 2 * index + 1):
+            if wsucc[k] == zero_weight:
+                continue
+            child = succ[k]
+            if (var[child] if child >= 0 else -1) != level - 1:
+                raise DDError(
+                    f"node at level {level} has a non-zero edge that skips "
+                    "a level; sampling needs one node per level"
+                )
+            if child >= 0 and child not in position:
+                position[child] = len(order)
+                order.append(child)
+
+    size = len(order)
+    p0 = [0.0] * size
+    zero = [-1] * size
+    one = [-1] * size
     local = package.vector_scheme is NormalizationScheme.L2
-    cache: Dict[Node, float] = {}
-    num_qubits = 0 if state.node.is_terminal else state.node.var + 1
-    # Bit at level l belongs to qubit_at(l); place it at its big-endian
-    # string position so reordering never changes the reported outcomes.
-    bits = [0] * num_qubits
-    edge = state
-    while not edge.node.is_terminal:
-        zero_child, one_child = edge.node.edges
+    # Subtree norm per position (non-L2 only); the terminal's is 1.0.
+    norms = [1.0] * size
+    # Reverse breadth-first order finishes every child before its parent.
+    for pos in range(size - 1, -1, -1):
+        base = 2 * order[pos]
+        w0, w1 = wsucc[base], wsucc[base + 1]
+        s0, s1 = succ[base], succ[base + 1]
+        zero[pos] = position.get(s0, -1)
+        one[pos] = position.get(s1, -1)
+        if w0 == zero_weight and w1 == zero_weight:
+            raise DDError("node with two zero successors cannot be sampled")
         if local:
-            p0 = abs(zero_child.weight) ** 2
-        else:
-            mass0 = _subtree_norms(zero_child, cache)
-            mass1 = _subtree_norms(one_child, cache)
-            p0 = mass0 / (mass0 + mass1)
-        outcome = 0 if rng.random() < p0 else 1
-        bits[num_qubits - 1 - package.qubit_at(edge.node.var)] = outcome
-        edge = edge.node.edges[outcome]
-    return "".join(str(bit) for bit in bits)
+            if w0 == zero_weight:
+                p0[pos] = 0.0
+            elif w1 == zero_weight:
+                p0[pos] = 1.0
+            else:
+                p0[pos] = abs(values[w0]) ** 2
+            continue
+        mass0 = 0.0
+        if w0 != zero_weight:
+            mass0 = abs(values[w0]) ** 2
+            if s0 >= 0:
+                mass0 *= norms[zero[pos]]
+        mass1 = 0.0
+        if w1 != zero_weight:
+            mass1 = abs(values[w1]) ** 2
+            if s1 >= 0:
+                mass1 *= norms[one[pos]]
+        norms[pos] = mass0 + mass1
+        p0[pos] = mass0 / (mass0 + mass1)
+    return p0, zero, one
 
 
 def sample_counts(
@@ -151,16 +204,47 @@ def sample_counts(
     shots: int,
     rng: Optional[np.random.Generator] = None,
 ) -> Dict[str, int]:
-    """Histogram of ``shots`` independent samples (non-destructive)."""
+    """Histogram of ``shots`` independent samples (non-destructive).
+
+    Keys are big-endian bit strings in first-drawn order.  Each shot reads
+    one ``rng.random(num_qubits)`` row, the same stream as one draw per
+    level from the root down.
+    """
     if shots <= 0:
         raise DDError("shots must be positive")
     if rng is None:
         rng = np.random.default_rng()
-    counts: Dict[str, int] = {}
+    state = package._resolve(state)
+    if state.is_zero:
+        raise InvalidStateError("cannot sample from the zero vector")
+    if state.node.is_terminal:
+        return {"": shots}
+    if not isinstance(state.node, VectorNode):
+        raise DDError("only vector decision diagrams can be sampled")
+    num_qubits = state.node.var + 1
+    p0, zero, one = _branch_table(
+        package, package._pooled.node_index(state.node)
+    )
+    # Draw k of a row decides level num_qubits - 1 - k; its bit belongs to
+    # qubit_at(level), so reordering never changes the reported outcomes.
+    masks = [
+        1 << package.qubit_at(level) for level in range(num_qubits - 1, -1, -1)
+    ]
+    random = rng.random
+    codes: Dict[int, int] = {}
+    get = codes.get
     for _ in range(shots):
-        outcome = sample(package, state, rng)
-        counts[outcome] = counts.get(outcome, 0) + 1
-    return counts
+        cur = 0
+        code = 0
+        for draw, mask in zip(random(num_qubits).tolist(), masks):
+            if draw < p0[cur]:
+                cur = zero[cur]
+            else:
+                cur = one[cur]
+                code |= mask
+        codes[code] = get(code, 0) + 1
+    width = f"0{num_qubits}b"
+    return {format(code, width): count for code, count in codes.items()}
 
 
 def measure_qubit(

@@ -74,6 +74,11 @@ from repro.vis.style import DDStyle
 __all__ = ["Request", "Response", "ServiceApp", "ServiceConfig", "StreamingResponse"]
 
 _JSON = "application/json"
+
+#: Largest ``shots`` one request may ask for: sampling time is linear in
+#: shots, and session counts are sampled inside a handler thread.
+MAX_SHOTS = 1_000_000
+
 _STATUS_BY_ERROR: Tuple[Tuple[type, int], ...] = (
     (NotFoundError, 404),
     (SessionLimitError, 503),
@@ -857,6 +862,10 @@ class ServiceApp:
         shots = self._int_field(request.query.get("shots"), "shots", 256)
         if shots < 1:
             raise BadRequestError("query parameter 'shots' must be >= 1")
+        if shots > MAX_SHOTS:
+            raise BadRequestError(
+                f"query parameter 'shots' must be <= {MAX_SHOTS}"
+            )
         seed = request.query.get("seed")
         seed = self._int_field(seed, "seed") if seed is not None else None
         with handle.lock:
@@ -878,6 +887,8 @@ class ServiceApp:
         shots = self._int_field(payload.get("shots"), "shots", 0)
         if shots < 0:
             raise BadRequestError("field 'shots' must be >= 0")
+        if shots > MAX_SHOTS:
+            raise BadRequestError(f"field 'shots' must be <= {MAX_SHOTS}")
         # A deterministic default seed makes repeated identical requests
         # cache-safe even for circuits with mid-circuit measurements.
         seed = self._int_field(payload.get("seed"), "seed", 0)

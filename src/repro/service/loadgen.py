@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import errno
 import json
+import math
 import multiprocessing
 import selectors
 import socket
@@ -180,6 +181,10 @@ def _client_process(
     latencies: List[float] = []
     statuses: Dict[int, int] = {}
     errors = 0
+    # Send/response window on the shared monotonic clock: rps divides by
+    # it, so process spawn and queue join stay out of the rate.
+    first_send: Optional[float] = None
+    last_response: Optional[float] = None
     seed_counter = seed_base
     vary = "{seed}" in body_template
 
@@ -191,8 +196,11 @@ def _client_process(
         return body_template.encode()
 
     def begin_request(client: _Client) -> None:
+        nonlocal first_send
         client.out = _request_bytes(path, next_body(client))
         client.started = time.perf_counter()
+        if first_send is None:
+            first_send = client.started
         client.state = _SENDING
         sel.modify(client.sock, selectors.EVENT_WRITE, client)
 
@@ -249,7 +257,8 @@ def _client_process(
                     if popped is None:
                         continue
                     status, keep_alive = popped
-                    latencies.append(time.perf_counter() - client.started)
+                    last_response = time.perf_counter()
+                    latencies.append(last_response - client.started)
                     statuses[status] = statuses.get(status, 0) + 1
                     client.requests += 1
                     if now_past:
@@ -272,6 +281,8 @@ def _client_process(
         "statuses": statuses,
         "errors": errors,
         "reconnects": sum(c.reconnects for c in clients),
+        "first_send": first_send,
+        "last_response": last_response,
     })
 
 
@@ -317,10 +328,61 @@ class LoadResult:
 
 
 def _percentile(sorted_values: Sequence[float], q: float) -> float:
+    """Nearest-rank percentile: the smallest value with at least ``q`` of
+    the samples at or below it."""
     if not sorted_values:
         return 0.0
-    index = min(len(sorted_values) - 1, int(q * (len(sorted_values) - 1)))
-    return sorted_values[index]
+    count = len(sorted_values)
+    # The epsilon keeps float noise (0.07 * 100 = 7.000000000000001) from
+    # bumping an exact rank up by one.
+    rank = math.ceil(q * count - 1e-9)
+    return sorted_values[min(count, max(1, rank)) - 1]
+
+
+def _aggregate(
+    chunks: Sequence[Dict[str, object]],
+    mode: str,
+    connections: int,
+    processes: int,
+    duration: float,
+) -> LoadResult:
+    """Merge per-process chunks; rps divides by the earliest first send to
+    the latest last response across all processes."""
+    latencies: List[float] = []
+    statuses: Dict[str, int] = {}
+    errors = reconnects = 0
+    firsts: List[float] = []
+    lasts: List[float] = []
+    for chunk in chunks:
+        latencies.extend(chunk["latencies"])
+        errors += chunk["errors"]
+        reconnects += chunk["reconnects"]
+        for status, count in chunk["statuses"].items():
+            key = str(status)
+            statuses[key] = statuses.get(key, 0) + count
+        if chunk["first_send"] is not None:
+            firsts.append(chunk["first_send"])
+        if chunk["last_response"] is not None:
+            lasts.append(chunk["last_response"])
+    latencies.sort()
+    total = len(latencies)
+    window = max(lasts) - min(firsts) if firsts and lasts else 0.0
+    return LoadResult(
+        mode=mode,
+        connections=connections,
+        processes=processes,
+        duration_s=duration,
+        requests=total,
+        errors=errors,
+        reconnects=reconnects,
+        rps=total / window if window > 0 else 0.0,
+        p50_ms=1e3 * _percentile(latencies, 0.50),
+        p95_ms=1e3 * _percentile(latencies, 0.95),
+        p99_ms=1e3 * _percentile(latencies, 0.99),
+        mean_ms=1e3 * (sum(latencies) / total) if total else 0.0,
+        max_ms=1e3 * latencies[-1] if latencies else 0.0,
+        statuses=statuses,
+    )
 
 
 def run_load(
@@ -375,7 +437,6 @@ def run_load(
         )
         workers.append(worker)
 
-    wall_start = time.perf_counter()
     for worker in workers:
         worker.start()
     chunks = []
@@ -383,36 +444,7 @@ def run_load(
         chunks.append(out_queue.get(timeout=duration + 60.0))
     for worker in workers:
         worker.join(timeout=30.0)
-    wall = time.perf_counter() - wall_start
-
-    latencies: List[float] = []
-    statuses: Dict[str, int] = {}
-    errors = reconnects = 0
-    for chunk in chunks:
-        latencies.extend(chunk["latencies"])
-        errors += chunk["errors"]
-        reconnects += chunk["reconnects"]
-        for status, count in chunk["statuses"].items():
-            key = str(status)
-            statuses[key] = statuses.get(key, 0) + count
-    latencies.sort()
-    total = len(latencies)
-    return LoadResult(
-        mode=mode,
-        connections=connections,
-        processes=processes,
-        duration_s=duration,
-        requests=total,
-        errors=errors,
-        reconnects=reconnects,
-        rps=total / wall if wall else 0.0,
-        p50_ms=1e3 * _percentile(latencies, 0.50),
-        p95_ms=1e3 * _percentile(latencies, 0.95),
-        p99_ms=1e3 * _percentile(latencies, 0.99),
-        mean_ms=1e3 * (sum(latencies) / total) if total else 0.0,
-        max_ms=1e3 * latencies[-1] if latencies else 0.0,
-        statuses=statuses,
-    )
+    return _aggregate(chunks, mode, connections, processes, duration)
 
 
 # ----------------------------------------------------------------------

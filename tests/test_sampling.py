@@ -7,7 +7,11 @@ import pytest
 
 from repro.dd import DDPackage, NormalizationScheme
 from repro.dd import sampling
+from repro.dd.edge import ONE_EDGE, ZERO_EDGE, Edge
+from repro.dd.node import TERMINAL
 from repro.errors import DDError, InvalidStateError
+from repro.qc import library
+from repro.simulation.simulator import DDSimulator
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -91,14 +95,143 @@ class TestSample:
             assert sampling.sample(max_package, state, rng) in ("00", "11")
 
     def test_invalid_shots(self, package, rng):
-        with pytest.raises(DDError):
-            sampling.sample_counts(package, _bell(package), 0, rng)
+        # The shots check comes first, even for the zero vector.
+        for shots in (0, -1):
+            for state in (_bell(package), ZERO_EDGE):
+                with pytest.raises(DDError):
+                    sampling.sample_counts(package, state, shots, rng)
 
     def test_zero_vector_rejected(self, package, rng):
-        from repro.dd.edge import ZERO_EDGE
-
         with pytest.raises(InvalidStateError):
             sampling.sample(package, ZERO_EDGE, rng)
+        with pytest.raises(InvalidStateError):
+            sampling.sample_counts(package, ZERO_EDGE, 5, rng)
+
+
+def _reference_sample(package, state, rng, cache):
+    """One shot by the per-shot view walk: two ``Edge`` views per level."""
+    state = package._resolve(state)
+    if state.is_zero:
+        raise InvalidStateError("cannot sample from the zero vector")
+    local = package.vector_scheme is NormalizationScheme.L2
+    num_qubits = 0 if state.node.is_terminal else state.node.var + 1
+    bits = [0] * num_qubits
+    edge = state
+    while not edge.node.is_terminal:
+        zero_child, one_child = edge.node.edges
+        if local:
+            p0 = abs(zero_child.weight) ** 2
+        else:
+            mass0 = sampling._subtree_norms(zero_child, cache)
+            mass1 = sampling._subtree_norms(one_child, cache)
+            p0 = mass0 / (mass0 + mass1)
+        outcome = 0 if rng.random() < p0 else 1
+        bits[num_qubits - 1 - package.qubit_at(edge.node.var)] = outcome
+        edge = edge.node.edges[outcome]
+    return "".join(str(bit) for bit in bits)
+
+
+def _reference_counts(package, state, shots, rng):
+    counts = {}
+    cache = {}
+    for _ in range(shots):
+        outcome = _reference_sample(package, state, rng, cache)
+        counts[outcome] = counts.get(outcome, 0) + 1
+    return counts
+
+
+def _assert_matches_reference(package, state, seeds=(0, 1, 2)):
+    for seed in seeds:
+        for shots in (1, 2, 1024):
+            got_rng = np.random.default_rng(seed)
+            want_rng = np.random.default_rng(seed)
+            got = sampling.sample_counts(package, state, shots, got_rng)
+            want = _reference_counts(package, state, shots, want_rng)
+            assert got == want, (seed, shots)
+            assert list(got) == list(want), (seed, shots)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+_PACKAGES = {
+    "l2": lambda: DDPackage(),
+    "max": lambda: DDPackage(vector_scheme=NormalizationScheme.MAX_MAGNITUDE),
+    "identity-skipping": lambda: DDPackage(identity_skipping=True),
+}
+
+_CIRCUITS = {
+    "bell": lambda: (library.bell_pair(), None),
+    "ghz16": lambda: (library.ghz_state(16), None),
+    "qft14": lambda: (library.qft(14), "10110011100101"),
+    "random10": lambda: (library.random_circuit(10, 100, seed=3), None),
+}
+
+
+def _final_state(package, name):
+    circuit, basis = _CIRCUITS[name]()
+    initial = None
+    if basis is not None:
+        initial = package.basis_state(circuit.num_qubits, basis)
+    simulator = DDSimulator(circuit, package=package, initial_state=initial)
+    simulator.run_all()
+    return simulator.state
+
+
+class TestCountsMatchReferenceWalk:
+    """``sample_counts`` returns exactly the per-shot view walk's dict, in
+    the same key order, and leaves the generator in the same state."""
+
+    @pytest.mark.parametrize("circuit", sorted(_CIRCUITS))
+    @pytest.mark.parametrize("make", sorted(_PACKAGES))
+    def test_circuit_states(self, make, circuit):
+        package = _PACKAGES[make]()
+        _assert_matches_reference(package, _final_state(package, circuit))
+
+    def test_reordered_package(self):
+        package = DDPackage(reorder="manual")
+        stale = _final_state(package, "random10")
+        package.reorder()
+        assert package.qubit_order != list(range(10))
+        _assert_matches_reference(package, stale)
+        _assert_matches_reference(package, package._resolve(stale), seeds=(5,))
+
+    @pytest.mark.parametrize("root", [ONE_EDGE, Edge(TERMINAL, 0.5j)])
+    def test_zero_qubit_state(self, package, root):
+        rng = np.random.default_rng(4)
+        before = rng.bit_generator.state
+        assert sampling.sample_counts(package, root, 3, rng) == {"": 3}
+        assert rng.bit_generator.state == before
+        _assert_matches_reference(package, root)
+
+
+class _ExtremeRng:
+    """Every draw is the same value: the smallest or the largest float a
+    uniform ``[0, 1)`` generator can return."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self, size):
+        return np.full(size, self.value)
+
+
+@pytest.mark.parametrize("draw", [0.0, 1.0 - 2.0 ** -53])
+@pytest.mark.parametrize(
+    "scheme", [NormalizationScheme.L2, NormalizationScheme.MAX_MAGNITUDE]
+)
+def test_walk_never_takes_a_zero_weight_successor(scheme, draw):
+    package = DDPackage(vector_scheme=scheme)
+    cases = [
+        (package.from_state_vector([0.6, 0.0, 0.0, 0.8]), {"00", "11"}),
+        (
+            package.from_state_vector([0.0, 0.6, 0.8j, 0.0, 0.0, 0.0, 0.0, 0.0]),
+            {"001", "010"},
+        ),
+        (package.basis_state(4, "1010"), {"1010"}),
+        (_final_state(package, "ghz16"), {"0" * 16, "1" * 16}),
+    ]
+    for state, support in cases:
+        counts = sampling.sample_counts(package, state, 4, _ExtremeRng(draw))
+        assert set(counts) <= support
 
 
 class TestMeasureCollapse:

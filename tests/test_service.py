@@ -233,6 +233,20 @@ class TestSimulationSessions:
         counts = _json(response)["counts"]
         assert sum(counts.values()) == 64
 
+    def test_counts_shots_capped(self, app):
+        from repro.service.app import MAX_SHOTS
+
+        sid = _json(_post(app, "/sessions", {"kind": "simulation",
+                                             "qasm": QFT}))["session_id"]
+        response = app.handle(Request(
+            "GET", f"/sessions/{sid}/counts",
+            query={"shots": str(MAX_SHOTS + 1)},
+        ))
+        assert response.status == 400
+        error = _json(response)["error"]
+        assert error["type"] == "BadRequestError"
+        assert str(MAX_SHOTS) in error["message"]
+
     def test_step_past_end_409(self, app):
         qasm = "OPENQASM 2.0;\nqreg q[1];\n"
         sid = _json(_post(app, "/sessions", {"kind": "simulation",
@@ -345,6 +359,31 @@ class TestBatchEndpoints:
         second = _json(_post(app, "/simulate", {"qasm": QFT, "shots": 32}))
         assert second["cached"] is True
         assert second["counts"] == first["counts"]
+
+    def test_simulate_shots_capped(self, app):
+        from repro.service.app import MAX_SHOTS
+
+        response = _post(app, "/simulate", {"qasm": QFT, "shots": MAX_SHOTS + 1})
+        assert response.status == 400
+        assert _json(response)["error"]["type"] == "BadRequestError"
+
+    def test_batch_job_shots_capped(self, app):
+        from repro.service.app import MAX_SHOTS
+
+        response = _post(app, "/simulate/batch", {"jobs": [
+            {"qasm": QFT, "shots": 8},
+            {"qasm": QFT, "shots": MAX_SHOTS + 1},
+        ]})
+        assert response.status == 200
+        try:
+            lines = [json.loads(chunk) for chunk in response.chunks]
+        finally:
+            response.close()
+        by_index = {line["index"]: line for line in lines}
+        assert by_index[0]["ok"] and sum(by_index[0]["counts"].values()) == 8
+        assert not by_index[1]["ok"]
+        assert by_index[1]["error"]["type"] == "BadRequestError"
+        assert by_index[1]["error"]["status"] == 400
 
     def test_cache_keyed_on_digest_not_text(self, app):
         renamed = library.qft(3).copy(name="other").to_qasm()
