@@ -427,17 +427,17 @@ def fault_hang_job(seconds: float = 3600.0) -> Dict[str, Any]:
 
 
 def fault_corrupt_job(fault: str = "perturb-weight", seed: int = 0) -> Dict[str, Any]:
-    """Corrupt the worker's own package, then sanitize.
+    """Corrupt the job's own package, then sanitize.
 
     Builds a small state (so there is something to corrupt), plants the
     requested fault and runs the sanitizer with ``raise_on_violation`` —
-    the resulting :class:`~repro.errors.SanitizerError` is marshalled to
-    the parent (503) and the worker's governance report carries the
-    violation count, degrading ``/healthz``.
+    the resulting :class:`~repro.errors.SanitizerError` reaches the caller
+    (503 over HTTP) and the job's governance report carries the violation
+    count, degrading ``/healthz``.
     """
     from repro.service import workers
 
-    package = workers._package()
+    package = workers.job_package()
     state = package.from_state_vector([0.5, 0.5j, -0.5, 0.5])
     package.incref(state)
     try:

@@ -4,8 +4,8 @@ The paper's artifact is an installation-free *web tool*; this package is
 the deployment shape behind such a tool: a JSON-over-HTTP service exposing
 the step-through session semantics of :mod:`repro.tool.session` to many
 concurrent clients, plus one-shot batch ``/simulate`` and ``/verify``
-endpoints that run on a pool of worker processes (one
-:class:`~repro.dd.package.DDPackage` per worker) and are memoized in an
+endpoints that run on a pool of worker processes (a fresh
+:class:`~repro.dd.package.DDPackage` per job) and are memoized in an
 LRU result cache keyed on the canonical circuit digest
 (:func:`repro.qc.hashing.circuit_digest`).  Live observability rides on
 Server-Sent Events: per-session frame streams, a metrics-delta stream and

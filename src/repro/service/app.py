@@ -118,9 +118,9 @@ class ServiceConfig:
     #: (overrunning workers are killed and respawned); 0 falls back to
     #: ``job_timeout``.
     request_deadline: float = 0.0
-    #: Worker-package memory budget: max unique-table nodes (0 = no limit).
+    #: Per-job package memory budget: max unique-table nodes (0 = no limit).
     budget_nodes: int = 0
-    #: Worker-package memory budget: max estimated table bytes (0 = no limit).
+    #: Per-job package memory budget: max estimated table bytes (0 = no limit).
     budget_bytes: int = 0
     #: Per-subscriber SSE queue depth; a slow consumer beyond it loses the
     #: *oldest* queued events (counted in ``dd_stream_dropped_total``).
@@ -477,23 +477,25 @@ class ServiceApp:
         report = self.pool.last_report or {}
         pressure = self.pool.pressure_level
         sanitize_violations = self.pool.sanitize_violations_seen
-        # Degraded (not down) while workers sit at their memory budget or a
-        # sanitizer run detected table corruption: the process still serves,
-        # it just sheds batch load / warns the operator.
+        # Degraded (not down) while job packages sit at their memory budget
+        # or a sanitizer run detected table corruption: the process still
+        # serves, it just sheds batch load / warns the operator.
         healthy = pressure < 2 and sanitize_violations == 0
         # Load balancers act on the status code, not the body: a degraded
         # instance answers 503 so traffic drains away from it.
         return Response.json(status=200 if healthy else 503, payload={
             "status": "ok" if healthy else "degraded",
-            "uptime_seconds": round(time.time() - self._started, 3),
+            # A fixed start time, not an uptime: the body (and with it the
+            # Content-Length a HEAD advertises) only changes with state.
+            "started_at": round(self._started, 3),
             "sessions": len(self.store),
             "workers": self.pool.workers,
             "governance": {
                 "pressure": pressure,
                 "table_bytes": report.get("table_bytes", 0),
                 "nodes": report.get("nodes", 0),
-                "gc_runs": report.get("gc_runs", 0),
-                "gc_nodes_reclaimed": report.get("gc_nodes_reclaimed", 0),
+                "gc_runs": self.pool.gc_runs,
+                "gc_nodes_reclaimed": self.pool.gc_nodes_reclaimed,
                 "watchdog_kills": self.pool.watchdog_kills,
                 "sanitize_violations": sanitize_violations,
             },
@@ -882,7 +884,7 @@ class ServiceApp:
     # one-shot batch endpoints (worker pool + result cache)
     # ------------------------------------------------------------------
     def _simulate_once(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        """Validate and run one simulate job (cache → shard), as a dict."""
+        """Validate and run one simulate job (cache → free shard), as a dict."""
         qasm = self._require(payload, "qasm")
         shots = self._int_field(payload.get("shots"), "shots", 0)
         if shots < 0:
@@ -900,11 +902,7 @@ class ServiceApp:
         hit, cached = self.cache.get(key)
         if hit:
             return dict(cached, cached=True)
-        # The digest is the shard key: every job for this circuit lands on
-        # the same worker shard, whose compute/apply tables stay warm.
-        result = self.pool.submit(
-            "simulate", simulate_job, qasm, shots, seed, shard_key=digest,
-        )
+        result = self.pool.submit("simulate", simulate_job, qasm, shots, seed)
         result["digest"] = digest
         self.cache.put(key, result)
         return dict(result, cached=False)
@@ -920,8 +918,8 @@ class ServiceApp:
         Each line is ``{"index": i, "ok": true, ...result}`` or
         ``{"index": i, "ok": false, "error": {...}}`` — completion order,
         with ``index`` tying a line back to its job.  Per-job semantics
-        match ``/simulate`` exactly: result cache, shard routing by
-        circuit digest, rate limiting, pressure shedding and watchdog
+        match ``/simulate`` exactly: result cache, first-free-shard
+        dispatch, rate limiting, pressure shedding and watchdog
         deadlines (shed/timed-out jobs become per-job errors, not a
         failed batch).
         """
@@ -1010,10 +1008,7 @@ class ServiceApp:
         hit, cached = self.cache.get(key)
         if hit:
             return Response.json(dict(cached, cached=True))
-        result = self.pool.submit(
-            "verify", verify_job, left, right, strategy,
-            shard_key=f"{left_digest}:{right_digest}",
-        )
+        result = self.pool.submit("verify", verify_job, left, right, strategy)
         self.cache.put(key, result)
         return Response.json(dict(result, cached=False))
 

@@ -14,8 +14,7 @@ Two regimes mirror the service benchmark:
   warm-up the server answers from the LRU result cache; latency is pure
   front-end overhead.
 * ``"uncached"`` — each request varies the seed, so every one crosses
-  the worker pool (and, with shard affinity, lands on the same warm
-  shard for the shared digest).
+  the worker pool and runs on the first free shard, on a fresh package.
 
 Results aggregate across processes into p50/p95/p99 latency and
 requests/second, publish into a :class:`~repro.obs.metrics.MetricsRegistry`

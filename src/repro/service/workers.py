@@ -2,19 +2,17 @@
 
 :class:`DDPackage` instances are not thread-safe, and a busy batch endpoint
 must not serialize all clients behind one package.  The pool therefore runs
-jobs in dedicated worker *processes*, each owning exactly one long-lived,
-memory-governed package that is reused across jobs.
+jobs in dedicated worker *processes*, one job at a time each, and every job
+builds a fresh, memory-budgeted package of its own (:func:`job_package`)
+that is dropped when the job ends.  A package shared across jobs would make
+answers depend on history: the complex table snaps near-equal weights to
+the nearest *stored* representative, so what earlier jobs stored changes
+what a later job builds.  Exact repeats never reach a worker anyway: the
+service's result cache answers them.
 
-Workers are **shards with stable identities** on a consistent-hash ring:
-``submit(..., shard_key=digest)`` routes every job for the same circuit
-digest to the same worker, so repeated circuits hit that shard's warm
-unique/compute/apply tables instead of rebuilding them elsewhere.  Keyless
-jobs take any free shard (round-robin).  A killed worker is respawned *in
-place* under the same shard id — its warm tables are lost, but the ring
-(and therefore every other key's placement) is unchanged.  Placement is
-observable: ``service_shard_jobs_total{shard=...,affinity=...}`` counts
-jobs per shard, and :attr:`WorkerPool.shard_jobs` snapshots the counters
-for tests.
+A job goes to whichever shard becomes free first.  A killed worker is
+respawned *in place* under the same shard id, and
+``service_shard_jobs_total{shard=...}`` counts jobs per shard.
 
 Unlike a ``multiprocessing.Pool`` (whose ``get(timeout)`` abandons the
 result but leaves the worker churning on the stuck job forever), every
@@ -24,22 +22,23 @@ worker's pipe with a per-request wall-clock deadline and, on overrun,
 computation is actually stopped, not merely ignored.  Kills are counted in
 ``service_watchdog_kills_total``.
 
-Workers also participate in memory governance: after every job the worker
-runs its package's garbage collector if the configured
-:class:`~repro.dd.governance.MemoryBudget` shows pressure, and reports the
-post-GC pressure back alongside the result.  If a worker remains at HARD
-pressure even after collecting (live data alone exceeds the budget), the
-pool sheds load for a cooldown period: ``submit`` raises
-:class:`~repro.errors.TablePressureError`, which the HTTP layer maps to
-``503`` with a ``Retry-After`` header — bounded memory instead of
-fast-until-OOM.
+Jobs also participate in memory governance: the configured
+:class:`~repro.dd.governance.MemoryBudget` governs each job's package while
+it runs, and after the job the worker collects that package if it still
+shows pressure and reports its counts back alongside the result.  The pool
+adds each report's GC and sanitizer counts to its totals.  If a job's
+package remains at HARD pressure even after collecting (live data alone
+exceeds the budget), the pool sheds load for a cooldown period:
+``submit`` raises :class:`~repro.errors.TablePressureError`, which the
+HTTP layer maps to ``503`` with a ``Retry-After`` header — bounded memory
+instead of fast-until-OOM.
 
 Job functions are module-level so they pickle, take only plain-data
 arguments (QASM text, ints, strings) and return plain dicts — the JSON the
 endpoint will serve.
 
-``workers=0`` selects *inline* mode: jobs run in the calling thread behind
-a lock.  That keeps unit tests and single-user deployments free of
+``workers=0`` selects *inline* mode: jobs run in the calling thread, one
+at a time.  That keeps unit tests and single-user deployments free of
 subprocess machinery while exercising the exact same job functions (the
 watchdog cannot kill the calling thread, so deadlines are not enforced
 inline; pressure shedding still works).
@@ -47,10 +46,9 @@ inline; pressure shedding still works).
 
 from __future__ import annotations
 
-import bisect
-import hashlib
 import multiprocessing
 import multiprocessing.connection
+import queue
 import threading
 import time
 from time import perf_counter
@@ -64,50 +62,39 @@ from repro.errors import (
     ServiceUnavailableError,
     TablePressureError,
 )
+from repro.dd.governance import MemoryBudget, PressureLevel
 from repro.obs.metrics import DEFAULT_TIME_BUCKETS, MetricsRegistry
 
 __all__ = ["WorkerPool", "simulate_job", "verify_job"]
 
-#: The per-process decision-diagram package (one per worker, reused).
-_WORKER_PACKAGE = None
-#: Budget applied to worker packages, set by the worker bootstrap.
-_WORKER_BUDGET: Tuple[int, int] = (0, 0)  # (max_nodes, max_bytes); 0 = off
+#: Budget and package of the job the current thread runs.  Job functions
+#: keep plain-data signatures (the pipe carries names and plain args, and
+#: library callers run `simulate_job` directly), so the package a job
+#: builds reaches `_run_job` through this slot, emptied after every job.
+_JOB = threading.local()
 
 
-def _package():
-    global _WORKER_PACKAGE
-    if _WORKER_PACKAGE is None:
-        from repro.dd.governance import MemoryBudget
-        from repro.dd.package import DDPackage
-        from repro.obs.metrics import MetricsRegistry as _Registry
+def job_package():
+    """A fresh decision-diagram package for the running job.
 
-        max_nodes, max_bytes = _WORKER_BUDGET
-        budget = MemoryBudget(
-            max_nodes=max_nodes or None,
-            max_bytes=max_bytes or None,
-        )
-        # Workers keep their own dark registry: service-level metrics are
-        # recorded in the parent, and a disabled registry keeps the
-        # simulation hot path free of instrumentation cost.
-        _WORKER_PACKAGE = DDPackage(
-            registry=_Registry(enabled=False), budget=budget
-        )
-    return _WORKER_PACKAGE
-
-
-def _set_budget(max_nodes: int, max_bytes: int) -> None:
-    global _WORKER_BUDGET
-    _WORKER_BUDGET = (int(max_nodes), int(max_bytes))
-
-
-def _reset_package() -> None:
-    """Drop the process-wide package so the next job rebuilds it.
-
-    Needed when an *inline* pool (workers=0) configures a budget after a
-    previous pool in the same process already built an unbudgeted package.
+    Inside a pool job the package is built on first use, carries the
+    pool's memory budget and is reported on and dropped when the job ends,
+    so no table state carries from one job to the next.  Outside a pool
+    job (a library caller running :func:`simulate_job` directly) every
+    call builds a new unbudgeted package.
     """
-    global _WORKER_PACKAGE
-    _WORKER_PACKAGE = None
+    from repro.dd.package import DDPackage
+
+    package = getattr(_JOB, "package", None)
+    if package is None:
+        budget = getattr(_JOB, "budget", None)
+        # Jobs keep a dark registry: service-level metrics are recorded in
+        # the parent, and a disabled registry keeps the simulation hot
+        # path free of instrumentation cost.
+        package = DDPackage(registry=MetricsRegistry(enabled=False), budget=budget)
+        if budget is not None:
+            _JOB.package = package
+    return package
 
 
 def simulate_job(qasm: str, shots: int = 0, seed: Optional[int] = 0) -> Dict[str, Any]:
@@ -117,10 +104,9 @@ def simulate_job(qasm: str, shots: int = 0, seed: Optional[int] = 0) -> Dict[str
     from repro.simulation.simulator import DDSimulator
 
     circuit = parse_qasm(qasm)
-    package = _package()
-    simulator = None
+    package = job_package()
+    simulator = DDSimulator(circuit, package=package, seed=seed)
     try:
-        simulator = DDSimulator(circuit, package=package, seed=seed)
         simulator.run_all()
         counts = None
         if shots:
@@ -138,9 +124,7 @@ def simulate_job(qasm: str, shots: int = 0, seed: Optional[int] = 0) -> Dict[str
             "counts": counts,
         }
     finally:
-        if simulator is not None:
-            simulator.close()  # release the history's governor roots
-        package.clear_caches()
+        simulator.close()  # release the history's governor roots
 
 
 def verify_job(left_qasm: str, right_qasm: str, strategy: str = "proportional") -> Dict[str, Any]:
@@ -154,31 +138,28 @@ def verify_job(left_qasm: str, right_qasm: str, strategy: str = "proportional") 
 
     left = parse_qasm(left_qasm, name="G")
     right = parse_qasm(right_qasm, name="G'")
-    package = _package()
-    try:
-        if strategy == "construct":
-            result = check_equivalence_construct(left, right, package=package)
-        else:
-            try:
-                parsed = ApplicationStrategy(strategy)
-            except ValueError:
-                valid = ", ".join(
-                    ["construct"] + [s.value for s in ApplicationStrategy]
-                )
-                raise BadRequestError(
-                    f"unknown strategy {strategy!r} (expected one of: {valid})"
-                )
-            result = check_equivalence_alternating(
-                left, right, strategy=parsed, package=package
+    package = job_package()
+    if strategy == "construct":
+        result = check_equivalence_construct(left, right, package=package)
+    else:
+        try:
+            parsed = ApplicationStrategy(strategy)
+        except ValueError:
+            valid = ", ".join(
+                ["construct"] + [s.value for s in ApplicationStrategy]
             )
-        return {
-            "equivalent": result.equivalent,
-            "equivalent_up_to_global_phase": result.equivalent_up_to_global_phase,
-            "method": result.method,
-            "peak_nodes": result.max_nodes,
-        }
-    finally:
-        package.clear_caches()
+            raise BadRequestError(
+                f"unknown strategy {strategy!r} (expected one of: {valid})"
+            )
+        result = check_equivalence_alternating(
+            left, right, strategy=parsed, package=package
+        )
+    return {
+        "equivalent": result.equivalent,
+        "equivalent_up_to_global_phase": result.equivalent_up_to_global_phase,
+        "method": result.method,
+        "peak_nodes": result.max_nodes,
+    }
 
 
 #: Job dispatch by name — the pipe carries names, not pickled callables.
@@ -198,11 +179,8 @@ def register_job(kind: str, fn: Callable[..., Dict[str, Any]]) -> None:
     _JOB_FUNCTIONS[kind] = fn
 
 
-def _governance_report() -> Dict[str, Any]:
+def _governance_report(package) -> Dict[str, Any]:
     """Post-job governance snapshot; collects if the budget shows pressure."""
-    from repro.dd.governance import PressureLevel
-
-    package = _package()
     governor = package.governor
     if governor.pressure() is not PressureLevel.OK:
         governor.collect()
@@ -218,7 +196,30 @@ def _governance_report() -> Dict[str, Any]:
     }
 
 
-def _worker_main(conn, max_nodes: int, max_bytes: int) -> None:  # pragma: no cover - child process
+def _run_job(
+    fn: Callable[..., Dict[str, Any]], args: tuple, budget: MemoryBudget
+) -> Tuple[Optional[Dict[str, Any]], Optional[BaseException], Optional[Dict[str, Any]]]:
+    """Run one job on its own package; return ``(result, error, report)``.
+
+    ``report`` is the governance report of the package the job asked
+    :func:`job_package` for, or ``None`` if it used none.
+    """
+    _JOB.budget, _JOB.package = budget, None
+    result = error = report = None
+    try:
+        result = fn(*args)
+    except BaseException as caught:  # noqa: BLE001 - handed to the caller
+        error = caught
+    package, _JOB.budget, _JOB.package = _JOB.package, None, None
+    if package is not None:
+        try:
+            report = _governance_report(package)
+        except Exception:  # noqa: BLE001 - reporting must not mask the job's outcome
+            pass
+    return result, error, report
+
+
+def _worker_main(conn, budget: MemoryBudget) -> None:  # pragma: no cover - child process
     """Worker loop: recv (job, args), run, send (status, payload, report)."""
     import os
 
@@ -235,8 +236,8 @@ def _worker_main(conn, max_nodes: int, max_bytes: int) -> None:  # pragma: no co
     from repro.campaign.jobs import install_campaign_jobs
 
     install_campaign_jobs()
-    _set_budget(max_nodes, max_bytes)
-    _package()  # warm up before signalling readiness
+    import repro.dd.package  # noqa: F401 - import before signalling readiness
+
     conn.send(("ready", None, None))
     while True:
         try:
@@ -245,15 +246,14 @@ def _worker_main(conn, max_nodes: int, max_bytes: int) -> None:  # pragma: no co
             break
         if message is None:
             break
-        job, args = message
-        try:
-            result = _JOB_FUNCTIONS[job](*args)
-            conn.send(("ok", result, _governance_report()))
-        except BaseException as error:  # noqa: BLE001 - marshalled to parent
-            try:
-                report = _governance_report()
-            except Exception:  # noqa: BLE001 - reporting must not mask the job error
-                report = None
+        kind, args = message
+        # Looked up inside the job so an unknown kind comes back as an error.
+        result, error, report = _run_job(
+            lambda *job_args: _JOB_FUNCTIONS[kind](*job_args), args, budget
+        )
+        if error is None:
+            conn.send(("ok", result, report))
+        else:
             conn.send(("err", (type(error).__name__, str(error)), report))
     conn.close()
 
@@ -272,11 +272,11 @@ def _rebuild_error(name: str, message: str) -> Exception:
 class _Worker:
     """One supervised worker process and its duplex pipe."""
 
-    def __init__(self, context, max_nodes: int, max_bytes: int):
+    def __init__(self, context, budget: MemoryBudget):
         self.conn, child_conn = multiprocessing.Pipe(duplex=True)
         self.process = context.Process(
             target=_worker_main,
-            args=(child_conn, max_nodes, max_bytes),
+            args=(child_conn, budget),
             daemon=True,
         )
         self.process.start()
@@ -298,43 +298,18 @@ class _Worker:
 
 
 class _Shard:
-    """One worker slot with a stable identity on the consistent-hash ring.
+    """One worker slot with a stable identity.
 
-    The lock serializes jobs onto the shard's single worker process; the
-    worker behind it may be killed and respawned, but the shard id (and
-    with it every key's ring placement) never changes.
+    The worker behind it may be killed and respawned, but the shard id
+    (the ``shard`` label of its job counter) never changes.
     """
 
-    __slots__ = ("index", "worker", "lock", "jobs_total", "keyed_jobs")
+    __slots__ = ("index", "worker", "jobs")
 
-    def __init__(self, index: int, worker: Optional[_Worker]):
+    def __init__(self, index: int, jobs):
         self.index = index
-        self.worker = worker
-        self.lock = threading.Lock()
-        self.jobs_total = 0
-        self.keyed_jobs = 0
-
-
-#: Virtual points per shard on the consistent-hash ring.  More points
-#: smooth the key distribution across shards; 64 keeps the ring tiny.
-_RING_REPLICAS = 64
-
-
-def _hash_point(data: str) -> int:
-    return int.from_bytes(
-        hashlib.sha256(data.encode("utf-8")).digest()[:8], "big"
-    )
-
-
-def _build_ring(shard_count: int) -> List[Tuple[int, int]]:
-    """``[(point, shard_index), ...]`` sorted by point."""
-    ring = [
-        (_hash_point(f"shard-{shard}:{replica}"), shard)
-        for shard in range(shard_count)
-        for replica in range(_RING_REPLICAS)
-    ]
-    ring.sort()
-    return ring
+        self.worker: Optional[_Worker] = None
+        self.jobs = jobs
 
 
 class WorkerPool:
@@ -342,11 +317,11 @@ class WorkerPool:
 
     ``request_deadline`` is the per-request wall-clock limit enforced by
     the watchdog (0 falls back to ``job_timeout``).  ``budget_nodes`` /
-    ``budget_bytes`` configure each worker package's
-    :class:`~repro.dd.governance.MemoryBudget` (0 disables a limit).
+    ``budget_bytes`` configure the :class:`~repro.dd.governance.MemoryBudget`
+    of every job's package (0 disables a limit).
     """
 
-    #: Seconds of load shedding after a worker stays at HARD pressure.
+    #: Seconds of load shedding after a job's package stays at HARD pressure.
     PRESSURE_COOLDOWN = 2.0
 
     def __init__(
@@ -362,8 +337,10 @@ class WorkerPool:
         self.workers = max(0, int(workers))
         self.job_timeout = job_timeout
         self.request_deadline = request_deadline if request_deadline > 0 else job_timeout
-        self.budget_nodes = int(budget_nodes)
-        self.budget_bytes = int(budget_bytes)
+        self.budget = MemoryBudget(
+            max_nodes=int(budget_nodes) or None,
+            max_bytes=int(budget_bytes) or None,
+        )
         self.event_bus = event_bus
         self._last_published_pressure = 0
         registry = registry if registry is not None else MetricsRegistry(enabled=False)
@@ -381,7 +358,6 @@ class WorkerPool:
             for kind in ("simulate", "verify")
         }
         self._m_sanitize = registry.counter("dd_sanitize_violations_total")
-        self.sanitize_violations_seen = 0
         self._m_timeouts = registry.counter("service_job_timeouts_total")
         self._m_kills = registry.counter("service_watchdog_kills_total")
         self._m_shed = registry.counter("service_pressure_rejections_total")
@@ -389,28 +365,28 @@ class WorkerPool:
         self._m_table_bytes = registry.gauge("dd_worker_table_bytes")
         self._m_gc_runs = registry.counter("dd_gc_runs_total")
         self._m_gc_nodes = registry.counter("dd_gc_nodes_reclaimed_total")
-        self._inline_lock = threading.Lock()
+        # Totals over every job's report (each job starts from zero).
+        self.gc_runs = 0
+        self.gc_nodes_reclaimed = 0
+        self.sanitize_violations_seen = 0
         self.watchdog_kills = 0
         self.last_report: Optional[Dict[str, Any]] = None
         self._reject_until = 0.0
-        self._reject_lock = threading.Lock()
+        self._lock = threading.Lock()  # guards the report state above
         self._closed = False
         self._context = None
-        self._rr = 0  # round-robin cursor for keyless jobs
-        self._rr_lock = threading.Lock()
-        # One pseudo-shard in inline mode keeps the affinity counters and
-        # the consistent-hash ring meaningful even without processes.
+        # Inline mode has one pseudo-shard: the queue then serializes jobs
+        # on the calling threads.
         self._shards: List[_Shard] = [
-            _Shard(index, None) for index in range(max(1, self.workers))
+            _Shard(index, registry.counter(
+                "service_shard_jobs_total", {"shard": str(index)}
+            ))
+            for index in range(max(1, self.workers))
         ]
-        self._ring = _build_ring(len(self._shards))
-        if not self.workers and (self.budget_nodes or self.budget_bytes):
-            # Inline jobs share this process's package: install the budget
-            # and rebuild so it actually takes effect.
-            _set_budget(self.budget_nodes, self.budget_bytes)
-            _reset_package()
+        #: Idle shards; a job takes whichever becomes free first.
+        self._free: "queue.SimpleQueue[_Shard]" = queue.SimpleQueue()
         if self.workers:
-            # Prefer fork (cheap, instant warm-up); the pool is created
+            # Prefer fork (cheap, instant start-up); the pool is created
             # before the server starts accepting, so no threads exist yet.
             methods = multiprocessing.get_all_start_methods()
             self._context = multiprocessing.get_context(
@@ -420,52 +396,14 @@ class WorkerPool:
                 shard.worker = self._spawn()
             for shard in self._shards:
                 shard.worker.wait_ready()
-
-    # ------------------------------------------------------------------
-    # shard routing
-    # ------------------------------------------------------------------
-    def shard_for(self, shard_key: str) -> int:
-        """The shard index a key lands on (consistent hashing)."""
-        point = _hash_point(str(shard_key))
-        index = bisect.bisect_right(self._ring, (point, len(self._shards)))
-        return self._ring[index % len(self._ring)][1]
-
-    @property
-    def shard_jobs(self) -> List[Dict[str, int]]:
-        """Per-shard job counters, for tests and the benchmarks."""
-        return [
-            {"shard": shard.index, "jobs_total": shard.jobs_total,
-             "keyed_jobs": shard.keyed_jobs}
-            for shard in self._shards
-        ]
-
-    def _count_shard_job(self, shard: _Shard, keyed: bool) -> None:
-        shard.jobs_total += 1
-        if keyed:
-            shard.keyed_jobs += 1
-        self._registry.counter(
-            "service_shard_jobs_total",
-            {"shard": str(shard.index), "affinity": "keyed" if keyed else "any"},
-        ).inc()
-
-    def _acquire_any(self) -> _Shard:
-        """Lock a free shard, preferring round-robin order; block if none."""
-        with self._rr_lock:
-            start = self._rr
-            self._rr = (self._rr + 1) % len(self._shards)
-        for offset in range(len(self._shards)):
-            shard = self._shards[(start + offset) % len(self._shards)]
-            if shard.lock.acquire(blocking=False):
-                return shard
-        shard = self._shards[start]
-        shard.lock.acquire()
-        return shard
+        for shard in self._shards:
+            self._free.put(shard)
 
     # ------------------------------------------------------------------
     # supervision
     # ------------------------------------------------------------------
     def _spawn(self) -> _Worker:
-        return _Worker(self._context, self.budget_nodes, self.budget_bytes)
+        return _Worker(self._context, self.budget)
 
     def _respawn_shard(self, shard: _Shard, reason: str) -> None:
         """Kill a shard's worker and respawn in place (same shard id)."""
@@ -493,44 +431,45 @@ class WorkerPool:
             self.event_bus.publish(kind, data)
 
     def _absorb_report(self, report: Optional[Dict[str, Any]]) -> None:
-        """Fold a worker's post-job governance report into pool state."""
+        """Fold one job's governance report into the pool's state and totals."""
         if not report:
             return
-        from repro.dd.governance import PressureLevel
-
-        self.last_report = report
-        pressure = int(report.get("pressure", 0) or 0)
-        self._m_pressure.set(pressure)
-        self._m_table_bytes.set(report.get("table_bytes", 0))
-        self._m_gc_runs.set_value(report.get("gc_runs", 0))
-        self._m_gc_nodes.set_value(report.get("gc_nodes_reclaimed", 0))
-        if pressure != self._last_published_pressure:
-            self._publish("pool.pressure", {
-                "level": pressure,
-                "previous": self._last_published_pressure,
-                "table_bytes": report.get("table_bytes", 0),
-                "nodes": report.get("nodes", 0),
-            })
-            self._last_published_pressure = pressure
-        violations = int(report.get("sanitize_violations", 0) or 0)
-        if violations > self.sanitize_violations_seen:
-            # Sticky by design: detected table corruption is not something
-            # a later clean job un-detects.  `/healthz` degrades until the
-            # operator restarts (or replaces) the service.
-            self.sanitize_violations_seen = violations
-            self._m_sanitize.set_value(violations)
-            self._publish("pool.sanitize", {
-                "violations_total": violations, "sticky": True,
-            })
-        if pressure >= int(PressureLevel.HARD):
-            # The worker is still over budget *after* collecting: its live
-            # data alone exceeds the budget.  Shed load briefly so clients
-            # back off instead of piling more work onto a saturated table.
-            with self._reject_lock:
+        pressure = report["pressure"]
+        violations = report["sanitize_violations"]
+        with self._lock:
+            self.last_report = report
+            self._m_pressure.set(pressure)
+            self._m_table_bytes.set(report["table_bytes"])
+            self.gc_runs += report["gc_runs"]
+            self.gc_nodes_reclaimed += report["gc_nodes_reclaimed"]
+            self._m_gc_runs.inc(report["gc_runs"])
+            self._m_gc_nodes.inc(report["gc_nodes_reclaimed"])
+            if pressure != self._last_published_pressure:
+                self._publish("pool.pressure", {
+                    "level": pressure,
+                    "previous": self._last_published_pressure,
+                    "table_bytes": report["table_bytes"],
+                    "nodes": report["nodes"],
+                })
+                self._last_published_pressure = pressure
+            if violations:
+                # Sticky by design: detected table corruption is not
+                # something a later clean job un-detects.  `/healthz`
+                # degrades until the operator restarts the service.
+                self.sanitize_violations_seen += violations
+                self._m_sanitize.inc(violations)
+                self._publish("pool.sanitize", {
+                    "violations_total": self.sanitize_violations_seen,
+                    "sticky": True,
+                })
+            if pressure >= int(PressureLevel.HARD):
+                # The job's package is still over budget *after* collecting:
+                # its live data alone exceeds the budget.  Shed load briefly
+                # so clients back off instead of piling on more work.
                 self._reject_until = time.monotonic() + self.PRESSURE_COOLDOWN
 
     def _check_pressure_gate(self) -> None:
-        with self._reject_lock:
+        with self._lock:
             remaining = self._reject_until - time.monotonic()
         if remaining > 0:
             self._m_shed.inc()
@@ -543,7 +482,7 @@ class WorkerPool:
 
     @property
     def pressure_level(self) -> int:
-        """Last reported post-GC worker pressure (0 = OK)."""
+        """Post-GC pressure of the last job's package (0 = OK)."""
         report = self.last_report
         return int(report.get("pressure", 0)) if report else 0
 
@@ -551,47 +490,33 @@ class WorkerPool:
     # submission
     # ------------------------------------------------------------------
     def submit(
-        self,
-        kind: str,
-        fn: Callable[..., Dict[str, Any]],
-        *args,
-        shard_key: Optional[str] = None,
+        self, kind: str, fn: Callable[..., Dict[str, Any]], *args
     ) -> Dict[str, Any]:
-        """Run ``fn(*args)`` on a worker shard and block for the result.
+        """Run ``fn(*args)`` on the first free shard and block for the result.
 
-        With ``shard_key`` the job is routed by consistent hashing, so
-        repeated submissions of the same key (e.g. a circuit digest) hit
-        the same shard's warm compute/apply tables; without it, any free
-        shard takes the job.  Raises :class:`JobTimeoutError` if the
-        request deadline elapses (the runaway worker is killed and
-        replaced in place) and :class:`TablePressureError` while the pool
-        is shedding load.
+        The job runs on a fresh package of its own (see :func:`job_package`).
+        Raises :class:`JobTimeoutError` if the request deadline elapses
+        (the runaway worker is killed and replaced in place) and
+        :class:`TablePressureError` while the pool is shedding load.
         """
         if self._closed:
             raise ServiceError("the worker pool is closed")
         self._check_pressure_gate()
         start = perf_counter()
+        shard = self._free.get()
         try:
-            if not self.workers:
-                with self._inline_lock:
-                    self._count_shard_job(self._shards[0], shard_key is not None)
-                    try:
-                        return fn(*args)
-                    finally:
-                        self._absorb_report(_governance_report())
-            if shard_key is not None:
-                shard = self._shards[self.shard_for(shard_key)]
-                shard.lock.acquire()
-                keyed = True
-            else:
-                shard = self._acquire_any()
-                keyed = False
-            try:
-                self._count_shard_job(shard, keyed)
+            if self._closed:
+                raise ServiceError("the worker pool is closed")
+            shard.jobs.inc()
+            if self.workers:
                 return self._run_on_shard(shard, kind, args)
-            finally:
-                shard.lock.release()
+            result, error, report = _run_job(fn, args, self.budget)
+            self._absorb_report(report)
+            if error is not None:
+                raise error
+            return result
         finally:
+            self._free.put(shard)
             counter, histogram = self._job_metrics(kind)
             counter.inc()
             histogram.observe(perf_counter() - start)
@@ -607,7 +532,7 @@ class WorkerPool:
         return self._m_jobs[kind], self._m_seconds[kind]
 
     def _run_on_shard(self, shard: _Shard, kind: str, args: tuple) -> Dict[str, Any]:
-        """Run one job on a locked shard, supervising with the watchdog."""
+        """Run one job on a checked-out shard, supervising with the watchdog."""
         worker = shard.worker
         try:
             worker.conn.send((kind, args))
@@ -649,23 +574,32 @@ class WorkerPool:
         if self._closed:
             return
         self._closed = True
+        if not self.workers:
+            return
+        # Best-effort polite stop of the shards that come free within the
+        # grace period; shards still mid-job are killed.
+        idle: List[_Shard] = []
+        grace_end = time.monotonic() + 2.0
+        while len(idle) < len(self._shards):
+            try:
+                idle.append(self._free.get(
+                    timeout=max(0.0, grace_end - time.monotonic())
+                ))
+            except queue.Empty:
+                break
         for shard in self._shards:
-            worker = shard.worker
+            worker, shard.worker = shard.worker, None
             if worker is None:
                 continue
-            # Best-effort polite stop; a shard still mid-job is killed.
-            acquired = shard.lock.acquire(timeout=2.0)
-            try:
+            if shard in idle:
                 try:
                     worker.conn.send(None)
+                    worker.process.join(timeout=2.0)
                 except (BrokenPipeError, OSError):
                     pass
-                worker.process.join(timeout=2.0)
-                worker.kill()
-                shard.worker = None
-            finally:
-                if acquired:
-                    shard.lock.release()
+            worker.kill()
+        for shard in idle:  # wakes blocked submitters, which see `_closed`
+            self._free.put(shard)
 
     def __enter__(self) -> "WorkerPool":
         return self

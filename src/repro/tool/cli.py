@@ -169,9 +169,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="handler threads behind the event loop "
                             "(0 = sized from --workers)")
     serve.add_argument("--workers", type=int, default=2,
-                       help="worker shards for /simulate and /verify; jobs "
-                            "are routed to shards by consistent-hashing the "
-                            "circuit digest (0 = run jobs inline)")
+                       help="worker shards for /simulate and /verify; each "
+                            "job goes to the first free shard (0 = run jobs "
+                            "inline)")
     serve.add_argument("--batch-max-jobs", type=int, default=256,
                        help="largest accepted POST /simulate/batch array")
     serve.add_argument("--max-sessions", type=int, default=64,
@@ -191,10 +191,10 @@ def _build_parser() -> argparse.ArgumentParser:
                             "overrunning worker is killed and replaced "
                             "(0 = fall back to --job-timeout)")
     serve.add_argument("--budget-nodes", type=int, default=0,
-                       help="per-worker DD node budget before garbage "
+                       help="per-job DD node budget before garbage "
                             "collection kicks in (0 = unlimited)")
     serve.add_argument("--budget-bytes", type=int, default=0,
-                       help="per-worker DD table byte budget (estimated) "
+                       help="per-job DD table byte budget (estimated) "
                             "before garbage collection kicks in "
                             "(0 = unlimited)")
     serve.add_argument("--max-streams", type=int, default=64,

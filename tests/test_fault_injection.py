@@ -31,6 +31,7 @@ from repro.sanitizer.faults import (
     fault_crash_job,
     fault_hang_job,
     inject_fault,
+    install_service_faults,
 )
 from repro.service import Request, ServiceApp, ServiceConfig
 from repro.service import workers as service_workers
@@ -197,29 +198,23 @@ class TestFaultDetection:
 
 @pytest.fixture
 def inline_app(monkeypatch):
-    """An inline-mode app whose worker package sanitizes every operation."""
-    monkeypatch.setenv("REPRO_SANITIZE_EVERY", "1")
-    service_workers._reset_package()
+    """An inline-mode app with the fault jobs installed."""
+    monkeypatch.setattr(
+        service_workers, "_JOB_FUNCTIONS", dict(service_workers._JOB_FUNCTIONS)
+    )
+    install_service_faults()
     application = ServiceApp(
         ServiceConfig(workers=0), registry=MetricsRegistry(enabled=True)
     )
     yield application
     application.close()
-    service_workers._reset_package()
 
 
-def _corrupt_worker_package(fault, seed):
-    """Plant live state into the inline worker package, then a fault.
-
-    One-shot jobs release their roots on completion, so after a clean
-    request the worker package has nothing left to corrupt — plant a
-    pinned state first, exactly like a half-finished job would leave.
-    """
-    package = service_workers._package()
-    state = package.from_state_vector([0.5, 0.5j, -0.5, 0.5])
-    package.incref(state)
-    package._test_pin = state
-    inject_fault(package, fault, seed=seed)
+def _corrupt(app, fault, seed):
+    """Run one fault-corrupt job; return the HTTP error response it maps to."""
+    with pytest.raises(SanitizerError, match="sanitize") as excinfo:
+        app.pool.submit("fault-corrupt", fault_corrupt_job, fault, seed)
+    return app._error_response(excinfo.value)
 
 
 def _post(app, path, payload):
@@ -233,17 +228,13 @@ def _json(response):
 class TestInlineServiceDegradation:
     def test_corruption_surfaces_as_503_and_degraded_healthz(self, inline_app):
         app = inline_app
-        # A first clean request builds (and proves clean) the worker package.
         response = _post(app, "/simulate", {"qasm": library.ghz_state(3).to_qasm()})
         assert response.status == 200
         assert _json(app.handle(Request("GET", "/healthz")))["status"] == "ok"
 
-        _corrupt_worker_package("poison-nonfinite", seed=3)
-        response = _post(app, "/simulate", {"qasm": library.qft(3).to_qasm()})
+        response = _corrupt(app, "poison-nonfinite", seed=3)
         assert response.status == 503
-        error = _json(response)["error"]
-        assert error["type"] == "SanitizerError"
-        assert "sanitize" in error["message"]
+        assert _json(response)["error"]["type"] == "SanitizerError"
 
         health = app.handle(Request("GET", "/healthz"))
         body = _json(health)
@@ -256,20 +247,26 @@ class TestInlineServiceDegradation:
 
     def test_degraded_health_is_sticky_until_restart(self, inline_app):
         app = inline_app
-        _post(app, "/simulate", {"qasm": library.ghz_state(2).to_qasm()})
-        _corrupt_worker_package("perturb-weight", seed=11)
-        assert _post(
-            app, "/simulate", {"qasm": library.qft(2).to_qasm()}
-        ).status == 503
-        # Even after the package is replaced (fresh worker), the operator
-        # signal persists: corruption was observed in this process's life.
-        service_workers._reset_package()
+        per_job = []
+        for seed in (11, 12):
+            assert _corrupt(app, "perturb-weight", seed).status == 503
+            per_job.append(app.pool.last_report["sanitize_violations"])
+        # Every job runs on a fresh package, so a later clean job succeeds —
+        # but the operator signal persists: corruption was observed in this
+        # process's life, and the pool adds up every job's violations.
         assert _post(
             app, "/simulate", {"qasm": library.bell_pair().to_qasm()}
         ).status == 200
-        body = _json(app.handle(Request("GET", "/healthz")))
+        assert app.pool.last_report["sanitize_violations"] == 0
+        health = app.handle(Request("GET", "/healthz"))
+        body = _json(health)
+        assert health.status == 503
         assert body["status"] == "degraded"
-        assert body["governance"]["sanitize_violations"] > 0
+        total = sum(per_job)
+        assert min(per_job) > 0
+        assert body["governance"]["sanitize_violations"] == total
+        metrics = app.handle(Request("GET", "/metrics")).body.decode()
+        assert f"dd_sanitize_violations_total {total}" in metrics
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,16 @@
 """Unit tests for the service layer (transport-free, workers inline)."""
 
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from repro.dd import DDPackage, sampling
 from repro.errors import SessionLimitError, SessionNotFoundError
 from repro.obs.metrics import MetricsRegistry
 from repro.qc import library
+from repro.qc.qasm.parser import parse_qasm
 from repro.service import (
     Request,
     ResultCache,
@@ -14,6 +18,8 @@ from repro.service import (
     ServiceConfig,
     SessionStore,
 )
+from repro.service.workers import WorkerPool, simulate_job, verify_job
+from repro.simulation.simulator import DDSimulator
 
 
 # ----------------------------------------------------------------------
@@ -457,11 +463,83 @@ class TestGovernancePressure:
         assert governance["watchdog_kills"] == 0
         assert governance["nodes"] >= 0
 
-    def test_metrics_expose_gc_and_watchdog_counters(self, app):
-        _post(app, "/simulate", {"qasm": QFT})
-        body = app.handle(Request("GET", "/metrics")).body.decode()
-        assert "service_watchdog_kills_total" in body
-        assert "dd_gc_runs_total" in body
+    def test_metrics_expose_gc_and_watchdog_counters(self):
+        app = ServiceApp(ServiceConfig(workers=0, budget_nodes=64),
+                         registry=MetricsRegistry(enabled=True))
+        try:
+            # Every job starts a fresh package: the pool adds up the
+            # collections each job's report counts.
+            runs = []
+            for seed in range(3):
+                qasm = library.random_circuit(6, 60, seed=seed).to_qasm()
+                assert _post(app, "/simulate", {"qasm": qasm}).status == 200
+                runs.append(app.pool.last_report["gc_runs"])
+            assert min(runs) > 0
+            body = app.handle(Request("GET", "/metrics")).body.decode()
+            governance = _json(app.handle(Request("GET", "/healthz")))["governance"]
+        finally:
+            app.close()
+        assert "service_watchdog_kills_total 0" in body
+        assert f"dd_gc_runs_total {sum(runs)}" in body
+        assert governance["gc_runs"] == sum(runs)
+
+
+# ----------------------------------------------------------------------
+# per-job packages: answers and reports do not depend on job history
+# ----------------------------------------------------------------------
+#: A probe over H, S, T, CX and rotations.
+PROBE = library.random_circuit(6, 40, seed=0).to_qasm()
+#: A wrong-answer repro for a package shared across jobs: after simulating
+#: TRIGGER (a random-angle circuit), the equivalent pair LEFT/RIGHT (a random
+#: circuit and its compiled form) came out "not equivalent".
+TRIGGER, LEFT, RIGHT = (
+    (Path(__file__).parent / "data" / "service_history" / f"{name}.qasm").read_text()
+    for name in ("trigger", "left", "right")
+)
+
+
+def _history():
+    """30 simulate/verify jobs of random circuits, then TRIGGER."""
+    for seed in range(15):
+        qasm = library.random_circuit(5, 30, seed=seed).to_qasm()
+        yield "simulate", simulate_job, (qasm, 16, seed)
+        yield "verify", verify_job, (qasm, qasm, "proportional")
+    yield "simulate", simulate_job, (TRIGGER, 0, 0)
+
+
+def _probe(pool: WorkerPool):
+    """Each probe's full result and its package's governance counts."""
+    answers = []
+    for kind, fn, args in (
+        ("verify", verify_job, (LEFT, RIGHT, "proportional")),
+        ("simulate", simulate_job, (PROBE, 64, 5)),
+    ):
+        result = pool.submit(kind, fn, *args)
+        report = pool.last_report
+        answers.append((result, report["nodes"], report["table_bytes"]))
+    return answers
+
+
+@pytest.mark.parametrize("workers", [0, 1])
+def test_answers_do_not_depend_on_job_history(workers):
+    with WorkerPool(workers=workers) as pool:
+        expected = _probe(pool)
+    with WorkerPool(workers=workers) as pool:
+        for kind, fn, args in _history():
+            pool.submit(kind, fn, *args)
+        assert _probe(pool) == expected
+    # The service answers as a cold library package does.
+    assert expected[0][0]["equivalent"]
+    package = DDPackage()
+    simulator = DDSimulator(parse_qasm(PROBE), package=package, seed=5)
+    simulator.run_all()
+    counts = sampling.sample_counts(
+        package, simulator.state, 64, np.random.default_rng(5)
+    )
+    simulated = expected[1][0]
+    assert simulated["nodes"] == simulator.node_count()
+    assert simulated["peak_nodes"] == simulator.peak_node_count
+    assert simulated["counts"] == counts
 
 
 class TestRateLimit:

@@ -15,8 +15,8 @@ reintroduce:
   headers (including the entity's true ``Content-Length``) and no body.
 
 Plus keep-alive reuse on a single raw socket, the ``/simulate/batch``
-NDJSON endpoint, pipelined requests, worker-shard affinity (repeated
-digests must land on the same shard's warm tables) and graceful drain.
+NDJSON endpoint, pipelined requests, first-free-shard dispatch (jobs of
+one circuit spread over the shards) and graceful drain.
 """
 
 import json
@@ -29,7 +29,6 @@ import pytest
 
 from repro.qc import library
 from repro.service import DDToolServer, ServiceConfig
-from repro.service.workers import WorkerPool, simulate_job
 
 QFT = library.qft(3).to_qasm()
 
@@ -321,83 +320,32 @@ def test_batch_envelope_errors(server):
 
 
 # ----------------------------------------------------------------------
-# shard affinity: one digest, one shard
+# dispatch: a job takes whichever shard is free
 # ----------------------------------------------------------------------
-def test_shard_for_is_deterministic():
-    pool = WorkerPool(workers=0)
-    digest = "a" * 64
-    assert pool.shard_for(digest) == pool.shard_for(digest) == 0
-    pool.close()
-
-
-def test_keyed_jobs_stick_to_one_shard():
-    pool = WorkerPool(workers=2, job_timeout=60.0)
-    try:
-        digest = "feedface" * 8
-        expected = pool.shard_for(digest)
-        for seed in range(4):
-            result = pool.submit(
-                "simulate", simulate_job, QFT, 4, seed, shard_key=digest,
-            )
-            assert result["nodes"] > 0
-        counters = pool.shard_jobs
-        assert counters[expected]["keyed_jobs"] == 4
-        other = [entry["keyed_jobs"]
-                 for entry in counters if entry["shard"] != expected]
-        assert sum(other) == 0
-    finally:
-        pool.close()
-
-
-def test_distinct_keys_spread_across_shards():
-    pool = WorkerPool(workers=0)
-    try:
-        shards = {pool.shard_for(f"digest-{index}") for index in range(64)}
-        assert shards == {0}  # inline mode has a single pseudo-shard
-    finally:
-        pool.close()
-    # With real shards the ring must spread keys; check it directly
-    # without spawning 4 worker processes.
-    import bisect
-
-    from repro.service.workers import _build_ring, _hash_point
-
-    ring = _build_ring(4)
-    points = [point for point, _ in ring]
-    hits = {0: 0, 1: 0, 2: 0, 3: 0}
-    for index in range(1000):
-        point = _hash_point(f"digest-{index}")
-        position = bisect.bisect_right(points, point) % len(ring)
-        hits[ring[position][1]] += 1
-    # No shard may be starved or dominate (1000 keys, 4 shards).
-    assert all(count > 100 for count in hits.values()), hits
-
-
-def test_http_requests_with_same_digest_share_a_shard(server):
-    """End to end: repeated /simulate of one circuit warms one shard."""
-    pool = server.app.pool
-    before = {entry["shard"]: entry["keyed_jobs"]
-              for entry in pool.shard_jobs}
-    host, port = server.address
-    connection = HTTPConnection(host, port, timeout=30)
-    try:
-        for seed in range(100, 104):  # distinct seeds defeat the cache
+def test_batch_jobs_of_one_circuit_use_both_shards():
+    config = ServiceConfig(host="127.0.0.1", port=0, workers=2)
+    with DDToolServer(config) as instance:
+        host, port = instance.address
+        connection = HTTPConnection(host, port, timeout=60)
+        try:
+            jobs = [{"qasm": QFT, "shots": 4, "seed": seed} for seed in (1, 2)]
             connection.request(
-                "POST", "/simulate",
-                body=json.dumps({"qasm": QFT, "shots": 4,
-                                 "seed": seed}).encode(),
+                "POST", "/simulate/batch",
+                body=json.dumps({"jobs": jobs}).encode(),
                 headers={"Content-Type": "application/json"},
             )
             response = connection.getresponse()
-            assert response.status == 200, response.read()
-            response.read()
-    finally:
-        connection.close()
-    after = {entry["shard"]: entry["keyed_jobs"]
-             for entry in pool.shard_jobs}
-    grew = [shard for shard in after if after[shard] > before.get(shard, 0)]
-    assert len(grew) == 1, (before, after)
-    assert after[grew[0]] - before.get(grew[0], 0) == 4
+            assert response.status == 200
+            lines = [json.loads(line)
+                     for line in response.read().decode().splitlines() if line]
+            assert [entry["ok"] for entry in lines] == [True, True]
+            assert not any(entry["cached"] for entry in lines)
+            connection.request("GET", "/metrics")
+            metrics = connection.getresponse().read().decode()
+        finally:
+            connection.close()
+    for shard in ("0", "1"):
+        assert f'service_shard_jobs_total{{shard="{shard}"}} 1' in metrics, metrics
 
 
 # ----------------------------------------------------------------------
