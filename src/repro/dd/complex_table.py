@@ -5,214 +5,28 @@ identical.  Under floating-point arithmetic, two computations of the same
 amplitude (e.g. ``1/sqrt(2)`` obtained via normalization versus via a Hadamard
 matrix entry) may differ in the last bits.  Following the complex-table design
 of the JKQ/MQT DD package (ICCAD 2019), all edge weights are looked up in a
-:class:`ComplexTable` which returns one canonical representative per
-tolerance-ball, so that exact ``==`` comparison (and hashing) of weights is
-sound everywhere else in the package.
+complex table which returns one canonical representative per tolerance-ball,
+so that exact ``==`` comparison (and hashing) of weights is sound everywhere
+else in the package.
 
-The table buckets values on a grid of width ``tolerance`` and searches the
-3x3 neighbourhood of a query's bucket, which guarantees that any stored value
-within ``tolerance`` (in Chebyshev distance) of the query is found.
+The table is :class:`~repro.dd.pool.WeightPool`; :class:`ComplexTable` is its
+public name.  It files values in cells of width ``2 * tolerance`` and
+searches the query's own cell plus the neighbour on its half-cell side per
+axis (2x2 cells), which guarantees that any stored value within
+``tolerance`` (in Chebyshev distance) of the query is found.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import weakref
-from typing import Dict, List, Optional, Tuple
 
-from repro.obs.metrics import MetricsRegistry
+from repro.dd.pool import DEFAULT_TOLERANCE, WeightPool
 
-#: Default tolerance used to identify complex numbers.
-DEFAULT_TOLERANCE = 1e-10
+__all__ = ["ComplexTable", "DEFAULT_TOLERANCE", "phase_of"]
 
-_NEIGHBOUR_OFFSETS = tuple(
-    (dr, di) for dr in (-1, 0, 1) for di in (-1, 0, 1)
-)
-
-
-class ComplexTable:
-    """Canonicalizes complex numbers up to a tolerance.
-
-    Values within ``tolerance`` of an already-stored value are mapped to that
-    stored representative; otherwise the value itself becomes a new canonical
-    representative.  ``0`` and ``1`` are pre-seeded and always returned
-    exactly, because the rest of the package tests edge weights against them.
-    """
-
-    #: Canonical zero and one, shared by every table.
-    ZERO = complex(0.0, 0.0)
-    ONE = complex(1.0, 0.0)
-
-    def __init__(
-        self,
-        tolerance: float = DEFAULT_TOLERANCE,
-        registry: Optional[MetricsRegistry] = None,
-    ):
-        if tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        self.tolerance = tolerance
-        self._buckets: Dict[Tuple[int, int], List[complex]] = {}
-        # Plain-integer statistics (every weight canonicalization passes
-        # through `lookup`, so the hot path must stay one increment); a
-        # registry collector copies them into counters at export time.
-        self.hits = 0
-        self.misses = 0
-        if registry is not None and registry.enabled:
-            self._register(registry)
-        self._seed()
-
-    def _seed(self) -> None:
-        """(Re-)insert the special values as canonical representatives.
-
-        Shared by ``__init__``, ``clear`` and ``sweep`` so the seed set
-        cannot drift between construction and later resets.  Idempotent:
-        a seed that survived a sweep is not inserted twice.
-        """
-        sqrt2_inv = 1.0 / math.sqrt(2.0)
-        for special in (
-            self.ZERO, self.ONE, -self.ONE, 1j, -1j,
-            complex(sqrt2_inv, 0.0), complex(-sqrt2_inv, 0.0),
-            complex(0.0, sqrt2_inv), complex(0.0, -sqrt2_inv),
-        ):
-            bucket = self._buckets.setdefault(self._key(special), [])
-            if special not in bucket:
-                bucket.append(special)
-
-    # ------------------------------------------------------------------
-    # public API
-    # ------------------------------------------------------------------
-    def lookup(self, value: complex) -> complex:
-        """Return the canonical representative for ``value``.
-
-        If a stored value lies within the tolerance (component-wise), it is
-        returned; otherwise ``value`` is stored and returned as-is.
-        """
-        value = complex(value)
-        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-            raise ValueError(f"non-finite complex value: {value!r}")
-        # Snap sub-tolerance components to exactly zero.  Besides improving
-        # sharing, this keeps subnormals out of the table (cmath.phase
-        # raises "math range error" on them).
-        real, imag = value.real, value.imag
-        if real != 0.0 and abs(real) < self.tolerance:
-            real = 0.0
-        if imag != 0.0 and abs(imag) < self.tolerance:
-            imag = 0.0
-        value = complex(real, imag)
-        found = self._find(value)
-        if found is not None:
-            self.hits += 1
-            return found
-        self.misses += 1
-        self._insert(value)
-        return value
-
-    def lookup_real(self, value: float) -> complex:
-        """Canonicalize a real number (convenience wrapper)."""
-        return self.lookup(complex(value, 0.0))
-
-    def is_zero(self, value: complex) -> bool:
-        """Whether ``value`` is (canonically) zero."""
-        return value == self.ZERO or (
-            abs(value.real) < self.tolerance and abs(value.imag) < self.tolerance
-        )
-
-    def is_one(self, value: complex) -> bool:
-        """Whether ``value`` is (canonically) one."""
-        return value == self.ONE or (
-            abs(value.real - 1.0) < self.tolerance
-            and abs(value.imag) < self.tolerance
-        )
-
-    def approx_equal(self, a: complex, b: complex) -> bool:
-        """Whether two complex numbers agree within the tolerance."""
-        return (
-            abs(a.real - b.real) < self.tolerance
-            and abs(a.imag - b.imag) < self.tolerance
-        )
-
-    def _register(self, registry: MetricsRegistry) -> None:
-        hits = registry.counter("dd_complex_table_hits_total")
-        misses = registry.counter("dd_complex_table_misses_total")
-        ref = weakref.ref(self)
-
-        def sync() -> None:
-            table = ref()
-            if table is not None:
-                hits.set_value(table.hits)
-                misses.set_value(table.misses)
-
-        registry.add_collector(sync)
-
-    def __len__(self) -> int:
-        return sum(len(bucket) for bucket in self._buckets.values())
-
-    def entries(self) -> "list[Tuple[Tuple[int, int], complex]]":
-        """Snapshot of ``(bucket key, stored value)`` pairs for audits."""
-        return [
-            (key, value)
-            for key, bucket in self._buckets.items()
-            for value in bucket
-        ]
-
-    def clear(self) -> None:
-        """Drop all stored values (the special seeds are re-inserted)."""
-        self._buckets.clear()
-        self.hits = 0
-        self.misses = 0
-        self._seed()
-
-    def sweep(self, marked: "set[complex]") -> int:
-        """Drop every stored value not in ``marked``; return how many.
-
-        This is the sweep half of the governor's mark-and-sweep: ``marked``
-        must contain every weight still referenced by a live diagram (node
-        successor weights plus registered root-edge weights), because
-        removing a live weight's representative would let a later lookup
-        mint a *different* representative — silently breaking the exact
-        ``==``/hash canonicity the rest of the package relies on.  The
-        special seeds always survive.  Only safe between operations: weights
-        held solely by in-flight intermediates are not marked.
-        """
-        before = len(self)
-        survivors: Dict[Tuple[int, int], List[complex]] = {}
-        for key, bucket in self._buckets.items():
-            kept = [value for value in bucket if value in marked]
-            if kept:
-                survivors[key] = kept
-        self._buckets = survivors
-        self._seed()
-        return before - len(self)
-
-    # ------------------------------------------------------------------
-    # helpers
-    # ------------------------------------------------------------------
-    def _key(self, value: complex) -> Tuple[int, int]:
-        return (
-            int(math.floor(value.real / self.tolerance)),
-            int(math.floor(value.imag / self.tolerance)),
-        )
-
-    def _find(self, value: complex) -> "complex | None":
-        key_r, key_i = self._key(value)
-        best = None
-        best_dist = math.inf
-        for off_r, off_i in _NEIGHBOUR_OFFSETS:
-            bucket = self._buckets.get((key_r + off_r, key_i + off_i))
-            if not bucket:
-                continue
-            for stored in bucket:
-                dist = max(
-                    abs(stored.real - value.real), abs(stored.imag - value.imag)
-                )
-                if dist < self.tolerance and dist < best_dist:
-                    best = stored
-                    best_dist = dist
-        return best
-
-    def _insert(self, value: complex) -> None:
-        self._buckets.setdefault(self._key(value), []).append(value)
+#: The complex table (one class: the pooled engine's weight pool).
+ComplexTable = WeightPool
 
 
 def phase_of(value: complex) -> float:

@@ -8,15 +8,17 @@ storage primitives the pooled engine (:mod:`repro.dd.pooled`) is built
 from:
 
 :class:`WeightPool`
-    A :class:`~repro.dd.complex_table.ComplexTable` subclass that assigns
-    every canonical representative a stable integer index.  Values are
-    kept in a flat list (plus parallel ``array('d')`` component arrays)
-    with a free-list, and an exact-value dict gives O(1) index lookup for
-    values that repeat bit-identically — the overwhelmingly common case on
-    the hot path, because products/sums of canonical values repeat exactly.
-    The exact-first fast path is semantics-preserving: an exact match has
-    Chebyshev distance 0, which is always the strict nearest representative
-    the bucket search would have returned.
+    The complex table: one canonical representative per tolerance ball,
+    each with a stable integer index.  Values are kept in a flat list
+    (plus parallel ``array('d')`` component arrays) with a free-list, and
+    an exact-value dict gives O(1) index lookup for values that repeat
+    bit-identically — the overwhelmingly common case on the hot path,
+    because products/sums of canonical values repeat exactly.  The
+    exact-first fast path is semantics-preserving: an exact match has
+    Chebyshev distance 0, which is always the strict nearest
+    representative the search would have returned.  Everything after an
+    exact miss is one fused slow path: snap, one search of 2x2 cells of
+    width ``2 * tolerance``, and a mint into the already-computed cell.
 
 :class:`NodePool`
     Flat per-kind node storage: ``var``, successor node indices, successor
@@ -38,12 +40,20 @@ from __future__ import annotations
 import math
 import weakref
 from array import array
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.dd.complex_table import ComplexTable, DEFAULT_TOLERANCE
 from repro.obs.metrics import MetricsRegistry
 
-__all__ = ["WeightPool", "NodePool", "PooledUniqueTable", "TERMINAL_INDEX"]
+__all__ = [
+    "DEFAULT_TOLERANCE",
+    "WeightPool",
+    "NodePool",
+    "PooledUniqueTable",
+    "TERMINAL_INDEX",
+]
+
+#: Default tolerance used to identify complex numbers.
+DEFAULT_TOLERANCE = 1e-10
 
 #: Successor index denoting the terminal node (it lives in no pool).
 TERMINAL_INDEX = -1
@@ -52,17 +62,29 @@ TERMINAL_INDEX = -1
 FREED_VAR = -2
 
 
-class WeightPool(ComplexTable):
-    """A complex table whose representatives carry stable integer indices.
+class WeightPool:
+    """The complex table: canonical edge weights with stable integer indices.
 
-    Index 0 is always the canonical zero and index 1 the canonical one
-    (:data:`ZERO_INDEX` / :data:`ONE_INDEX`); the remaining seed values
-    occupy the next few indices.  Seeds are permanent — a sweep never frees
-    them.  All base-class entry points (``lookup``, ``sweep``, ``entries``,
-    ``_insert``) remain functional and keep the index layer consistent, so
-    code written against :class:`ComplexTable` (normalization, sanitizer,
-    fault injection) works on a pool unchanged.
+    Values within ``tolerance`` (Chebyshev distance, strict) of a stored
+    representative resolve to it; otherwise the value is stored and
+    becomes a representative itself.  Index 0 is always the canonical
+    zero and index 1 the canonical one (:data:`ZERO_INDEX` /
+    :data:`ONE_INDEX`); the remaining seed values occupy the next few
+    indices.  Seeds are permanent: a sweep never frees them.
+
+    Representatives live in a flat list (plus parallel ``array('d')``
+    component arrays) with a free-list, and an exact-value dict maps each
+    one to its index.  For the tolerance search they are also filed in a
+    grid of square cells ``2 * tolerance`` wide.  The values within
+    tolerance of a query span exactly one cell width per axis, so they lie
+    in the query's own cell or in the neighbour on the side of the half
+    cell the query falls in: :meth:`_nearest` searches those 2x2 cells,
+    and nothing outside the class indexes the grid.
     """
+
+    #: Canonical zero and one, shared by every table.
+    ZERO = complex(0.0, 0.0)
+    ONE = complex(1.0, 0.0)
 
     ZERO_INDEX = 0
     ONE_INDEX = 1
@@ -72,27 +94,187 @@ class WeightPool(ComplexTable):
         tolerance: float = DEFAULT_TOLERANCE,
         registry: Optional[MetricsRegistry] = None,
     ):
-        # The index layer must exist before the base constructor runs
-        # (it seeds the table through our _seed override).
+        if tolerance <= 0:
+            raise ValueError("tolerance must be positive")
+        self.tolerance = tolerance
+        self._width = 2.0 * tolerance
+        self._buckets: Dict[Tuple[int, int], List[complex]] = {}
         self._values: List[Optional[complex]] = []
-        self._exact = {}
+        self._exact: Dict[complex, int] = {}
         self._re = array("d")
         self._im = array("d")
         self._free: List[int] = []
         # Bumped on every mutation of the representative set (mint, sweep,
-        # clear).  ``lookup`` resolves a raw value to its *nearest* stored
-        # representative, so its result is only a pure function of the
-        # input while the generation stands still — caches of lookup
-        # results must be invalidated whenever it moves.
+        # clear).  A lookup that snapped to a representative at distance
+        # > 0 may resolve differently once a nearer one is minted, so a
+        # cache of such results is valid only while the generation stands
+        # still (the engine's apply-kernel cache relies on this).
         self.generation = 0
-        super().__init__(tolerance, registry=registry)
+        # Plain-integer statistics (every weight canonicalization passes
+        # through a lookup, so the hot path must stay one increment); a
+        # registry collector copies them into counters at export time.
+        self.hits = 0
+        self.misses = 0
+        if registry is not None and registry.enabled:
+            self._register(registry)
+        self._seed()
+        self._seed_count = len(self._values)
+
+    def _seed(self) -> None:
+        """(Re-)insert the special values as canonical representatives.
+
+        Shared by ``__init__``, ``clear`` and the sweeps so the seed set
+        cannot drift between construction and later resets.  Idempotent:
+        a seed that is still stored is not inserted twice.
+        """
+        sqrt2_inv = 1.0 / math.sqrt(2.0)
+        for special in (
+            self.ZERO, self.ONE, -self.ONE, 1j, -1j,
+            complex(sqrt2_inv, 0.0), complex(-sqrt2_inv, 0.0),
+            complex(0.0, sqrt2_inv), complex(0.0, -sqrt2_inv),
+        ):
+            if special not in self._exact:
+                self._insert(special)
 
     # ------------------------------------------------------------------
-    # index layer
+    # canonicalization
     # ------------------------------------------------------------------
-    def _register_value(self, value: complex) -> int:
-        """Assign ``value`` an index (reusing a freed slot when possible)."""
+    def lookup(self, value: complex) -> complex:
+        """Return the canonical representative for ``value``.
+
+        If a stored value lies within the tolerance (component-wise), the
+        nearest one is returned; otherwise ``value`` is stored and
+        returned.  Components below the tolerance snap to exactly zero.
+        """
+        index = self._exact.get(value)
+        if index is None:
+            return self._values[self._resolve(value)]
+        self.hits += 1
+        return self._values[index]
+
+    def lookup_index(self, value: complex) -> int:
+        """Canonicalize ``value`` and return its representative's *index*."""
+        index = self._exact.get(value)
+        if index is not None:
+            self.hits += 1
+            return index
+        return self._resolve(value)
+
+    def _resolve(self, value: complex) -> int:
+        """The slow path of both lookups, after an exact-dict miss.
+
+        Rejects non-finite values, snaps sub-tolerance components to zero
+        (which keeps subnormals out of the table: ``cmath.phase`` raises
+        on them) and re-probes the exact dict after a snap, searches the
+        2x2 cells, and mints into the query's cell on a miss.
+        """
+        real = value.real
+        imag = value.imag
+        if not (math.isfinite(real) and math.isfinite(imag)):
+            raise ValueError(f"non-finite complex value: {value!r}")
+        tolerance = self.tolerance
+        snapped = False
+        if real != 0.0 and abs(real) < tolerance:
+            real = 0.0
+            snapped = True
+        if imag != 0.0 and abs(imag) < tolerance:
+            imag = 0.0
+            snapped = True
+        if snapped:
+            index = self._exact.get(complex(real, imag))
+            if index is not None:
+                self.hits += 1
+                return index
+        best, cell, _window = self._nearest(real, imag)
+        if best is not None:
+            self.hits += 1
+            return self._exact[best]
+        self.misses += 1
+        return self._mint(complex(real, imag), cell)
+
+    def _nearest(self, real: float, imag: float) -> Tuple[
+        Optional[complex], Tuple[int, int], Tuple[Tuple[int, int], ...]
+    ]:
+        """The stored value nearest ``(real, imag)`` within tolerance.
+
+        Returns ``(representative or None, the query's own cell, the
+        searched cells)``.  Per axis, a value at fraction ``f`` of its cell
+        has every value within tolerance inside ``(f - 1/2, f + 1/2)`` cell
+        widths: its own cell plus the lower neighbour when ``f < 1/2``,
+        else the upper one (at exactly ``1/2`` the window touches no
+        neighbour).  So 2x2 cells hold every candidate.
+
+        Tie rule: of two stored values at the same distance, the one whose
+        ``floor(component / tolerance)`` pair is lower wins, real part
+        first.  Two representatives never share such a pair (they would
+        lie within tolerance of each other), so the rule does not depend
+        on minting order.
+        """
+        width = self._width
+        scaled_r = real / width
+        scaled_i = imag / width
+        key_r = math.floor(scaled_r)
+        key_i = math.floor(scaled_i)
+        low_r = key_r - 1 if scaled_r - key_r < 0.5 else key_r
+        low_i = key_i - 1 if scaled_i - key_i < 0.5 else key_i
+        window = (
+            (low_r, low_i), (low_r, low_i + 1),
+            (low_r + 1, low_i), (low_r + 1, low_i + 1),
+        )
+        buckets = self._buckets
+        tolerance = self.tolerance
+        best = None
+        best_dist = tolerance
+        for key in window:
+            bucket = buckets.get(key)
+            if bucket:
+                for stored in bucket:
+                    dist = max(abs(stored.real - real), abs(stored.imag - imag))
+                    if dist < best_dist:
+                        best = stored
+                        best_dist = dist
+                    elif dist == best_dist and best is not None and (
+                        math.floor(stored.real / tolerance),
+                        math.floor(stored.imag / tolerance),
+                    ) < (
+                        math.floor(best.real / tolerance),
+                        math.floor(best.imag / tolerance),
+                    ):
+                        best = stored
+        return best, (key_r, key_i), window
+
+    def find(self, value: complex) -> Optional[complex]:
+        """The stored representative nearest ``value`` within tolerance,
+        or ``None``; never mints (the sanitizer's canonicity probe)."""
+        return self._nearest(value.real, value.imag)[0]
+
+    def near(self, value: complex) -> List[complex]:
+        """Every stored value within tolerance of ``value`` (itself
+        included if stored), in search order; for duplicate audits."""
+        real = value.real
+        imag = value.imag
+        tolerance = self.tolerance
+        buckets = self._buckets
+        return [
+            stored
+            for key in self._nearest(real, imag)[2]
+            for stored in buckets.get(key, ())
+            if max(abs(stored.real - real), abs(stored.imag - imag)) < tolerance
+        ]
+
+    def cell(self, value: complex) -> Tuple[int, int]:
+        """The grid cell ``value`` is filed under."""
+        width = self._width
+        return (math.floor(value.real / width), math.floor(value.imag / width))
+
+    def _mint(self, value: complex, cell: Tuple[int, int]) -> int:
+        """Store ``value`` as a new representative in ``cell``."""
         self.generation += 1
+        bucket = self._buckets.get(cell)
+        if bucket is None:
+            self._buckets[cell] = [value]
+        else:
+            bucket.append(value)
         if self._free:
             index = self._free.pop()
             self._values[index] = value
@@ -106,71 +288,37 @@ class WeightPool(ComplexTable):
         self._exact[value] = index
         return index
 
-    def _seed(self) -> None:
-        sqrt2_inv = 1.0 / math.sqrt(2.0)
-        for special in (
-            self.ZERO, self.ONE, -self.ONE, 1j, -1j,
-            complex(sqrt2_inv, 0.0), complex(-sqrt2_inv, 0.0),
-            complex(0.0, sqrt2_inv), complex(0.0, -sqrt2_inv),
-        ):
-            bucket = self._buckets.setdefault(self._key(special), [])
-            if special not in bucket:
-                bucket.append(special)
-            if special not in self._exact:
-                self._register_value(special)
-        if not hasattr(self, "_seed_count"):
-            self._seed_count = len(self._values)
+    def _insert(self, value: complex) -> int:
+        """Store ``value`` without searching (seeding; fault injection
+        plants duplicate representatives with it)."""
+        return self._mint(value, self.cell(value))
 
-    def _insert(self, value: complex) -> None:
-        super()._insert(value)
-        if value not in self._exact:
-            self._register_value(value)
+    # ------------------------------------------------------------------
+    # predicates
+    # ------------------------------------------------------------------
+    def is_zero(self, value: complex) -> bool:
+        """Whether ``value`` is (canonically) zero."""
+        return value == self.ZERO or (
+            abs(value.real) < self.tolerance and abs(value.imag) < self.tolerance
+        )
 
-    def lookup(self, value: complex) -> complex:
-        """Canonicalize ``value`` (exact-match fast path, then base search).
+    def is_one(self, value: complex) -> bool:
+        """Whether ``value`` is (canonically) one."""
+        return value == self.ONE or (
+            abs(value.real - 1.0) < self.tolerance
+            and abs(value.imag) < self.tolerance
+        )
 
-        A bit-identical hit on the exact dict short-circuits the bucket
-        search; distance 0 is always the strict nearest representative, so
-        the result is identical to the base class's.
-        """
-        index = self._exact.get(value)
-        if index is not None:
-            self.hits += 1
-            return self._values[index]
-        return super().lookup(value)
+    def approx_equal(self, a: complex, b: complex) -> bool:
+        """Whether two complex numbers agree within the tolerance."""
+        return (
+            abs(a.real - b.real) < self.tolerance
+            and abs(a.imag - b.imag) < self.tolerance
+        )
 
-    def lookup_index(self, value: complex) -> int:
-        """Canonicalize ``value`` and return its representative's *index*."""
-        index = self._exact.get(value)
-        if index is not None:
-            self.hits += 1
-            return index
-        rep = super().lookup(value)
-        return self._exact[rep]
-
-    def lookup_many(self, values: Iterable[complex]) -> List[int]:
-        """Batched canonicalization: one index per input value.
-
-        Amortizes attribute lookups over a whole batch (used when building
-        DDs from dense vectors/matrices and by the batched normalization
-        path); exact-dict hits dominate because repeated amplitudes repeat
-        bit-identically.
-        """
-        exact_get = self._exact.get
-        out = []
-        append = out.append
-        hits = 0
-        for value in values:
-            index = exact_get(value)
-            if index is None:
-                rep = super().lookup(value)
-                index = self._exact[rep]
-            else:
-                hits += 1
-            append(index)
-        self.hits += hits
-        return out
-
+    # ------------------------------------------------------------------
+    # index layer
+    # ------------------------------------------------------------------
     def value(self, index: int) -> complex:
         """The canonical value stored at ``index``.
 
@@ -197,6 +345,30 @@ class WeightPool(ComplexTable):
             + len(self._im) * self._im.itemsize
         )
 
+    def _register(self, registry: MetricsRegistry) -> None:
+        hits = registry.counter("dd_complex_table_hits_total")
+        misses = registry.counter("dd_complex_table_misses_total")
+        ref = weakref.ref(self)
+
+        def sync() -> None:
+            table = ref()
+            if table is not None:
+                hits.set_value(table.hits)
+                misses.set_value(table.misses)
+
+        registry.add_collector(sync)
+
+    def __len__(self) -> int:
+        return sum(len(bucket) for bucket in self._buckets.values())
+
+    def entries(self) -> "list[Tuple[Tuple[int, int], complex]]":
+        """Snapshot of ``(cell, stored value)`` pairs for audits."""
+        return [
+            (key, value)
+            for key, bucket in self._buckets.items()
+            for value in bucket
+        ]
+
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
@@ -206,16 +378,26 @@ class WeightPool(ComplexTable):
         Invalidates every outstanding index; only callable when no pooled
         nodes reference the table (the engine clears node pools first).
         """
+        self._buckets = {}
         self._values = []
         self._exact = {}
         self._re = array("d")
         self._im = array("d")
         self._free = []
         self.generation += 1
-        super().clear()
+        self.hits = 0
+        self.misses = 0
+        self._seed()
 
     def sweep(self, marked: "set[complex]") -> int:
-        """Value-level sweep (base API): frees the indices of swept values."""
+        """Drop every stored value not in ``marked``; return how many.
+
+        ``marked`` must contain every weight still referenced by a live
+        diagram: removing a live weight's representative would let a
+        later lookup mint a *different* one, silently breaking the exact
+        ``==``/hash canonicity the rest of the package relies on.  The
+        seeds always survive.
+        """
         marked_indices = {
             index
             for value, index in self._exact.items()
@@ -226,30 +408,46 @@ class WeightPool(ComplexTable):
     def sweep_indices(self, marked: "set[int]") -> int:
         """Free every index not in ``marked``; seeds always survive.
 
-        Rebuilds the buckets and the exact dict from the survivors —
+        Rebuilds the cells and the exact dict from the survivors —
         tombstone-free, like the unique-table rebuild — and pushes freed
         slots onto the free-list for reuse.  Returns the number freed.
         """
         freed = 0
         self.generation += 1
-        survivors: dict = {}
+        survivors: Dict[Tuple[int, int], List[complex]] = {}
         for index, value in enumerate(self._values):
             if value is None:
                 continue
             if index < self._seed_count or index in marked:
-                survivors.setdefault(self._key(value), []).append(value)
+                survivors.setdefault(self.cell(value), []).append(value)
             else:
                 freed += 1
                 del self._exact[value]
-                self._values[index] = None
-                self._re[index] = float("nan")
-                self._im[index] = float("nan")
-                self._free.append(index)
+                self._poison(index)
         self._buckets = survivors
-        # Seeds are index-permanent, but a fault may have removed one from
-        # the buckets; re-seeding restores bucket membership idempotently.
+        # A fault may have released a seed; re-seeding restores it.
         self._seed()
         return freed
+
+    def release(self, index: int) -> None:
+        """Free one slot exactly as a sweep frees an unmarked one.
+
+        Only safe for a dead weight; fault injection uses it on live ones
+        to model a mark phase that missed them.
+        """
+        value = self._values[index]
+        self.generation += 1
+        del self._exact[value]
+        bucket = self._buckets.get(self.cell(value))
+        if bucket and value in bucket:
+            bucket.remove(value)
+        self._poison(index)
+
+    def _poison(self, index: int) -> None:
+        self._values[index] = None
+        self._re[index] = float("nan")
+        self._im[index] = float("nan")
+        self._free.append(index)
 
 
 class NodePool:

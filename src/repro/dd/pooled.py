@@ -286,80 +286,40 @@ class PooledEngine:
         # Interned gate operations: op-key tuple -> small integer, so apply
         # cache keys are two-int tuples instead of nested tuples.
         self._gate_ids: Dict[tuple, int] = {}
-        # Index-keyed weight-arithmetic memos (the complex operation
-        # caches of arXiv:1911.12691): between mutations of the weight
-        # table a repeated product/quotient/sum — or a whole normalization
-        # of a repeated weight combination — resolves with one dict probe
-        # instead of complex arithmetic plus a bucket search.
-        #
-        # Soundness: ``lookup`` snaps a raw value to the *nearest* stored
-        # representative, so its result can change when a new
-        # representative is minted closer to the raw value.  The memos are
-        # therefore valid only for one ``weights.generation`` — every
-        # helper clears them when the generation has moved, which keeps
-        # the memoized arithmetic bit-for-bit what a fresh lookup of every
-        # value would return.
-        # A result is *stable* when the raw value resolved at distance
-        # zero (bit-identical to its representative, or canonically zero):
-        # no later mint can ever resolve it differently, so those entries
-        # survive generation bumps.  Tolerance-snapped results (distance
-        # > 0) go into the fragile dicts and are dropped whenever the
-        # generation moves.
         # Constructed apply kernels, reused across gate applications when
         # their canonicalization is mint-stable (kernel.cacheable).
         self._kernel_cache: Dict[tuple, object] = {}
-        self._wmul_stable: Dict[Tuple[int, int], int] = {}
-        self._wdiv_stable: Dict[Tuple[int, int], int] = {}
-        self._wadd_stable: Dict[Tuple[int, int], int] = {}
-        self._norm_stable: Dict[tuple, tuple] = {}
+        # Index-keyed weight-arithmetic memos (the complex operation
+        # caches of arXiv:1911.12691): a repeated product/quotient/sum —
+        # or a whole normalization of a repeated weight combination —
+        # resolves with one dict probe instead of complex arithmetic plus
+        # a table lookup.
+        #
+        # Soundness: ``lookup`` snaps a raw value to the *nearest* stored
+        # representative, so a snapped result can change when a new
+        # representative is minted closer to the raw value.  Only results
+        # that resolved at distance zero (bit-identical to their
+        # representative, or canonically zero) are memoized: no later mint
+        # can resolve those differently.  Snapped results are looked up
+        # afresh every time, so the memoized arithmetic is bit-for-bit
+        # what a fresh lookup of every value would return.
         self._wmul: Dict[Tuple[int, int], int] = {}
         self._wdiv: Dict[Tuple[int, int], int] = {}
         self._wadd: Dict[Tuple[int, int], int] = {}
         self._norm_memo: Dict[tuple, tuple] = {}
-        self._memo_generation = self.weights.generation
 
     _WEIGHT_MEMO_CAP = 1 << 17
 
     # ------------------------------------------------------------------
     # weight arithmetic memos
     # ------------------------------------------------------------------
-    def _sync_weight_memos(self) -> int:
-        """Clear the fragile memos if the weight table mutated."""
-        generation = self.weights.generation
-        if self._memo_generation != generation:
-            self._wmul.clear()
-            self._wdiv.clear()
-            self._wadd.clear()
-            self._norm_memo.clear()
-            self._memo_generation = generation
-        return generation
-
-    def _memo_store(
-        self, stable: dict, fragile: dict, key, widx: int, raw: complex,
-        generation: int,
-    ) -> None:
-        """File ``key -> widx`` under the right lifetime.
-
-        Distance-zero results (``values[widx] == raw``, including the
-        canonical zero) can never be beaten by a later mint and live in
-        the stable dict.  Snapped results are valid only while no new
-        representative appears: they go into the fragile dict — unless
-        this very lookup minted (generation moved), in which case every
-        fragile entry may already be stale and is dropped.
-        """
-        weights = self.weights
-        if widx == 0 or weights._values[widx] == raw:
-            if len(stable) >= self._WEIGHT_MEMO_CAP:
-                stable.clear()
-            stable[key] = widx
-            if weights.generation != generation:
-                self._sync_weight_memos()
-            return
-        if weights.generation != generation:
-            self._sync_weight_memos()
-        elif len(fragile) >= self._WEIGHT_MEMO_CAP:
-            fragile.clear()
-        fragile[key] = widx
+    def _memo_store(self, memo: dict, key, widx: int, raw: complex) -> None:
+        """Memoize ``key -> widx`` if ``raw`` resolved at distance zero
+        (``values[widx] == raw``, including the canonical zero)."""
+        if widx == 0 or self.weights._values[widx] == raw:
+            if len(memo) >= self._WEIGHT_MEMO_CAP:
+                memo.clear()
+            memo[key] = widx
 
     def _mul_index(self, a: int, b: int) -> int:
         """Index of ``values[a] * values[b]`` (commutative, ordered key)."""
@@ -368,18 +328,12 @@ class PooledEngine:
         if b == 1:
             return a
         key = (a, b) if a <= b else (b, a)
-        widx = self._wmul_stable.get(key)
-        if widx is not None:
-            return widx
-        generation = self._sync_weight_memos()
         widx = self._wmul.get(key)
         if widx is None:
             weights = self.weights
             raw = weights._values[a] * weights._values[b]
             widx = weights.lookup_index(raw)
-            self._memo_store(
-                self._wmul_stable, self._wmul, key, widx, raw, generation
-            )
+            self._memo_store(self._wmul, key, widx, raw)
         return widx
 
     def _div_index(self, a: int, b: int) -> int:
@@ -387,35 +341,23 @@ class PooledEngine:
         if b == 1:
             return a
         key = (a, b)
-        widx = self._wdiv_stable.get(key)
-        if widx is not None:
-            return widx
-        generation = self._sync_weight_memos()
         widx = self._wdiv.get(key)
         if widx is None:
             weights = self.weights
             raw = weights._values[a] / weights._values[b]
             widx = weights.lookup_index(raw)
-            self._memo_store(
-                self._wdiv_stable, self._wdiv, key, widx, raw, generation
-            )
+            self._memo_store(self._wdiv, key, widx, raw)
         return widx
 
     def _add_index(self, a: int, b: int) -> int:
         """Index of ``values[a] + values[b]`` (0 when the sum is zero)."""
         key = (a, b) if a <= b else (b, a)
-        widx = self._wadd_stable.get(key)
-        if widx is not None:
-            return widx
-        generation = self._sync_weight_memos()
         widx = self._wadd.get(key)
         if widx is None:
             weights = self.weights
             raw = weights._values[a] + weights._values[b]
             widx = 0 if weights.is_zero(raw) else weights.lookup_index(raw)
-            self._memo_store(
-                self._wadd_stable, self._wadd, key, widx, raw, generation
-            )
+            self._memo_store(self._wadd, key, widx, raw)
         return widx
 
     # ------------------------------------------------------------------
@@ -590,10 +532,7 @@ class PooledEngine:
             # pair replays its canonical decomposition from the memo; the
             # successors are carried through unchanged (a zero input edge
             # points at the terminal, mirroring _clean_edges).
-            hit = self._norm_stable.get((w0, w1))
-            if hit is None:
-                generation = self._sync_weight_memos()
-                hit = self._norm_memo.get((w0, w1))
+            hit = self._norm_memo.get((w0, w1))
             if hit is None:
                 values = weights._values
                 if w0 == 0:
@@ -637,21 +576,10 @@ class PooledEngine:
                 if stable:
                     # Every component resolved at distance zero: no later
                     # mint can change this decomposition.
-                    if len(self._norm_stable) >= self._WEIGHT_MEMO_CAP:
-                        self._norm_stable.clear()
-                    self._norm_stable[(w0, w1)] = hit
-                    if weights.generation != generation:
-                        self._sync_weight_memos()
-                elif weights.generation == generation:
                     memo = self._norm_memo
                     if len(memo) >= self._WEIGHT_MEMO_CAP:
                         memo.clear()
                     memo[(w0, w1)] = hit
-                else:
-                    # A mid-normalization mint: an earlier lookup of the
-                    # same pair might now resolve differently — recompute
-                    # next time instead of memoizing.
-                    self._sync_weight_memos()
             factor_index, nw0, nw1 = hit
             index = self._cons(
                 kind,
@@ -662,10 +590,7 @@ class PooledEngine:
             return (index, factor_index)
         # MAX_MAGNITUDE (matrix nodes; vector nodes under that scheme).
         key = (kind,) + tuple(w for _n, w in edges)
-        hit = self._norm_stable.get(key)
-        if hit is None:
-            generation = self._sync_weight_memos()
-            hit = self._norm_memo.get(key)
+        hit = self._norm_memo.get(key)
         if hit is None:
             values = weights._values
             vals = [values[w] for _n, w in edges]
@@ -696,18 +621,10 @@ class PooledEngine:
             # resolves at distance zero.
             hit = (lookup_index(factor), tuple(wsuccs))
             if stable:
-                if len(self._norm_stable) >= self._WEIGHT_MEMO_CAP:
-                    self._norm_stable.clear()
-                self._norm_stable[key] = hit
-                if weights.generation != generation:
-                    self._sync_weight_memos()
-            elif weights.generation == generation:
                 memo = self._norm_memo
                 if len(memo) >= self._WEIGHT_MEMO_CAP:
                     memo.clear()
                 memo[key] = hit
-            else:
-                self._sync_weight_memos()
         factor_index, wsuccs = hit
         successors = tuple(
             n if w else TERMINAL_INDEX for n, w in edges
@@ -1079,10 +996,6 @@ class PooledEngine:
         self._wdiv.clear()
         self._wadd.clear()
         self._norm_memo.clear()
-        self._wmul_stable.clear()
-        self._wdiv_stable.clear()
-        self._wadd_stable.clear()
-        self._norm_stable.clear()
 
     def gate_id(self, op_key: tuple) -> int:
         """Intern an apply-kernel operation key to a small integer."""

@@ -250,7 +250,7 @@ class DDSanitizer:
         self, node: Node, location: str, report: SanitizeReport
     ) -> None:
         tolerance = self.package.complex_table.tolerance
-        find = self.package.complex_table._find
+        find = self.package.complex_table.find
         for index, edge in enumerate(node.edges):
             weight = edge.weight
             where = f"{location} edge {index}"
@@ -401,21 +401,20 @@ class DDSanitizer:
         tolerance = table.tolerance
         entries = table.entries()
         report.complex_entries_checked += len(entries)
-        buckets = table._buckets
         reported_pairs = set()
-        for stored_key, value in entries:
+        for stored_cell, value in entries:
             where = f"complex entry {value!r}"
             if not (math.isfinite(value.real) and math.isfinite(value.imag)):
                 report.violations.append(Violation(
                     "complex-nonfinite", f"stored value {value!r}", where
                 ))
                 continue
-            expected_key = table._key(value)
-            if expected_key != stored_key:
+            expected_cell = table.cell(value)
+            if expected_cell != stored_cell:
                 report.violations.append(Violation(
                     "complex-bucket-key",
-                    f"stored under bucket {stored_key} but belongs in "
-                    f"{expected_key}",
+                    f"stored under cell {stored_cell} but belongs in "
+                    f"{expected_cell}",
                     where,
                 ))
             for component, name in ((value.real, "real"), (value.imag, "imag")):
@@ -427,40 +426,27 @@ class DDSanitizer:
                         where,
                     ))
             # Representative uniqueness: no *other* stored value within the
-            # tolerance ball.  The 3x3 bucket neighbourhood is exhaustive
-            # for Chebyshev distance < tolerance (the lookup guarantee).
-            key_r, key_i = expected_key
-            for off_r in (-1, 0, 1):
-                for off_i in (-1, 0, 1):
-                    bucket = buckets.get((key_r + off_r, key_i + off_i))
-                    if not bucket:
-                        continue
-                    for other in bucket:
-                        if other is value:
-                            continue
-                        dist = max(
-                            abs(other.real - value.real),
-                            abs(other.imag - value.imag),
-                        )
-                        if dist < tolerance:
-                            pair = frozenset((id(value), id(other)))
-                            if pair in reported_pairs:
-                                continue
-                            reported_pairs.add(pair)
-                            report.violations.append(Violation(
-                                "complex-duplicate",
-                                f"representatives {value!r} and {other!r} "
-                                f"are within tolerance {tolerance:g} of "
-                                "each other",
-                                where,
-                            ))
+            # tolerance ball, found by the table's own search window.
+            for other in table.near(value):
+                if other is value:
+                    continue
+                pair = frozenset((id(value), id(other)))
+                if pair in reported_pairs:
+                    continue
+                reported_pairs.add(pair)
+                report.violations.append(Violation(
+                    "complex-duplicate",
+                    f"representatives {value!r} and {other!r} are within "
+                    f"tolerance {tolerance:g} of each other",
+                    where,
+                ))
 
     # ------------------------------------------------------------------
     # governance roots
     # ------------------------------------------------------------------
     def _check_roots(self, report: SanitizeReport) -> None:
         governor = self.package.governor
-        find = self.package.complex_table._find
+        find = self.package.complex_table.find
         for (uid, weight), entry in list(governor._roots.items()):
             ref, count = entry[0], entry[1]
             report.roots_checked += 1

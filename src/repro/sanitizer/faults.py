@@ -210,8 +210,10 @@ class FaultInjector:
         candidates = []
         for key, _entry in roots:
             weight = key[1]
-            bucket = table._buckets.get(table._key(weight))
-            if bucket and weight in bucket and abs(weight - ComplexTable.ONE) > table.tolerance:
+            if (
+                table.find(weight) == weight
+                and abs(weight - ComplexTable.ONE) > table.tolerance
+            ):
                 candidates.append(key)
         if not candidates:
             raise DDError(
@@ -219,8 +221,7 @@ class FaultInjector:
             )
         key = self.rng.choice(candidates)
         weight = key[1]
-        bucket = table._buckets[table._key(weight)]
-        bucket.remove(weight)
+        table.release(table.lookup_index(weight))
         return {"fault": "orphan-root-weight", "root": key[0], "weight": repr(weight)}
 
     def unclamp_near_zero(self) -> Dict[str, Any]:
@@ -293,10 +294,10 @@ class FaultInjector:
     def pooled_stale_weight(self) -> Dict[str, Any]:
         """Free a weight-pool slot that a live edge still indexes.
 
-        Mirrors exactly what :meth:`WeightPool.sweep_indices` does to a
-        genuinely dead weight — exact-dict and bucket removal, value slot
-        poisoned, index pushed to the free-list — but against a weight
-        that is still referenced, modelling a mark phase that missed it.
+        Frees the slot through :meth:`WeightPool.release`, exactly as
+        :meth:`WeightPool.sweep_indices` frees a genuinely dead weight —
+        but against a weight that is still referenced, modelling a mark
+        phase that missed it.
         """
         from repro.dd.pooled import MATRIX, VECTOR
 
@@ -313,15 +314,8 @@ class FaultInjector:
                 "fault injection needs a live edge with a non-seed weight"
             )
         target = self.rng.choice(sorted(referenced))
-        value = weights._values[target]
-        del weights._exact[value]
-        bucket = weights._buckets.get(weights._key(value))
-        if bucket and value in bucket:
-            bucket.remove(value)
-        weights._values[target] = None
-        weights._re[target] = float("nan")
-        weights._im[target] = float("nan")
-        weights._free.append(target)
+        value = weights.value(target)
+        weights.release(target)
         return {
             "fault": "pooled-stale-weight",
             "weight_index": target,

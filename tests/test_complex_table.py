@@ -1,10 +1,71 @@
-"""Unit tests for the complex-number table."""
+"""Unit tests for the complex-number table.
+
+:class:`NineCellReference` keeps the previous search (cells of width
+``tolerance``, 3x3 neighbourhood) as an oracle for the 2x2 search over
+cells of width ``2 * tolerance``: both must return the same
+representatives for a real simulation's lookup stream and for inputs
+placed on cell edges and half-cell points.
+"""
 
 import math
 
 import pytest
 
 from repro.dd.complex_table import ComplexTable, DEFAULT_TOLERANCE, phase_of
+from repro.dd.package import DDPackage
+from repro.qc import library
+from repro.simulation.simulator import DDSimulator
+
+_SQRT2_INV = 1.0 / math.sqrt(2.0)
+_SEEDS = (
+    ComplexTable.ZERO, ComplexTable.ONE, -ComplexTable.ONE, 1j, -1j,
+    complex(_SQRT2_INV, 0.0), complex(-_SQRT2_INV, 0.0),
+    complex(0.0, _SQRT2_INV), complex(0.0, -_SQRT2_INV),
+)
+
+
+class NineCellReference:
+    """The previous complex-table search: cells of width ``tolerance``,
+    nearest stored value in the 3x3 neighbourhood, mint on a miss."""
+
+    def __init__(self, tolerance=DEFAULT_TOLERANCE):
+        self.tolerance = tolerance
+        self.buckets = {}
+        self.values = []
+        self.index = {}
+        for special in _SEEDS:
+            self._mint(special)
+
+    def _key(self, value):
+        return (
+            math.floor(value.real / self.tolerance),
+            math.floor(value.imag / self.tolerance),
+        )
+
+    def _mint(self, value):
+        self.buckets.setdefault(self._key(value), []).append(value)
+        self.index[value] = len(self.values)
+        self.values.append(value)
+        return self.index[value]
+
+    def lookup_index(self, value):
+        real, imag = value.real, value.imag
+        if real != 0.0 and abs(real) < self.tolerance:
+            real = 0.0
+        if imag != 0.0 and abs(imag) < self.tolerance:
+            imag = 0.0
+        value = complex(real, imag)
+        key_r, key_i = self._key(value)
+        best, best_dist = None, math.inf
+        for off_r in (-1, 0, 1):
+            for off_i in (-1, 0, 1):
+                for stored in self.buckets.get((key_r + off_r, key_i + off_i), ()):
+                    dist = max(abs(stored.real - real), abs(stored.imag - imag))
+                    if dist < self.tolerance and dist < best_dist:
+                        best, best_dist = stored, dist
+        if best is not None:
+            return self.index[best]
+        return self._mint(value)
 
 
 class TestLookup:
@@ -35,17 +96,17 @@ class TestLookup:
         assert table.lookup(complex(1e-14, -1e-14)) == ComplexTable.ZERO
 
     def test_bucket_boundary_values_unify(self):
-        # Two values straddling a bucket boundary but within tolerance must
-        # still be identified (the 3x3 neighbourhood search).
+        # Two values straddling a grid line but within tolerance must
+        # still be identified (the 2x2 cell search).
         tolerance = 1e-6
         table = ComplexTable(tolerance)
-        base = 5 * tolerance  # exactly on a bucket boundary
+        base = 5 * tolerance  # on a half-cell point of the 2*tol grid
         first = table.lookup(base - tolerance / 4)
         second = table.lookup(base + tolerance / 4)
         assert first == second
 
     def test_half_tolerance_apart_across_bucket_edge(self):
-        # Regression: two values tolerance/2 apart whose buckets differ
+        # Regression: two values tolerance/2 apart whose cells may differ
         # (one just below, one just above a grid line) must map to the
         # same canonical representative on both axes.
         tolerance = 1e-6
@@ -76,15 +137,153 @@ class TestLookup:
         with pytest.raises(ValueError):
             table.lookup(complex(0.0, float("nan")))
 
-    def test_lookup_real_wrapper(self):
-        table = ComplexTable()
-        assert table.lookup_real(0.5) == complex(0.5, 0.0)
-
     def test_invalid_tolerance_rejected(self):
         with pytest.raises(ValueError):
             ComplexTable(0.0)
         with pytest.raises(ValueError):
             ComplexTable(-1e-9)
+
+
+def _lookup_stream(circuit):
+    """Every value a cold package canonicalizes while simulating ``circuit``."""
+    package = DDPackage()
+    table = package.complex_table
+    stream = []
+    lookup, lookup_index = table.lookup, table.lookup_index
+
+    def recording_lookup(value):
+        stream.append(value)
+        return lookup(value)
+
+    def recording_lookup_index(value):
+        stream.append(value)
+        return lookup_index(value)
+
+    table.lookup = recording_lookup
+    table.lookup_index = recording_lookup_index
+    DDSimulator(circuit, package=package, seed=0).run()
+    return stream
+
+
+def _replay(values, tolerance=DEFAULT_TOLERANCE):
+    """Feed ``values`` through both searches; return the two tables."""
+    table = ComplexTable(tolerance)
+    reference = NineCellReference(tolerance)
+    for value in values:
+        expected = reference.lookup_index(value)
+        assert table.lookup_index(value) == expected, value
+    return table, reference
+
+
+def _assert_same_contents(table, reference):
+    # repr() tells -0.0 from 0.0: the representatives must match bit for bit.
+    assert [repr(v) for v in table._values] == [repr(v) for v in reference.values]
+    assert sorted(
+        (value.real, value.imag) for _cell, value in table.entries()
+    ) == sorted((value.real, value.imag) for value in reference.values)
+
+
+def _component_grid(tolerance):
+    """Components on cell edges, half-cell points and just under tol."""
+    width = 2.0 * tolerance
+    just_under = tolerance * (1.0 - 2.0 ** -20)
+    components = {0.0, just_under, tolerance, width, 0.5, 0.5 + tolerance}
+    for k in (1, 2, 3, 7, 1 << 20):
+        edge = k * width
+        half = (k + 0.5) * width
+        components.update((
+            # multiples of 2*tol, each +-tol
+            edge, edge - tolerance, edge + tolerance,
+            # exactly half-cell fractions, and values within tol of them
+            half, half - 0.5 * tolerance, half + 0.5 * tolerance,
+            half - just_under, half + just_under,
+        ))
+    # negative components
+    components |= {-c for c in components}
+    return sorted(components)
+
+
+class TestSearchOracle:
+    """The 2x2 search over 2*tol cells against the 9-cell reference."""
+
+    def test_simulation_lookup_stream_matches_reference(self):
+        circuit = library.random_circuit(10, 100, seed=10)
+        stream = _lookup_stream(circuit)
+        assert len(stream) > 10_000
+        table, reference = _replay(stream)
+        _assert_same_contents(table, reference)
+        # The stream exercises the search, not just the exact dict.
+        assert table.misses > 1_000
+
+    @pytest.mark.parametrize("tolerance", [DEFAULT_TOLERANCE, 2.0 ** -30, 1e-6])
+    def test_boundary_inputs_match_reference(self, tolerance):
+        components = _component_grid(tolerance)
+        values = [complex(re, im) for re in components for im in components]
+        # Each value twice: once minting or snapping, once resolving
+        # against the finished table; then in reverse minting order.
+        table, reference = _replay(values + values, tolerance)
+        _assert_same_contents(table, reference)
+        table, reference = _replay(values[::-1] + values, tolerance)
+        _assert_same_contents(table, reference)
+
+    @pytest.mark.parametrize("tolerance", [DEFAULT_TOLERANCE, 2.0 ** -30])
+    def test_perturbed_values_match_reference(self, tolerance):
+        # Queries at every fraction of a cell around stored values.
+        base = [complex(0.3, -0.7), complex(-0.25, 0.125), complex(5.0, 1e-3)]
+        steps = [k / 8.0 for k in range(-12, 13)]
+        values = list(base)
+        for value in base:
+            for dr in steps:
+                for di in steps:
+                    values.append(value + complex(dr * tolerance, di * tolerance))
+        table, reference = _replay(values, tolerance)
+        _assert_same_contents(table, reference)
+
+    def test_equal_distance_tie_rule(self):
+        # Tie rule: of two representatives at the same distance from a
+        # query, the one with the lower (floor(re/tol), floor(im/tol))
+        # pair wins, whatever the minting order or the 2*tol cells they
+        # share -- the order in which the 9-cell search met them.
+        tolerance = 2.0 ** -30  # exact arithmetic on the grid
+        edge = 4 * 2.0 * tolerance
+        cases = [
+            # across a 2*tol cell edge
+            (complex(edge - 0.5 * tolerance, 0.25),
+             complex(edge + 0.5 * tolerance, 0.25),
+             complex(edge, 0.25)),
+            # inside one 2*tol cell
+            (complex(edge + 0.25 * tolerance, 0.25),
+             complex(edge + 1.5 * tolerance, 0.25),
+             complex(edge + 0.875 * tolerance, 0.25)),
+            # same real part: the lower imaginary part wins
+            (complex(0.25, edge + 0.25 * tolerance),
+             complex(0.25, edge + 1.5 * tolerance),
+             complex(0.25, edge + 0.875 * tolerance)),
+            # diagonal neighbours: the lower real part wins
+            (complex(edge + 0.25 * tolerance, edge + 1.5 * tolerance),
+             complex(edge + 1.5 * tolerance, edge + 0.25 * tolerance),
+             complex(edge + 0.875 * tolerance, edge + 0.875 * tolerance)),
+        ]
+        for winner, loser, query in cases:
+            for first, second in ((winner, loser), (loser, winner)):
+                table, reference = _replay([first, second, query], tolerance)
+                assert table.lookup(query) == winner
+                _assert_same_contents(table, reference)
+        assert table.cell(cases[1][0]) == table.cell(cases[1][1])
+
+    def test_find_and_near_use_the_search_window(self):
+        tolerance = 2.0 ** -30
+        table = ComplexTable(tolerance)
+        edge = 6 * 2.0 * tolerance
+        below = table.lookup(complex(edge - 0.25 * tolerance, 0.5))
+        # Plant a duplicate across the cell edge, bypassing the search.
+        above = complex(edge + 0.25 * tolerance, 0.5)
+        table._insert(above)
+        assert table.cell(below) != table.cell(above)
+        assert table.find(below) == below
+        assert table.near(below) == [below, above]
+        assert table.find(complex(edge + tolerance, 0.5)) == above
+        assert table.find(complex(edge + 2 * tolerance, 0.5)) is None
 
 
 class TestPredicates:

@@ -110,6 +110,20 @@ class TestFaultDetection:
         report = package.sanitize()
         assert "complex-duplicate" in report.checks_failed, report.summary()
 
+    def test_duplicate_across_cell_edge_detected(self):
+        # A duplicate on the far side of a grid line: only the search's
+        # neighbour cell holds it.
+        package = _seeded_package()
+        assert package.sanitize().ok
+        table = package.complex_table
+        edge = 1000 * 2.0 * table.tolerance + 0.5
+        value = table.lookup(complex(edge - 0.25 * table.tolerance, 0.5))
+        shadow = complex(edge + 0.25 * table.tolerance, 0.5)
+        assert table.cell(shadow) != table.cell(value)
+        table._insert(shadow)
+        report = package.sanitize()
+        assert "complex-duplicate" in report.checks_failed, report.summary()
+
     def test_pooled_dangling_successor_detected(self):
         package = _seeded_package()
         inject_fault(package, "pooled-dangling-successor", seed=0)

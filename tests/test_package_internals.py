@@ -1,11 +1,15 @@
 """Edge-case and lifecycle tests for the DD package internals."""
 
+import cmath
 import gc
+import math
 
 import numpy as np
 import pytest
 
 from repro.dd import DDPackage
+from repro.dd.pool import TERMINAL_INDEX
+from repro.dd.pooled import MATRIX, VECTOR
 from repro.qc import library
 from repro.qc.dd_builder import gate_to_dd
 from repro.qc.operations import GateOp
@@ -116,3 +120,89 @@ class TestNumericEdgeCases:
         state = package.from_state_vector([1.0, 1e-14])
         assert package.amplitude(state, 1) == 0.0
         assert state.node is package.zero_state(1).node
+
+
+class TestWeightMemoSoundness:
+    """The engine's weight-arithmetic memos replay only distance-zero
+    lookups: once a representative nearer to a snapped raw value is
+    minted, every helper must answer what a fresh lookup answers."""
+
+    @staticmethod
+    def _plant_far(weights, raw):
+        """Mint a representative 0.75*tol from ``raw`` (so ``raw`` snaps
+        to it at distance > 0); return its index."""
+        far = weights.lookup_index(raw + complex(0.75 * weights.tolerance, 0.0))
+        assert weights.value(far) != raw
+        assert weights.lookup_index(raw) == far
+        return far
+
+    @staticmethod
+    def _mint_nearer(weights, raw, far):
+        """Mint a representative 0.375*tol from ``raw`` on the other side
+        (1.125*tol from ``far``, so it is minted, not snapped)."""
+        near = weights.lookup_index(raw - complex(0.375 * weights.tolerance, 0.0))
+        assert near != far
+        assert weights.lookup_index(raw) == near
+        return near
+
+    @pytest.mark.parametrize("op", ["mul", "div", "add"])
+    def test_arithmetic_memos_follow_a_nearer_mint(self, op):
+        engine = DDPackage()._pooled
+        weights = engine.weights
+        a = weights.lookup_index(0.3 + 0.1j)
+        b = weights.lookup_index(0.7 - 0.2j)
+        va, vb = weights.value(a), weights.value(b)
+        raw, helper = {
+            "mul": (va * vb, engine._mul_index),
+            "div": (va / vb, engine._div_index),
+            "add": (va + vb, engine._add_index),
+        }[op]
+        far = self._plant_far(weights, raw)
+        assert helper(a, b) == far
+        assert helper(a, b) == far
+        near = self._mint_nearer(weights, raw, far)
+        assert helper(a, b) == near == weights.lookup_index(raw)
+
+    def test_matrix_make_node_follows_a_nearer_mint(self):
+        engine = DDPackage()._pooled
+        weights = engine.weights
+        pivot = weights.lookup_index(2.0 + 0.0j)
+        other = weights.lookup_index(0.3 + 0.1j)
+        # The max-magnitude rule divides by the pivot: by 2, exactly.
+        raw = weights.value(other) / 2.0
+        edges = [(TERMINAL_INDEX, w) for w in (pivot, other, other, pivot)]
+        far = self._plant_far(weights, raw)
+
+        def wsuccs():
+            index, factor = engine.make_node(MATRIX, 0, edges)
+            assert factor == pivot
+            return tuple(engine.mpool.wsucc[4 * index:4 * index + 4])
+
+        assert wsuccs() == (1, far, far, 1)
+        assert wsuccs() == (1, far, far, 1)
+        near = self._mint_nearer(weights, raw, far)
+        assert wsuccs() == (1, near, near, 1)
+
+    def test_vector_make_node_follows_a_nearer_mint(self):
+        engine = DDPackage()._pooled
+        weights = engine.weights
+        w0 = weights.lookup_index(0.6 + 0.2j)
+        w1 = weights.lookup_index(-0.3 + 0.5j)
+        v0, v1 = weights.value(w0), weights.value(w1)
+        # The L2 rule: factor = |(v0, v1)| with the phase of v0, and the
+        # second weight becomes v1 / factor.
+        factor = weights.lookup(
+            cmath.rect(math.sqrt(abs(v0) ** 2 + abs(v1) ** 2), cmath.phase(v0))
+        )
+        raw = v1 / factor
+        edges = [(TERMINAL_INDEX, w0), (TERMINAL_INDEX, w1)]
+        far = self._plant_far(weights, raw)
+
+        def second_weight():
+            index, _factor = engine.make_node(VECTOR, 0, edges)
+            return engine.vpool.wsucc[2 * index + 1]
+
+        assert second_weight() == far
+        assert second_weight() == far
+        near = self._mint_nearer(weights, raw, far)
+        assert second_weight() == near == weights.lookup_index(raw)

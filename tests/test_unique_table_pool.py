@@ -12,8 +12,8 @@ that provides them:
 * probe-chain integrity after a GC-style ``rebuild``: every survivor is
   reachable through its own probe chain, every freed node is gone;
 * free-list reuse never aliases live nodes;
-* canonicalization is idempotent and index-stable under batched
-  (``lookup_many``) and scalar (``lookup``/``lookup_index``) paths.
+* canonicalization is idempotent and index-stable through both
+  ``lookup`` and ``lookup_index``.
 """
 
 from __future__ import annotations
@@ -156,8 +156,8 @@ def test_free_list_reuse_never_aliases_live_nodes(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_canonicalization_idempotent_and_index_stable(seed):
-    """lookup/lookup_index/lookup_many agree, and canonicalizing a
-    canonical value is the identity (same representative, same index)."""
+    """lookup/lookup_index agree, and canonicalizing a canonical value
+    is the identity (same representative, same index)."""
     rng = random.Random(seed)
     table = WeightPool()
     values = [
@@ -168,25 +168,26 @@ def test_canonicalization_idempotent_and_index_stable(seed):
         v + complex(rng.uniform(-0.3, 0.3) * table.tolerance, 0)
         for v in rng.sample(values, 50)
     ]
-    batched = table.lookup_many(values)
-    for value, index in zip(values, batched):
+    indices = [table.lookup_index(value) for value in values]
+    for value, index in zip(values, indices):
         rep = table.value(index)
         assert table.lookup(value) == rep
         assert table.lookup_index(value) == index
         # Idempotence: a representative canonicalizes to itself.
         assert table.lookup(rep) == rep
         assert table.lookup_index(rep) == index
-    # A second batched pass returns identical indices.
-    assert table.lookup_many(values) == batched
+    # A second pass returns identical indices.
+    assert [table.lookup_index(value) for value in values] == indices
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_weight_sweep_keeps_seeds_and_marked(seed):
     rng = random.Random(seed)
     table = WeightPool()
-    indices = table.lookup_many(
-        [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(100)]
-    )
+    indices = [
+        table.lookup_index(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)))
+        for _ in range(100)
+    ]
     non_seed = sorted(
         {i for i in indices if i >= table._seed_count}
     )
