@@ -188,7 +188,6 @@ def _make_package(options: Dict[str, Any]):
         # A dark registry keeps the cell hot path free of instrumentation;
         # campaign-level metrics live in the executor's registry.
         "registry": MetricsRegistry(enabled=False),
-        "use_apply_kernels": bool(options.get("use_apply_kernels", True)),
     }
     if options.get("tolerance") is not None:
         kwargs["tolerance"] = float(options["tolerance"])

@@ -22,7 +22,7 @@ The schema (``qdd-campaign-spec-v1``) is intentionally small::
         "shots": 0,
         "packages": [
           {"label": "kernels"},
-          {"label": "matrix-path", "use_apply_kernels": false}
+          {"label": "identity-skipping", "identity_skipping": true}
         ]
       },
       "execution": {"workers": 0, "cell_timeout": 120.0},
@@ -97,7 +97,6 @@ class PackageSpec:
     """One :class:`~repro.dd.package.DDPackage` configuration axis value."""
 
     label: str
-    use_apply_kernels: bool = True
     tolerance: Optional[float] = None
     vector_scheme: Optional[str] = None
     sanitize_every: Optional[int] = None
@@ -113,9 +112,9 @@ class PackageSpec:
             raise CampaignSpecError(f"{where} must be an object")
         _require_keys(
             data,
-            ("label", "use_apply_kernels", "tolerance",
-             "vector_scheme", "sanitize_every", "budget_nodes", "budget_bytes",
-             "budget_check_interval", "reorder", "identity_skipping"),
+            ("label", "tolerance", "vector_scheme", "sanitize_every",
+             "budget_nodes", "budget_bytes", "budget_check_interval",
+             "reorder", "identity_skipping"),
             where,
         )
         label = data.get("label")
@@ -160,7 +159,6 @@ class PackageSpec:
             )
         return cls(
             label=label,
-            use_apply_kernels=bool(data.get("use_apply_kernels", True)),
             tolerance=float(tolerance) if tolerance is not None else None,
             vector_scheme=scheme,
             sanitize_every=sanitize_every,
@@ -174,7 +172,6 @@ class PackageSpec:
     def as_dict(self) -> Dict[str, Any]:
         return {
             "label": self.label,
-            "use_apply_kernels": self.use_apply_kernels,
             "tolerance": self.tolerance,
             "vector_scheme": self.vector_scheme,
             "sanitize_every": self.sanitize_every,

@@ -43,9 +43,10 @@ keyed on ``(gate id, node)``, where the gate id canonicalizes the unitary's
 entries through the complex table, so repeated gates (GHZ cascades, Grover
 iterations, the inverse side of the alternating scheme) hit the cache.
 
-Results are bit-identical to the matrix path in the canonical sense: both
-paths normalize through the same unique tables, so they yield the very
-same root edge within one package (tested by the differential suite).
+Results agree with the matrix-construction path (gate DD + multiply,
+paper Fig. 4): both normalize through the same unique tables.  The
+differential suite checks the kernels against that product and against
+a dense statevector simulator.
 """
 
 from __future__ import annotations
@@ -201,7 +202,7 @@ def apply_swap(
 
     The standard Fredkin decomposition ``cx(c,b); ccx(ctrls+b, c); cx(c,b)``
     with all extra controls attached to the middle Toffoli — mirroring the
-    matrix path so both produce the same operator.
+    SWAP gate DD so both produce the same operator.
     """
     if line_a == line_b:
         raise DDError("SWAP needs two distinct lines")
@@ -240,7 +241,7 @@ def apply_operation(package, state: Edge, operation, num_qubits: int):
     """Apply one :class:`~repro.qc.operations.GateOp` to a vector DD.
 
     Returns the new state edge, or ``None`` when the operation has no
-    direct kernel (the caller falls back to the matrix path).
+    direct kernel (the caller falls back to gate DD + multiply).
     """
     matrix = operation.matrix_readonly()
     targets = operation.targets

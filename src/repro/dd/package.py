@@ -79,6 +79,11 @@ class DDPackage:
     Diagrams created by different packages must not be mixed: canonicity
     only holds within one package's unique tables.
 
+    Gates are applied by the direct kernels of :mod:`repro.dd.apply`
+    (:func:`repro.qc.dd_builder.apply_gate`).  :meth:`multiply`, :meth:`kron`
+    and the gate-DD builders stay the paper's operations (Figs. 3-4), for
+    functionality construction and for gates without a kernel.
+
     Parameters
     ----------
     tolerance:
@@ -92,11 +97,6 @@ class DDPackage:
         operation counters/timers.  Each package creates a private registry
         by default (so per-package statistics stay separate); pass one
         explicitly to aggregate several components into one report.
-    use_apply_kernels:
-        Route gate applications through the direct kernels of
-        :mod:`repro.dd.apply` (no full-system gate DD is constructed).
-        On by default; switch off to force the legacy matrix path, which
-        is retained as the differential-testing oracle.
     budget:
         Memory budget enforced by the package's resource governor
         (:mod:`repro.dd.governance`).  The default budget has no limits:
@@ -141,7 +141,6 @@ class DDPackage:
         vector_scheme: NormalizationScheme = NormalizationScheme.L2,
         cache_capacity: int = 1 << 16,
         registry: Optional[MetricsRegistry] = None,
-        use_apply_kernels: bool = True,
         budget: Optional[MemoryBudget] = None,
         sanitize_every: Optional[int] = None,
         event_bus=None,
@@ -153,7 +152,6 @@ class DDPackage:
         #: publishes GC/pressure events onto it and :meth:`sanitize`
         #: publishes its verdicts, feeding the service's live streams.
         self.event_bus = event_bus
-        self.use_apply_kernels = use_apply_kernels
         if reorder is None:
             reorder = os.environ.get("REPRO_DD_REORDER", "").strip() or "off"
         if reorder not in self._REORDER_MODES:

@@ -7,7 +7,7 @@ edge weight in a :class:`~repro.dd.pool.WeightPool`; the hot recursions
 objects.  Every weight is canonicalized through one complex table (the
 design of arXiv:1911.12691), so edges compare with ``==`` and structurally
 equal diagrams share one root.  The differential suite checks the engine's
-gate kernels and its matrix path against an independent dense simulator.
+gate kernels and its matrix products against an independent dense simulator.
 
 At the package boundary the engine hands out lightweight *views*
 (:class:`PooledVectorNode` / :class:`PooledMatrixNode`): real

@@ -28,6 +28,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.dd.apply import apply_single_qubit
 from repro.dd.edge import Edge
 from repro.dd.node import Node, VectorNode
 from repro.dd.normalization import NormalizationScheme
@@ -280,17 +281,9 @@ def _project(
     package: DDPackage, state: Edge, qubit: int, outcome: int, probability: float
 ) -> Edge:
     """Apply the outcome projector and renormalize."""
+    # Diagonal kernel: the projector only rescales (zeroes) edge weights.
     matrix = _P0 if outcome == 0 else _P1
-    if getattr(package, "use_apply_kernels", False):
-        # Diagonal kernel: the projector only rescales (zeroes) edge
-        # weights, no full-system matrix DD is built.
-        from repro.dd.apply import apply_single_qubit
-
-        projected = apply_single_qubit(package, state, matrix, qubit)
-    else:
-        num_qubits = package.num_qubits(state)
-        projector = package.single_qubit_gate(num_qubits, matrix, qubit)
-        projected = package.multiply(projector, state)
+    projected = apply_single_qubit(package, state, matrix, qubit)
     if projected.is_zero:
         raise InvalidStateError("projection annihilated the state")
     scale = package.complex_table.lookup(
@@ -316,12 +309,5 @@ def reset_qubit(
         package, state, qubit, outcome, rng
     )
     if observed == 1:
-        if getattr(package, "use_apply_kernels", False):
-            from repro.dd.apply import apply_single_qubit
-
-            collapsed = apply_single_qubit(package, collapsed, _X, qubit)
-        else:
-            num_qubits = package.num_qubits(state)
-            flip = package.single_qubit_gate(num_qubits, _X, qubit)
-            collapsed = package.multiply(flip, collapsed)
+        collapsed = apply_single_qubit(package, collapsed, _X, qubit)
     return observed, probability, collapsed

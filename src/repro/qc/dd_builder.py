@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.dd import apply as apply_kernels
 from repro.dd.edge import Edge
 from repro.dd.package import DDPackage
 from repro.errors import CircuitError, GateError
@@ -130,17 +131,12 @@ def apply_gate(
 ) -> Edge:
     """Apply one gate to a state DD (one simulation step, paper Sec. III-B).
 
-    With ``package.use_apply_kernels`` (the default) the gate is applied
-    directly by the kernels of :mod:`repro.dd.apply` — no full-system gate
-    DD is constructed.  Gates without a direct kernel, and packages with
-    the flag off, take the legacy matrix path (gate DD + multiply), which
-    is retained as the differential-testing oracle.
+    The gate is applied directly by the kernels of :mod:`repro.dd.apply`;
+    no full-system gate DD is constructed.  Only a gate without a direct
+    kernel is built as a gate DD and multiplied onto the state (Fig. 4).
     """
-    if getattr(package, "use_apply_kernels", False):
-        from repro.dd import apply as apply_kernels
-
-        result = apply_kernels.apply_operation(package, state, operation, num_qubits)
-        if result is not None:
-            return result
+    result = apply_kernels.apply_operation(package, state, operation, num_qubits)
+    if result is not None:
+        return result
     gate_dd = gate_to_dd(package, operation, num_qubits)
     return package.multiply(gate_dd, state)

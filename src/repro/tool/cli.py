@@ -115,9 +115,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="emit the registry snapshot as JSON")
     stats.add_argument("--prom", action="store_true",
                        help="emit the registry in Prometheus text format")
-    stats.add_argument("--matrix-path", action="store_true",
-                       help="use the legacy gate-DD + multiply path instead "
-                            "of the direct apply kernels (for comparison)")
 
     sanitize = commands.add_parser(
         "sanitize",
@@ -366,9 +363,7 @@ def _cmd_stats(args) -> int:
     # simulator's step metrics land in the same place, so every exporter
     # reads one source of truth.
     registry = obs.MetricsRegistry()
-    package = DDPackage(
-        registry=registry, use_apply_kernels=not args.matrix_path
-    )
+    package = DDPackage(registry=registry)
     simulator = DDSimulator(
         circuit, package=package, seed=args.seed, tracer=Tracer(enabled=False)
     )

@@ -23,6 +23,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
+from repro.dd.apply import apply_operation_matrix
 from repro.dd.edge import Edge
 from repro.dd.package import DDPackage
 from repro.errors import VerificationError
@@ -105,27 +106,21 @@ class _Engine:
         self._m_peak_nodes.set_max(self.peak)
 
     def preview_left(self, gate: GateOp) -> Edge:
-        if getattr(self.package, "use_apply_kernels", False):
-            from repro.dd import apply as apply_kernels
-
-            result = apply_kernels.apply_operation_matrix(
-                self.package, self.current, gate, self.num_qubits, side="left"
-            )
-            if result is not None:
-                return result
+        result = apply_operation_matrix(
+            self.package, self.current, gate, self.num_qubits, side="left"
+        )
+        if result is not None:
+            return result
         gate_dd = gate_to_dd(self.package, gate, self.num_qubits)
         return self.package.multiply(gate_dd, self.current)
 
     def preview_right(self, gate: GateOp) -> Edge:
         inverse = gate.inverse()
-        if getattr(self.package, "use_apply_kernels", False):
-            from repro.dd import apply as apply_kernels
-
-            result = apply_kernels.apply_operation_matrix(
-                self.package, self.current, inverse, self.num_qubits, side="right"
-            )
-            if result is not None:
-                return result
+        result = apply_operation_matrix(
+            self.package, self.current, inverse, self.num_qubits, side="right"
+        )
+        if result is not None:
+            return result
         inverse_dd = gate_to_dd(self.package, inverse, self.num_qubits)
         return self.package.multiply(self.current, inverse_dd)
 

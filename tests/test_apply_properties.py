@@ -5,8 +5,8 @@
   (canonicity: same node object via the unique table);
 * the diagonal shortcut produces exactly the same edge as the generic
   kernel formula;
-* the kernel path's unique/compute-table footprint never exceeds the
-  matrix path's for the same circuit;
+* the kernel path's unique/compute-table footprint never exceeds that of
+  multiplying one full-system gate DD per gate onto the state;
 * ``clear_caches`` drops the apply table (and ``stats`` reports it), and
   a cleared package replays a circuit to the identical root edge.
 """
@@ -20,7 +20,7 @@ from repro.dd.apply import apply_controlled
 from repro.dd.package import DDPackage
 from repro.dd.pooled import PooledApplyKernel
 from repro.qc import library
-from repro.qc.dd_builder import apply_gate
+from repro.qc.dd_builder import apply_gate, gate_to_dd
 from repro.qc.operations import GateOp
 from repro.simulation.simulator import DDSimulator
 
@@ -120,33 +120,33 @@ def _table_footprint(package: DDPackage):
     return unique, compute
 
 
+def _allocations(package: DDPackage) -> int:
+    return package._vector_unique.misses + package._matrix_unique.misses
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
-def test_kernel_tables_never_exceed_matrix_path(seed):
+def test_kernel_tables_never_exceed_gate_dd_products(seed):
     rng = np.random.default_rng(seed)
     num_qubits = int(rng.integers(2, 6))
     circuit = random_mixed_circuit(num_qubits, 20, rng)
 
     kernel_sim = DDSimulator(circuit)
     kernel_sim.run_all()
-    matrix_sim = DDSimulator(circuit, package=DDPackage(use_apply_kernels=False))
-    matrix_sim.run_all()
+    # One full-system gate DD per gate, multiplied onto the state (Fig. 4).
+    matrix_package = DDPackage()
+    state = matrix_package.zero_state(num_qubits)
+    for operation in circuit:
+        gate = gate_to_dd(matrix_package, operation, num_qubits)
+        state = matrix_package.multiply(gate, state)
 
     kernel_unique, kernel_compute = _table_footprint(kernel_sim.package)
-    matrix_unique, matrix_compute = _table_footprint(matrix_sim.package)
+    matrix_unique, matrix_compute = _table_footprint(matrix_package)
     assert kernel_unique <= matrix_unique
     assert kernel_compute <= matrix_compute
     # The kernel path allocates strictly fewer nodes overall: it never
     # creates matrix nodes.
-    kernel_allocs = (
-        kernel_sim.package._vector_unique.misses
-        + kernel_sim.package._matrix_unique.misses
-    )
-    matrix_allocs = (
-        matrix_sim.package._vector_unique.misses
-        + matrix_sim.package._matrix_unique.misses
-    )
     assert kernel_sim.package._matrix_unique.misses == 0
-    assert kernel_allocs < matrix_allocs
+    assert _allocations(kernel_sim.package) < _allocations(matrix_package)
 
 
 def test_clear_caches_drops_apply_table_and_stats_reports_it():

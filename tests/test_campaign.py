@@ -113,12 +113,18 @@ class TestSpecValidation:
         with pytest.raises(CampaignSpecError, match="duplicate package labels"):
             parse_spec(data)
 
-    def test_bad_storage_backend_rejected(self):
-        # There is one DD engine: a package block naming a storage backend
+    @pytest.mark.parametrize(
+        "key,value",
+        [("storage", "pooled"), ("use_apply_kernels", False)],
+        ids=["storage", "use_apply_kernels"],
+    )
+    def test_bad_storage_backend_rejected(self, key, value):
+        # There is one DD engine and one gate-application path: a package
+        # block naming a storage backend or the retired gate-path switch
         # is an unknown key like any other typo.
         data = make_spec_dict()
-        data["cells"]["packages"] = [{"label": "x", "storage": "pooled"}]
-        with pytest.raises(CampaignSpecError, match=r"unknown key\(s\) storage"):
+        data["cells"]["packages"] = [{"label": "x", key: value}]
+        with pytest.raises(CampaignSpecError, match=rf"unknown key\(s\) {key}"):
             parse_spec(data)
 
     def test_bad_mode_rejected(self):

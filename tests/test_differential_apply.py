@@ -1,12 +1,13 @@
-"""Differential fuzzer: apply kernels vs. matrix path vs. dense reference.
+"""Differential fuzzer: apply kernels vs. matrix-DD oracle vs. dense reference.
 
 Every seeded random circuit (1-6 qubits; mixed single-qubit, controlled,
 multi-controlled and two-qubit gates; no measurements) is executed three
 ways:
 
-* the direct apply kernels (the default gate path);
-* the matrix-DD path (gate DD + multiply, paper Fig. 4), the structural
-  oracle;
+* the direct apply kernels (the one gate-application path);
+* the matrix-DD oracle: the circuit's functionality DD built from gate
+  DDs (:func:`~repro.qc.dd_builder.circuit_to_dd`, paper Fig. 4)
+  multiplied onto the zero state;
 * the dense statevector simulator of :mod:`repro.simulation.statevector`,
   the independent numerical oracle.
 
@@ -29,6 +30,7 @@ import pytest
 from repro.dd.governance import MemoryBudget
 from repro.dd.package import DDPackage
 from repro.qc.circuit import QuantumCircuit
+from repro.qc.dd_builder import circuit_to_dd
 from repro.qc.operations import GateOp
 from repro.simulation.simulator import DDSimulator
 from repro.simulation.statevector import StatevectorSimulator
@@ -126,6 +128,14 @@ def random_mixed_circuit(
     return circuit
 
 
+def matrix_dd_statevector(package: DDPackage, circuit: QuantumCircuit) -> np.ndarray:
+    """The matrix-DD oracle: ``circuit_to_dd`` multiplied onto |0...0>."""
+    num_qubits = circuit.num_qubits
+    functionality = circuit_to_dd(package, circuit)
+    state = package.multiply(functionality, package.zero_state(num_qubits))
+    return package.to_vector(state, num_qubits)
+
+
 def _case_circuit(case: int) -> QuantumCircuit:
     rng = np.random.default_rng(BASE_SEED * 1_000_003 + case)
     num_qubits = int(rng.integers(1, 7))
@@ -138,22 +148,20 @@ def test_three_way_amplitude_agreement(case):
     circuit = _case_circuit(case)
     kernel_sim = DDSimulator(circuit)
     kernel_sim.run_all()
-    matrix_sim = DDSimulator(circuit, package=DDPackage(use_apply_kernels=False))
-    matrix_sim.run_all()
+    matrix_vector = matrix_dd_statevector(DDPackage(), circuit)
     dense = StatevectorSimulator(circuit)
     dense.run()
 
     kernel_vector = kernel_sim.statevector()
-    matrix_vector = matrix_sim.statevector()
     label = f"case {case} (base seed {BASE_SEED}): {circuit.name}"
     assert np.abs(kernel_vector - dense.state).max() < TOLERANCE, (
         f"{label}: kernel path deviates from the dense reference"
     )
     assert np.abs(matrix_vector - dense.state).max() < TOLERANCE, (
-        f"{label}: matrix path deviates from the dense reference"
+        f"{label}: the matrix-DD oracle deviates from the dense reference"
     )
     assert np.abs(kernel_vector - matrix_vector).max() < TOLERANCE, (
-        f"{label}: kernel path deviates from the matrix path"
+        f"{label}: kernel path deviates from the matrix-DD oracle"
     )
     # The kernel path never constructs an operation DD.
     assert kernel_sim.package._matrix_unique.misses == 0
@@ -169,42 +177,38 @@ _PRESSURE_STATS = {"cases": 0, "reorder_runs": 0, "identity_skips": 0}
 def test_four_way_reorder_and_skipping_agreement(case):
     """The 4-way differential sweep over the dynamic-order features.
 
-    Each seeded circuit runs under (a) ``identity_skipping=True`` on the
-    matrix path — every gate is a full matrix DD, so the skip reduction
-    fires constantly — and (b) ``reorder="pressure"`` under a deliberately
-    tiny node budget, so the governor sifts mid-circuit.  Both legs must
-    agree amplitude-by-amplitude to ``TOLERANCE`` with the plain matrix
-    path (the oracle) and with the dense statevector (``to_vector`` undoes
-    the recorded qubit permutation).
+    Each seeded circuit runs under (a) ``identity_skipping=True`` through
+    the matrix-DD oracle — every gate is a full matrix DD, so the skip
+    reduction fires constantly — and (b) ``reorder="pressure"`` under a
+    deliberately tiny node budget, so the governor sifts mid-circuit.
+    Both legs must agree amplitude-by-amplitude to ``TOLERANCE`` with the
+    plain matrix-DD oracle and with the dense statevector (``to_vector``
+    undoes the recorded qubit permutation).
     """
     circuit = _case_circuit(case)
-    oracle = DDSimulator(circuit, package=DDPackage(use_apply_kernels=False))
-    oracle.run_all()
-    reference = oracle.statevector()
+    reference = matrix_dd_statevector(DDPackage(), circuit)
     dense = StatevectorSimulator(circuit)
     dense.run()
     label = f"case {case} (base seed {BASE_SEED}): {circuit.name}"
     assert np.abs(reference - dense.state).max() < TOLERANCE, (
-        f"{label}: the matrix-path oracle deviates from the dense reference"
+        f"{label}: the matrix-DD oracle deviates from the dense reference"
     )
 
-    skip_package = DDPackage(identity_skipping=True, use_apply_kernels=False)
-    skip_sim = DDSimulator(circuit, package=skip_package)
-    skip_sim.run_all()
+    skip_package = DDPackage(identity_skipping=True)
     pressure_package = DDPackage(
         reorder="pressure", budget=MemoryBudget(max_nodes=30, check_interval=1)
     )
     pressure_sim = DDSimulator(circuit, package=pressure_package)
     pressure_sim.run_all()
     legs = {
-        "identity-skipping": skip_sim.statevector(),
+        "identity-skipping": matrix_dd_statevector(skip_package, circuit),
         f"pressure reordering (order {pressure_package.qubit_order})": (
             pressure_sim.statevector()
         ),
     }
     for leg, vector in legs.items():
         assert np.abs(vector - reference).max() < TOLERANCE, (
-            f"{label}: {leg} deviates from the matrix-path oracle"
+            f"{label}: {leg} deviates from the matrix-DD oracle"
         )
         assert np.abs(vector - dense.state).max() < TOLERANCE, (
             f"{label}: {leg} deviates from the dense reference"

@@ -9,10 +9,9 @@ Freezes the quantities the paper states (and earlier tests verified) into
   state reached from |000> has 3;
 * Bell / GHZ / QFT amplitudes, stored as exact ``repr`` strings.
 
-Both gate-application paths (direct kernels and legacy matrix path) must
-reproduce the golden payload **byte-for-byte**: the test serializes each
-path's results with the same ``json.dumps`` settings as the stored file
-and compares the strings.
+The computed payload must reproduce the golden file **byte-for-byte**: the
+test serializes it with the same ``json.dumps`` settings as the stored
+file and compares the strings.
 
 Regenerate (only when intentionally changing the frozen numbers) with::
 
@@ -50,14 +49,11 @@ def _circuit(name: str):
     }[name]()
 
 
-def compute_payload(use_apply_kernels: bool, identity_skipping: bool = False) -> dict:
-    """Everything the golden file freezes, computed on one execution path."""
+def compute_payload(identity_skipping: bool = False) -> dict:
+    """Everything the golden file freezes, computed on fresh packages."""
 
     def make_package() -> DDPackage:
-        return DDPackage(
-            use_apply_kernels=use_apply_kernels,
-            identity_skipping=identity_skipping,
-        )
+        return DDPackage(identity_skipping=identity_skipping)
 
     payload: dict = {"simulation": {}}
     for name in _SIMULATED:
@@ -104,15 +100,11 @@ def golden() -> str:
         return handle.read()
 
 
-@pytest.mark.parametrize("use_apply_kernels", [True, False],
-                         ids=["apply-kernels", "matrix-path"])
-def test_both_paths_reproduce_golden_byte_for_byte(golden, use_apply_kernels):
-    assert _serialize(compute_payload(use_apply_kernels)) == golden
+def test_payload_reproduces_golden_byte_for_byte(golden):
+    assert _serialize(compute_payload()) == golden
 
 
-@pytest.mark.parametrize("use_apply_kernels", [True, False],
-                         ids=["apply-kernels", "matrix-path"])
-def test_identity_skipping_reproduces_golden_amplitudes(golden, use_apply_kernels):
+def test_identity_skipping_reproduces_golden_amplitudes(golden):
     """Identity skipping changes *representation*, never *semantics*.
 
     With reordering disabled, a skipping package must reproduce every
@@ -124,7 +116,7 @@ def test_identity_skipping_reproduces_golden_amplitudes(golden, use_apply_kernel
     asserted *smaller*, not equal.
     """
     reference = json.loads(golden)
-    payload = compute_payload(use_apply_kernels, identity_skipping=True)
+    payload = compute_payload(identity_skipping=True)
     assert payload["simulation"] == reference["simulation"], (
         "identity skipping changed a simulated amplitude or a vector-DD "
         "node count"
@@ -169,9 +161,7 @@ if __name__ == "__main__":
     import sys
 
     if "--regenerate" in sys.argv:
-        rendered = _serialize(compute_payload(True))
-        if rendered != _serialize(compute_payload(False)):
-            raise SystemExit("paths disagree; refusing to regenerate")
+        rendered = _serialize(compute_payload())
         with open(GOLDEN_PATH, "w", encoding="utf-8") as handle:
             handle.write(rendered)
         print(f"wrote {GOLDEN_PATH}")

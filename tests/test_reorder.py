@@ -133,9 +133,7 @@ def test_sift_preserves_matrix_roots_under_identity_skipping():
     # A controlled gate rooted in a skipping package: the sift's virtual
     # identity tops and diagonal rows must reproduce the same operator.
     num_qubits = 3
-    package = DDPackage(
-        reorder="manual", identity_skipping=True, use_apply_kernels=False
-    )
+    package = DDPackage(reorder="manual", identity_skipping=True)
     gate = package.incref(
         package.controlled_gate(num_qubits, [[0, 1], [1, 0]], 0, controls=(2,))
     )
