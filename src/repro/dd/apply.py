@@ -126,8 +126,7 @@ def _make_kernel(package, mode, matrix, target, controls):
     if hit is not None:
         kernel, built_at, _pinned = hit
         # A mint-stable canonicalization is valid forever; a snapped one
-        # only while no new representative has appeared since it was built
-        # (mirrors the weight-memo invalidation rule).
+        # only while no new representative has appeared since it was built.
         if kernel.cacheable or built_at == generation:
             return kernel
     kernel = PooledApplyKernel(package, mode, matrix, target, controls)

@@ -1,13 +1,17 @@
 """The pooled (index-based) DD engine behind :class:`~repro.dd.package.DDPackage`.
 
 The engine keeps every node in a :class:`~repro.dd.pool.NodePool` and every
-edge weight in a :class:`~repro.dd.pool.WeightPool`; the hot recursions
-(addition, multiplication, tensor products, the direct apply kernels) pass
-``(node_index, weight_index)`` integer pairs and never allocate node or edge
-objects.  Every weight is canonicalized through one complex table (the
-design of arXiv:1911.12691), so edges compare with ``==`` and structurally
-equal diagrams share one root.  The differential suite checks the engine's
-gate kernels and its matrix products against an independent dense simulator.
+stored edge weight in a :class:`~repro.dd.pool.WeightPool`; the hot
+recursions (addition, multiplication, tensor products, the direct apply
+kernels) pass in-flight edges as ``(node_index, complex)`` pairs and never
+allocate node or edge objects.  In-flight weights stay raw floats, as in
+arXiv:1911.12691: only the successor weights a node *stores* and the root
+weight of every edge handed out at the package boundary are canonicalized
+through the complex table, so stored edges compare with ``==`` and
+structurally equal diagrams share one root.  An in-flight weight is either
+exactly ``0j`` (the zero stub) or not sub-tolerance.  The differential suite
+checks the engine's gate kernels and its matrix products against an
+independent dense simulator.
 
 At the package boundary the engine hands out lightweight *views*
 (:class:`PooledVectorNode` / :class:`PooledMatrixNode`): real
@@ -25,8 +29,8 @@ Index invariants (enforced by the sanitizer's ``pool-*`` checks):
 * every live node is reachable through its own unique-table probe chain.
 
 All index-keyed memoization (the shared compute tables, the interned gate
-ids) is cleared *before* a sweep frees any index — a stale index key would
-otherwise alias a recycled slot.
+ids, the matrix normalization memo) is cleared *before* a sweep frees any
+index — a stale index key would otherwise alias a recycled slot.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.dd.complex_table import ComplexTable
 from repro.dd.edge import Edge, ZERO_EDGE
 from repro.dd.node import MatrixNode, Node, TERMINAL, VectorNode
-from repro.dd.normalization import NormalizationScheme, normalize
+from repro.dd.normalization import NormalizationScheme
 from repro.dd.pool import (
     FREED_VAR,
     NodePool,
@@ -59,9 +63,15 @@ __all__ = [
     "PooledApplyKernel",
 ]
 
-#: Index-pair edges for the two special shapes.
-ZERO_E = (TERMINAL_INDEX, WeightPool.ZERO_INDEX)
-ONE_E = (TERMINAL_INDEX, WeightPool.ONE_INDEX)
+#: An in-flight edge: ``(node_index, raw complex weight)``.
+RawEdge = Tuple[int, complex]
+
+ZERO = ComplexTable.ZERO
+ONE = ComplexTable.ONE
+
+#: In-flight edges for the two special shapes.
+ZERO_E = (TERMINAL_INDEX, ZERO)
+ONE_E = (TERMINAL_INDEX, ONE)
 
 VECTOR, MATRIX = 0, 1
 
@@ -289,76 +299,21 @@ class PooledEngine:
         # Constructed apply kernels, reused across gate applications when
         # their canonicalization is mint-stable (kernel.cacheable).
         self._kernel_cache: Dict[tuple, object] = {}
-        # Index-keyed weight-arithmetic memos (the complex operation
-        # caches of arXiv:1911.12691): a repeated product/quotient/sum —
-        # or a whole normalization of a repeated weight combination —
-        # resolves with one dict probe instead of complex arithmetic plus
-        # a table lookup.
+        # Normalization memo for matrix nodes (the complex operation
+        # caches of arXiv:1911.12691): a repeated raw weight tuple replays
+        # its factor and stored weight indices with one dict probe.
         #
         # Soundness: ``lookup`` snaps a raw value to the *nearest* stored
         # representative, so a snapped result can change when a new
-        # representative is minted closer to the raw value.  Only results
-        # that resolved at distance zero (bit-identical to their
-        # representative, or canonically zero) are memoized: no later mint
-        # can resolve those differently.  Snapped results are looked up
-        # afresh every time, so the memoized arithmetic is bit-for-bit
-        # what a fresh lookup of every value would return.
-        self._wmul: Dict[Tuple[int, int], int] = {}
-        self._wdiv: Dict[Tuple[int, int], int] = {}
-        self._wadd: Dict[Tuple[int, int], int] = {}
+        # representative is minted closer to the raw value.  Only
+        # decompositions whose every stored weight resolved at distance
+        # zero (bit-identical to its representative, or canonically zero)
+        # are memoized: no later mint can resolve those differently.  A
+        # raw-keyed vector memo was measured and costs more than it saves.
         self._norm_memo: Dict[tuple, tuple] = {}
+        self._tolerance = weights.tolerance
 
-    _WEIGHT_MEMO_CAP = 1 << 17
-
-    # ------------------------------------------------------------------
-    # weight arithmetic memos
-    # ------------------------------------------------------------------
-    def _memo_store(self, memo: dict, key, widx: int, raw: complex) -> None:
-        """Memoize ``key -> widx`` if ``raw`` resolved at distance zero
-        (``values[widx] == raw``, including the canonical zero)."""
-        if widx == 0 or self.weights._values[widx] == raw:
-            if len(memo) >= self._WEIGHT_MEMO_CAP:
-                memo.clear()
-            memo[key] = widx
-
-    def _mul_index(self, a: int, b: int) -> int:
-        """Index of ``values[a] * values[b]`` (commutative, ordered key)."""
-        if a == 1:
-            return b
-        if b == 1:
-            return a
-        key = (a, b) if a <= b else (b, a)
-        widx = self._wmul.get(key)
-        if widx is None:
-            weights = self.weights
-            raw = weights._values[a] * weights._values[b]
-            widx = weights.lookup_index(raw)
-            self._memo_store(self._wmul, key, widx, raw)
-        return widx
-
-    def _div_index(self, a: int, b: int) -> int:
-        """Index of ``values[a] / values[b]``."""
-        if b == 1:
-            return a
-        key = (a, b)
-        widx = self._wdiv.get(key)
-        if widx is None:
-            weights = self.weights
-            raw = weights._values[a] / weights._values[b]
-            widx = weights.lookup_index(raw)
-            self._memo_store(self._wdiv, key, widx, raw)
-        return widx
-
-    def _add_index(self, a: int, b: int) -> int:
-        """Index of ``values[a] + values[b]`` (0 when the sum is zero)."""
-        key = (a, b) if a <= b else (b, a)
-        widx = self._wadd.get(key)
-        if widx is None:
-            weights = self.weights
-            raw = weights._values[a] + weights._values[b]
-            widx = 0 if weights.is_zero(raw) else weights.lookup_index(raw)
-            self._memo_store(self._wadd, key, widx, raw)
-        return widx
+    _NORM_MEMO_CAP = 1 << 17
 
     # ------------------------------------------------------------------
     # views and edge conversion
@@ -395,17 +350,25 @@ class PooledEngine:
             )
         return index
 
-    def to_edge(self, kind: int, edge: Tuple[int, int]) -> Edge:
-        index, widx = edge
+    def to_edge(self, kind: int, edge: RawEdge) -> Edge:
+        """The boundary :class:`Edge` of an in-flight edge (its weight
+        canonicalized)."""
+        index, weight = edge
+        if not weight:
+            return ZERO_EDGE
+        weights = self.weights
+        widx = weights.lookup_index(weight)
         if widx == 0:
             return ZERO_EDGE
-        return Edge(self.view(kind, index), self.weights._values[widx])
+        return Edge(self.view(kind, index), weights._values[widx])
 
-    def from_edge(self, edge: Edge) -> Tuple[int, int]:
-        return (
-            self.node_index(edge.node),
-            self.weights.lookup_index(edge.weight),
-        )
+    def from_edge(self, edge: Edge) -> RawEdge:
+        """The in-flight edge of a boundary :class:`Edge`."""
+        weights = self.weights
+        widx = weights.lookup_index(edge.weight)
+        if widx == 0:
+            return ZERO_E
+        return (self.node_index(edge.node), weights._values[widx])
 
     def var_of(self, kind: int, index: int) -> int:
         if index < 0:
@@ -436,16 +399,26 @@ class PooledEngine:
         return len(seen)
 
     # ------------------------------------------------------------------
-    # weight arithmetic (index level)
+    # weight arithmetic (raw values)
     # ------------------------------------------------------------------
-    def scale(self, edge: Tuple[int, int], factor: int) -> Tuple[int, int]:
-        """Mirror of :meth:`Edge.scaled` on index pairs."""
-        if factor == 1:
+    def scale(self, edge: RawEdge, factor: complex) -> RawEdge:
+        """Mirror of :meth:`Edge.scaled` on in-flight edges: the product
+        stays raw, and a sub-tolerance product becomes the zero stub."""
+        if factor == ONE:
             return edge
-        widx = self._mul_index(edge[1], factor)
-        if widx == 0:
+        weight = edge[1] * factor
+        tol = self._tolerance
+        if -tol < weight.real < tol and -tol < weight.imag < tol:
             return ZERO_E
-        return (edge[0], widx)
+        return (edge[0], weight)
+
+    def _product(self, a: complex, b: complex) -> complex:
+        """``a * b``, with a sub-tolerance product mapped to exactly 0j."""
+        weight = a * b
+        tol = self._tolerance
+        if -tol < weight.real < tol and -tol < weight.imag < tol:
+            return ZERO
+        return weight
 
     # ------------------------------------------------------------------
     # node creation (normalizing constructor)
@@ -465,200 +438,148 @@ class PooledEngine:
         unique.insert_at(slot, index)
         return index
 
-    def make_node_values(
-        self, kind: int, var: int, value_edges: Tuple[Edge, ...]
-    ) -> Tuple[int, int]:
-        """Normalize + cons from ``Edge(node_index, raw_weight)`` tuples.
+    def make_node(self, kind: int, var: int, edges: Sequence[RawEdge]) -> RawEdge:
+        """Normalize + cons from in-flight edges; returns ``(index, factor)``.
 
-        Runs :func:`~repro.dd.normalization.normalize` on edges whose
-        ``node`` field is an integer pool index (normalization carries it
-        through untouched), so the shared normalization rules apply.
+        Inlines :func:`~repro.dd.normalization.normalize` on the raw
+        weights (``_clean_edges`` is the identity here: an in-flight weight
+        is exactly zero or not sub-tolerance).  Only the successor weights
+        the node stores go through the complex table; the extracted factor
+        is returned raw.  A zero input weight sends its successor to the
+        terminal; a normalized weight that collapses to zero keeps its
+        successor, as :func:`normalize` does.
         """
-        if kind == MATRIX and self.identity_skipping:
-            e0, e1, e2, e3 = value_edges
-            if (
-                e1.weight == ComplexTable.ZERO
-                and e2.weight == ComplexTable.ZERO
-                and e0.weight != ComplexTable.ZERO
-                and e0 == e3
-            ):
-                self.identity_skips += 1
-                n0 = e0.node if isinstance(e0.node, int) else TERMINAL_INDEX
-                return (n0, self.weights.lookup_index(e0.weight))
-        scheme = (
-            self.vector_scheme if kind == VECTOR else NormalizationScheme.MAX_MAGNITUDE
-        )
-        factor, normalized = normalize(value_edges, self.weights, scheme)
-        if factor == ComplexTable.ZERO:
-            return ZERO_E
-        exact = self.weights._exact
-        successors = []
-        wsuccs = []
-        for edge in normalized:
-            node = edge.node
-            successors.append(node if isinstance(node, int) else TERMINAL_INDEX)
-            weight = edge.weight
-            wsuccs.append(0 if weight == ComplexTable.ZERO else exact[weight])
-        index = self._cons(kind, var, successors, wsuccs)
-        if kind == VECTOR:
-            # The L2 factor was canonicalized inside normalization.
-            return (index, exact[factor])
-        return (index, self.weights.lookup_index(factor))
-
-    def make_node(
-        self, kind: int, var: int, edges: Sequence[Tuple[int, int]]
-    ) -> Tuple[int, int]:
-        """Normalize + cons from index-pair edges (the hot-path entry).
-
-        Inlines :func:`~repro.dd.normalization.normalize` on the index
-        pairs — the identical floating-point operations in the identical
-        order (``_clean_edges`` is the identity here: pool indices only
-        exist for finite canonical values, and the only sub-tolerance
-        canonical value is the zero at index 0), so the result is
-        bit-for-bit what :meth:`make_node_values` would have produced,
-        without materializing throwaway edge tuples.
-        """
-        weights = self.weights
-        if kind == MATRIX and self.identity_skipping:
-            (n0, w0), (n1, w1), (n2, w2), (n3, w3) = edges
-            if w1 == 0 and w2 == 0 and w0 != 0 and n0 == n3 and w0 == w3:
-                self.identity_skips += 1
-                return (n0, w0)
         if kind == VECTOR and self.vector_scheme is NormalizationScheme.L2:
+            lookup_index = self.weights.lookup_index
             (n0, w0), (n1, w1) = edges
-            if w0 == 0 and w1 == 0:
-                return ZERO_E
-            # Normalization depends only on the weight pair, so a repeated
-            # pair replays its canonical decomposition from the memo; the
-            # successors are carried through unchanged (a zero input edge
-            # points at the terminal, mirroring _clean_edges).
-            hit = self._norm_memo.get((w0, w1))
-            if hit is None:
-                values = weights._values
-                if w0 == 0:
-                    v1 = values[w1]
-                    # sum() over the cleaned pair: 0 + 0.0 + |v1|**2.
-                    norm = math.sqrt(0.0 + abs(v1) ** 2)
-                    raw_factor = cmath.rect(norm, cmath.phase(v1))
-                    factor = weights.lookup(raw_factor)
-                    nw0 = 0
-                    raw0 = complex(abs(v1) / norm, 0.0)
-                    nw1 = weights.lookup_index(raw0)
-                    stable = factor == raw_factor and values[nw1] == raw0
-                elif w1 == 0:
-                    v0 = values[w0]
-                    norm = math.sqrt(0.0 + abs(v0) ** 2)
-                    raw_factor = cmath.rect(norm, cmath.phase(v0))
-                    factor = weights.lookup(raw_factor)
-                    raw0 = complex(abs(v0) / norm, 0.0)
-                    nw0 = weights.lookup_index(raw0)
-                    nw1 = 0
-                    stable = factor == raw_factor and values[nw0] == raw0
-                else:
-                    v0 = values[w0]
-                    v1 = values[w1]
-                    norm = math.sqrt(abs(v0) ** 2 + abs(v1) ** 2)
-                    raw_factor = cmath.rect(norm, cmath.phase(v0))
-                    factor = weights.lookup(raw_factor)
-                    raw0 = complex(abs(v0) / norm, 0.0)
-                    nw0 = weights.lookup_index(raw0)
-                    # A normalized weight may collapse to zero (index 0);
-                    # the successor is kept either way, mirroring
-                    # make_node_values.
-                    raw1 = v1 / factor
-                    nw1 = weights.lookup_index(raw1)
-                    stable = (
-                        factor == raw_factor
-                        and values[nw0] == raw0
-                        and (nw1 == 0 or values[nw1] == raw1)
-                    )
-                hit = (weights._exact[factor], nw0, nw1)
-                if stable:
-                    # Every component resolved at distance zero: no later
-                    # mint can change this decomposition.
-                    memo = self._norm_memo
-                    if len(memo) >= self._WEIGHT_MEMO_CAP:
-                        memo.clear()
-                    memo[(w0, w1)] = hit
-            factor_index, nw0, nw1 = hit
-            index = self._cons(
-                kind,
-                var,
-                (n0 if w0 else TERMINAL_INDEX, n1 if w1 else TERMINAL_INDEX),
-                (nw0, nw1),
-            )
-            return (index, factor_index)
+            if not w0:
+                if not w1:
+                    return ZERO_E
+                # sum() over the cleaned pair: 0 + 0.0 + |w1|**2.
+                norm = math.sqrt(0.0 + abs(w1) ** 2)
+                factor = cmath.rect(norm, cmath.phase(w1))
+                successors = (TERMINAL_INDEX, n1)
+                wsuccs = (0, lookup_index(complex(abs(w1) / norm, 0.0)))
+            elif not w1:
+                norm = math.sqrt(0.0 + abs(w0) ** 2)
+                factor = cmath.rect(norm, cmath.phase(w0))
+                successors = (n0, TERMINAL_INDEX)
+                wsuccs = (lookup_index(complex(abs(w0) / norm, 0.0)), 0)
+            else:
+                norm = math.sqrt(abs(w0) ** 2 + abs(w1) ** 2)
+                factor = cmath.rect(norm, cmath.phase(w0))
+                successors = (n0, n1)
+                wsuccs = (
+                    lookup_index(complex(abs(w0) / norm, 0.0)),
+                    lookup_index(w1 / factor),
+                )
+            return (self._cons(kind, var, successors, wsuccs), factor)
         # MAX_MAGNITUDE (matrix nodes; vector nodes under that scheme).
-        key = (kind,) + tuple(w for _n, w in edges)
-        hit = self._norm_memo.get(key)
-        if hit is None:
-            values = weights._values
-            vals = [values[w] for _n, w in edges]
-            magnitudes = [abs(v) for v in vals]
-            maximum = max(magnitudes)
-            if maximum == 0.0:
+        if kind == VECTOR:
+            hit = self._max_magnitude(tuple(w for _n, w in edges), None)
+            if hit is None:
                 return ZERO_E
-            threshold = maximum - weights.tolerance
-            pivot = next(
-                k for k, magnitude in enumerate(magnitudes) if magnitude >= threshold
-            )
-            factor = vals[pivot]
-            lookup_index = weights.lookup_index
-            stable = True
-            wsuccs = []
-            for k, (_n, w) in enumerate(edges):
-                if w == 0:
-                    wsuccs.append(0)
-                elif k == pivot:
-                    wsuccs.append(WeightPool.ONE_INDEX)
-                else:
-                    raw = vals[k] / factor
-                    widx = lookup_index(raw)
-                    if widx != 0 and values[widx] != raw:
-                        stable = False
-                    wsuccs.append(widx)
-            # The pivot weight is already canonical, so its lookup always
-            # resolves at distance zero.
-            hit = (lookup_index(factor), tuple(wsuccs))
-            if stable:
-                memo = self._norm_memo
-                if len(memo) >= self._WEIGHT_MEMO_CAP:
-                    memo.clear()
-                memo[key] = hit
-        factor_index, wsuccs = hit
-        successors = tuple(
-            n if w else TERMINAL_INDEX for n, w in edges
+            successors = tuple(n if w else TERMINAL_INDEX for n, w in edges)
+            return (self._cons(kind, var, successors, hit[1]), hit[0])
+        (n0, w0), (n1, w1), (n2, w2), (n3, w3) = edges
+        if (
+            self.identity_skipping and not w1 and not w2 and w0 and n0 == n3
+            and (w0 == w3 or self.weights.is_one(w3 / w0))
+        ):
+            self.identity_skips += 1
+            return (n0, w0)
+        raw = (w0, w1, w2, w3)
+        hit = self._norm_memo.get(raw)
+        if hit is None:
+            hit = self._max_magnitude(raw, self._norm_memo)
+            if hit is None:
+                return ZERO_E
+        successors = (
+            n0 if w0 else TERMINAL_INDEX,
+            n1 if w1 else TERMINAL_INDEX,
+            n2 if w2 else TERMINAL_INDEX,
+            n3 if w3 else TERMINAL_INDEX,
         )
-        index = self._cons(kind, var, successors, wsuccs)
-        return (index, factor_index)
+        return (self._cons(kind, var, successors, hit[1]), hit[0])
+
+    def _max_magnitude(
+        self, raw: Tuple[complex, ...], memo: Optional[dict]
+    ) -> Optional[Tuple[complex, Tuple[int, ...]]]:
+        """``(factor, stored weight indices)`` of a row of raw weights under
+        the max-magnitude rule, or ``None`` if every weight is zero.
+
+        The factor is the pivot weight itself, raw.  The decomposition goes
+        into ``memo`` only if every stored weight resolved at distance zero:
+        no later mint can change it then.
+        """
+        magnitudes = [abs(w) for w in raw]
+        maximum = max(magnitudes)
+        if maximum == 0.0:
+            return None
+        threshold = maximum - self._tolerance
+        pivot = next(
+            k for k, magnitude in enumerate(magnitudes) if magnitude >= threshold
+        )
+        factor = raw[pivot]
+        lookup_index = self.weights.lookup_index
+        values = self.weights._values
+        stable = True
+        wsuccs = []
+        for k, w in enumerate(raw):
+            if not w:
+                wsuccs.append(0)
+            elif k == pivot:
+                wsuccs.append(WeightPool.ONE_INDEX)
+            else:
+                quotient = w / factor
+                widx = lookup_index(quotient)
+                if widx and values[widx] != quotient:
+                    stable = False
+                wsuccs.append(widx)
+        hit = (factor, tuple(wsuccs))
+        if stable and memo is not None:
+            if len(memo) >= self._NORM_MEMO_CAP:
+                memo.clear()
+            memo[raw] = hit
+        return hit
 
     def make_node_public(self, kind: int, var: int, edges: Sequence[Edge]) -> Edge:
-        """Package-boundary constructor taking ordinary edge objects."""
+        """Package-boundary constructor taking ordinary edge objects.
+
+        Cleans the edges as :func:`~repro.dd.normalization.normalize`
+        does (non-finite weights are rejected, numerically zero ones become
+        zero stubs), then builds through :meth:`make_node`.
+        """
         arity = 2 if kind == VECTOR else 4
         if len(edges) != arity:
             noun = "two" if arity == 2 else "four"
             name = "vector" if arity == 2 else "matrix"
             raise ValueError(f"{name} nodes have exactly {noun} successors")
-        converted = tuple(
-            Edge(self.node_index(edge.node), edge.weight) for edge in edges
-        )
-        return self.to_edge(kind, self.make_node_values(kind, var, converted))
+        converted = []
+        for edge in edges:
+            weight = complex(edge.weight)
+            if not (math.isfinite(weight.real) and math.isfinite(weight.imag)):
+                raise DDError(f"non-finite edge weight {weight!r} in normalization")
+            if self.weights.is_zero(weight):
+                converted.append(ZERO_E)
+            else:
+                converted.append((self.node_index(edge.node), weight))
+        return self.to_edge(kind, self.make_node(kind, var, converted))
 
     # ------------------------------------------------------------------
-    # arithmetic (index level)
+    # arithmetic (in-flight edges)
     # ------------------------------------------------------------------
-    def add(
-        self, kind: int, left: Tuple[int, int], right: Tuple[int, int]
-    ) -> Tuple[int, int]:
+    def add(self, kind: int, left: RawEdge, right: RawEdge) -> RawEdge:
         ln, lw = left
         rn, rw = right
-        if lw == 0:
+        if not lw:
             return right
-        if rw == 0:
+        if not rw:
             return left
         if ln < 0 and rn < 0:
-            total = self._add_index(lw, rw)
-            if total == 0:
+            total = lw + rw
+            tol = self._tolerance
+            if -tol < total.real < tol and -tol < total.imag < tol:
                 return ZERO_E
             return (TERMINAL_INDEX, total)
         pool = self.vpool if kind == VECTOR else self.mpool
@@ -676,20 +597,21 @@ class PooledEngine:
         if order[rn] < order[ln]:
             ln, lw, rn, rw = rn, rw, ln, lw
         # Factor the left weight out: l + r = w_l * (l/w_l + r/w_l).
-        ratio = self._div_index(rw, lw)
+        ratio = rw / lw
         key = (kind, ln, rn, ratio)
         cache = self._add_cache
         cached = cache.lookup(key)
         if cached is None:
             arity = pool.arity
             succ, wsucc = pool.succ, pool.wsucc
+            values = self.weights._values
             lbase = ln * arity
             rbase = rn * arity
             children = [
                 self.add(
                     kind,
-                    (succ[lbase + k], wsucc[lbase + k]),
-                    self.scale((succ[rbase + k], wsucc[rbase + k]), ratio),
+                    (succ[lbase + k], values[wsucc[lbase + k]]),
+                    self.scale((succ[rbase + k], values[wsucc[rbase + k]]), ratio),
                 )
                 for k in range(arity)
             ]
@@ -697,8 +619,8 @@ class PooledEngine:
             cache.insert(key, cached)
         return self.scale(cached, lw)
 
-    def _mchildren_at(self, index: int, var: int, widx: int):
-        """Successors of ``widx * node`` viewed as a matrix node at ``var``.
+    def _mchildren_at(self, index: int, var: int, weight: complex):
+        """Successors of ``weight * node`` viewed as a matrix node at ``var``.
 
         With identity skipping, the terminal or a node below ``var`` stands
         for ``I ⊗ ... ⊗ node`` — virtually a diagonal node ``(e, 0, 0, e)``.
@@ -706,16 +628,15 @@ class PooledEngine:
         if index >= 0 and self.mpool.var[index] == var:
             base = index * 4
             succ, wsucc = self.mpool.succ, self.mpool.wsucc
+            values = self.weights._values
             return tuple(
-                self.scale((succ[base + k], wsucc[base + k]), widx)
+                self.scale((succ[base + k], values[wsucc[base + k]]), weight)
                 for k in range(4)
             )
-        unit = (index, widx)
+        unit = (index, weight)
         return (unit, ZERO_E, ZERO_E, unit)
 
-    def _add_skipping(
-        self, left: Tuple[int, int], right: Tuple[int, int]
-    ) -> Tuple[int, int]:
+    def _add_skipping(self, left: RawEdge, right: RawEdge) -> RawEdge:
         """Matrix addition across mismatched (skipped) levels."""
         ln, lw = left
         rn, rw = right
@@ -727,12 +648,12 @@ class PooledEngine:
             pool.var[ln] if ln >= 0 else -1,
             pool.var[rn] if rn >= 0 else -1,
         )
-        ratio = self._div_index(rw, lw)
+        ratio = rw / lw
         key = (MATRIX, ln, rn, ratio)
         cache = self._add_cache
         cached = cache.lookup(key)
         if cached is None:
-            lchildren = self._mchildren_at(ln, var, 1)
+            lchildren = self._mchildren_at(ln, var, ONE)
             rchildren = self._mchildren_at(rn, var, ratio)
             children = [
                 self.add(MATRIX, lchildren[k], rchildren[k]) for k in range(4)
@@ -741,14 +662,14 @@ class PooledEngine:
             cache.insert(key, cached)
         return self.scale(cached, lw)
 
-    def multiply_mv(
-        self, m_edge: Tuple[int, int], v_edge: Tuple[int, int]
-    ) -> Tuple[int, int]:
+    def multiply_mv(self, m_edge: RawEdge, v_edge: RawEdge) -> RawEdge:
         mn, mw = m_edge
         vn, vw = v_edge
-        if mw == 0 or vw == 0:
+        if not mw or not vw:
             return ZERO_E
-        factor = self._mul_index(mw, vw)
+        factor = self._product(mw, vw)
+        if not factor:
+            return ZERO_E
         if mn < 0 and vn < 0:
             return (TERMINAL_INDEX, factor)
         if self.identity_skipping and vn >= 0:
@@ -769,18 +690,20 @@ class PooledEngine:
         if cached is None:
             msucc, mwsucc = self.mpool.succ, self.mpool.wsucc
             vsucc, vwsucc = self.vpool.succ, self.vpool.wsucc
+            values = self.weights._values
             mbase = mn * 4
             vbase = vn * 2
-            v0 = (vsucc[vbase], vwsucc[vbase])
-            v1 = (vsucc[vbase + 1], vwsucc[vbase + 1])
+            v0 = (vsucc[vbase], values[vwsucc[vbase]])
+            v1 = (vsucc[vbase + 1], values[vwsucc[vbase + 1]])
             children = [
                 self.add(
                     VECTOR,
                     self.multiply_mv(
-                        (msucc[mbase + 2 * i], mwsucc[mbase + 2 * i]), v0
+                        (msucc[mbase + 2 * i], values[mwsucc[mbase + 2 * i]]), v0
                     ),
                     self.multiply_mv(
-                        (msucc[mbase + 2 * i + 1], mwsucc[mbase + 2 * i + 1]), v1
+                        (msucc[mbase + 2 * i + 1], values[mwsucc[mbase + 2 * i + 1]]),
+                        v1,
                     ),
                 )
                 for i in (0, 1)
@@ -789,18 +712,19 @@ class PooledEngine:
             cache.insert(key, cached)
         return self.scale(cached, factor)
 
-    def _multiply_mv_skipping(self, mn: int, vn: int) -> Tuple[int, int]:
+    def _multiply_mv_skipping(self, mn: int, vn: int) -> RawEdge:
         """Matrix-vector product where the matrix skips the vector's level."""
         vvar = self.vpool.var[vn]
         key = (mn, vn)
         cache = self._mult_mv_cache
         cached = cache.lookup(key)
         if cached is None:
-            mchildren = self._mchildren_at(mn, vvar, 1)
+            mchildren = self._mchildren_at(mn, vvar, ONE)
             vsucc, vwsucc = self.vpool.succ, self.vpool.wsucc
+            values = self.weights._values
             vbase = vn * 2
-            v0 = (vsucc[vbase], vwsucc[vbase])
-            v1 = (vsucc[vbase + 1], vwsucc[vbase + 1])
+            v0 = (vsucc[vbase], values[vwsucc[vbase]])
+            v1 = (vsucc[vbase + 1], values[vwsucc[vbase + 1]])
             children = [
                 self.add(
                     VECTOR,
@@ -813,15 +737,15 @@ class PooledEngine:
             cache.insert(key, cached)
         return cached
 
-    def _multiply_mm_skipping(self, an: int, bn: int) -> Tuple[int, int]:
+    def _multiply_mm_skipping(self, an: int, bn: int) -> RawEdge:
         """Matrix-matrix product across mismatched (skipped) levels."""
         var = max(self.mpool.var[an], self.mpool.var[bn])
         key = (an, bn)
         cache = self._mult_mm_cache
         cached = cache.lookup(key)
         if cached is None:
-            achildren = self._mchildren_at(an, var, 1)
-            bchildren = self._mchildren_at(bn, var, 1)
+            achildren = self._mchildren_at(an, var, ONE)
+            bchildren = self._mchildren_at(bn, var, ONE)
             children = []
             for i in (0, 1):
                 for j in (0, 1):
@@ -838,14 +762,14 @@ class PooledEngine:
             cache.insert(key, cached)
         return cached
 
-    def multiply_mm(
-        self, a_edge: Tuple[int, int], b_edge: Tuple[int, int]
-    ) -> Tuple[int, int]:
+    def multiply_mm(self, a_edge: RawEdge, b_edge: RawEdge) -> RawEdge:
         an, aw = a_edge
         bn, bw = b_edge
-        if aw == 0 or bw == 0:
+        if not aw or not bw:
             return ZERO_E
-        factor = self._mul_index(aw, bw)
+        factor = self._product(aw, bw)
+        if not factor:
+            return ZERO_E
         if an < 0 and bn < 0:
             return (TERMINAL_INDEX, factor)
         if self.identity_skipping:
@@ -867,21 +791,24 @@ class PooledEngine:
         cached = cache.lookup(key)
         if cached is None:
             succ, wsucc = self.mpool.succ, self.mpool.wsucc
+            values = self.weights._values
             abase = an * 4
             bbase = bn * 4
             children = []
             for i in (0, 1):
                 for j in (0, 1):
+                    a0 = abase + 2 * i
+                    b0 = bbase + j
                     children.append(
                         self.add(
                             MATRIX,
                             self.multiply_mm(
-                                (succ[abase + 2 * i], wsucc[abase + 2 * i]),
-                                (succ[bbase + j], wsucc[bbase + j]),
+                                (succ[a0], values[wsucc[a0]]),
+                                (succ[b0], values[wsucc[b0]]),
                             ),
                             self.multiply_mm(
-                                (succ[abase + 2 * i + 1], wsucc[abase + 2 * i + 1]),
-                                (succ[bbase + 2 + j], wsucc[bbase + 2 + j]),
+                                (succ[a0 + 1], values[wsucc[a0 + 1]]),
+                                (succ[b0 + 2], values[wsucc[b0 + 2]]),
                             ),
                         )
                     )
@@ -892,55 +819,56 @@ class PooledEngine:
     def kron(
         self,
         kind: int,
-        top: Tuple[int, int],
-        bottom: Tuple[int, int],
+        top: RawEdge,
+        bottom: RawEdge,
         shift: int,
-    ) -> Tuple[int, int]:
-        if top[1] == 0 or bottom[1] == 0:
+    ) -> RawEdge:
+        if not top[1] or not bottom[1]:
             return ZERO_E
-        factor = self._mul_index(top[1], bottom[1])
+        factor = self._product(top[1], bottom[1])
+        if not factor:
+            return ZERO_E
         result = self.kron_nodes(kind, top[0], bottom[0], shift)
         return self.scale(result, factor)
 
-    def kron_nodes(
-        self, kind: int, top: int, bottom: int, shift: int
-    ) -> Tuple[int, int]:
+    def kron_nodes(self, kind: int, top: int, bottom: int, shift: int) -> RawEdge:
         if top < 0:
-            return (bottom, 1)
+            return (bottom, ONE)
         key = (kind, top, bottom, shift)
         cache = self._kron_cache
         cached = cache.lookup(key)
         if cached is None:
             pool = self.vpool if kind == VECTOR else self.mpool
+            values = self.weights._values
             children = []
             for succ, wsucc in pool.edges_of(top):
                 if wsucc == 0:
                     children.append(ZERO_E)
                 else:
                     sub = self.kron_nodes(kind, succ, bottom, shift)
-                    children.append(self.scale(sub, wsucc))
+                    children.append(self.scale(sub, values[wsucc]))
             cached = self.make_node(kind, pool.var[top] + shift, children)
             cache.insert(key, cached)
         return cached
 
-    def adjoint(self, operation: Tuple[int, int]) -> Tuple[int, int]:
-        if operation[1] == 0:
+    def adjoint(self, operation: RawEdge) -> RawEdge:
+        if not operation[1]:
             return ZERO_E
-        weights = self.weights
-        weight = weights.lookup_index(weights._values[operation[1]].conjugate())
         result = self.adjoint_node(operation[0])
-        return self.scale(result, weight)
+        return self.scale(result, operation[1].conjugate())
 
-    def adjoint_node(self, index: int) -> Tuple[int, int]:
+    def adjoint_node(self, index: int) -> RawEdge:
         if index < 0:
             return ONE_E
         cached = self._adjoint_cache.lookup(index)
         if cached is None:
             succ, wsucc = self.mpool.succ, self.mpool.wsucc
+            values = self.weights._values
             base = index * 4
             transposed = (base, base + 2, base + 1, base + 3)
             children = [
-                self.adjoint((succ[offset], wsucc[offset])) for offset in transposed
+                self.adjoint((succ[offset], values[wsucc[offset]]))
+                for offset in transposed
             ]
             cached = self.make_node(MATRIX, self.mpool.var[index], children)
             self._adjoint_cache.insert(index, cached)
@@ -986,15 +914,12 @@ class PooledEngine:
 
         The shared compute tables are cleared by the package; this hook
         exists so ``clear_caches``/HARD collections also reset state whose
-        keys embed canonical weight values.  The weight-arithmetic memos
-        are keyed on (and resolve to) weight indices, so they MUST be
-        dropped before any sweep can recycle an index.
+        keys embed canonical weight values.  The matrix normalization memo
+        resolves to weight indices, so it MUST be dropped before any sweep
+        can recycle an index.
         """
         self._gate_ids.clear()
         self._kernel_cache.clear()
-        self._wmul.clear()
-        self._wdiv.clear()
-        self._wadd.clear()
         self._norm_memo.clear()
 
     def gate_id(self, op_key: tuple) -> int:
@@ -1148,14 +1073,14 @@ class PooledApplyKernel:
     The recursion takes the diagonal / antidiagonal shortcuts, selects
     branches for controls above the target and uses the projector chain
     ``CU = I + P (U - I)`` for controls below it.  It operates on
-    ``(node_index, weight_index)`` pairs, with the apply-cache keyed
+    in-flight ``(node_index, complex)`` edges, with the apply-cache keyed
     ``(interned gate id, node index)`` so repeated gates hash two small
     integers instead of a nested unitary tuple.
     """
 
     __slots__ = (
         "engine", "weights", "pool", "cache", "mode", "kind",
-        "u", "u_val", "target", "controls", "low", "below", "below_map",
+        "u_val", "d00", "d11", "target", "controls", "low", "below", "below_map",
         "below_low", "op_id", "proj_id", "kernel", "cacheable",
         "skipping", "high", "lines", "below_lines",
     )
@@ -1184,15 +1109,17 @@ class PooledApplyKernel:
             matrix = matrix.T
         raw_values = tuple(complex(matrix[i, j]) for i in (0, 1) for j in (0, 1))
         self.u_val = tuple(self._canonical_value(value) for value in raw_values)
-        exact = self.weights._exact
-        self.u = tuple(
-            0 if value == ComplexTable.ZERO else exact[value] for value in self.u_val
-        )
+        is_zero = self.weights.is_zero
+        # The diagonal of U - I, raw, for controls below the target
+        # (CU = I + P (U - I)).
+        d00 = self.u_val[0] - 1.0
+        d11 = self.u_val[3] - 1.0
+        self.d00 = ZERO if is_zero(d00) else d00
+        self.d11 = ZERO if is_zero(d11) else d11
         # Reusable across applications iff every matrix entry resolved at
         # distance zero (canonically zero, or bit-identical to its
         # representative): a later mint can then never change the
         # canonicalization, so a fresh construction would be identical.
-        is_zero = self.weights.is_zero
         self.cacheable = all(
             is_zero(raw) or canonical == raw
             for raw, canonical in zip(raw_values, self.u_val)
@@ -1235,14 +1162,8 @@ class PooledApplyKernel:
     def _canonical_value(self, value: complex) -> complex:
         value = complex(value)
         if self.weights.is_zero(value):
-            return ComplexTable.ZERO
+            return ZERO
         return self.weights.lookup(value)
-
-    def _canonical_index(self, value: complex) -> int:
-        value = complex(value)
-        if self.weights.is_zero(value):
-            return 0
-        return self.weights.lookup_index(value)
 
     # -- entry -----------------------------------------------------------
     def run(self, root: Edge) -> Edge:
@@ -1253,11 +1174,10 @@ class PooledApplyKernel:
         if self.skipping:
             if not node.is_terminal and not isinstance(node, MatrixNode):
                 raise DDError("apply kernels need a matrix DD root")
-            index = engine.node_index(node)
+            index, weight = engine.from_edge(root)
             entry = self.high if index < 0 else max(self.high, self.pool.var[index])
-            widx = self.weights.lookup_index(root.weight)
             return engine.to_edge(
-                self.kind, engine.scale(self._rec_s(index, entry), widx)
+                self.kind, engine.scale(self._rec_s(index, entry), weight)
             )
         expected = VectorNode if self.mode == "v" else MatrixNode
         if node.is_terminal or not isinstance(node, expected):
@@ -1267,17 +1187,15 @@ class PooledApplyKernel:
             raise DDError(
                 f"gate lines exceed the DD's qubit range (root level {node.var})"
             )
-        engine = self.engine
-        index = engine.node_index(node)
-        widx = self.weights.lookup_index(root.weight)
-        return engine.to_edge(self.kind, engine.scale(self._rec(index), widx))
+        index, weight = engine.from_edge(root)
+        return engine.to_edge(self.kind, engine.scale(self._rec(index), weight))
 
     # -- recursion over untouched upper levels ---------------------------
-    def _rec(self, index: int) -> Tuple[int, int]:
+    def _rec(self, index: int) -> RawEdge:
         if index < 0 or self.pool.var[index] < self.low:
             # Everything the gate touches lies above: the subtree (possibly
             # the terminal) is shared unchanged.
-            return (index, 1)
+            return (index, ONE)
         key = (self.op_id, index)
         cache = self.cache
         cached = cache.lookup(key)
@@ -1286,12 +1204,12 @@ class PooledApplyKernel:
             cache.insert(key, cached)
         return cached
 
-    def _rec_edge(self, edge: Tuple[int, int]) -> Tuple[int, int]:
-        if edge[1] == 0:
+    def _rec_edge(self, edge: RawEdge) -> RawEdge:
+        if not edge[1]:
             return ZERO_E
         return self.engine.scale(self._rec(edge[0]), edge[1])
 
-    def _expand(self, index: int) -> Tuple[int, int]:
+    def _expand(self, index: int) -> RawEdge:
         var = self.pool.var[index]
         pairs = self._pairs(index)
         if var == self.target:
@@ -1315,7 +1233,7 @@ class PooledApplyKernel:
 
     # -- the target level -----------------------------------------------
     def _apply_target(self, pair):
-        u00, u01, u10, u11 = self.u
+        u00, u01, u10, u11 = self.u_val
         c0, c1 = pair
         engine = self.engine
         scale = engine.scale
@@ -1324,17 +1242,16 @@ class PooledApplyKernel:
             # Controls below the target: CU = I + P (U - I), with the
             # projector chain P applied to the subtrees first.
             add = engine.add
-            d00 = self._canonical_index(self.u_val[0] - 1.0)
-            d11 = self._canonical_index(self.u_val[3] - 1.0)
+            d00, d11 = self.d00, self.d11
             p0 = self._proj_edge(c0)
             p1 = self._proj_edge(c1)
             new0 = add(kind, c0, add(kind, scale(p0, d00), scale(p1, u01)))
             new1 = add(kind, c1, add(kind, scale(p0, u10), scale(p1, d11)))
             return (new0, new1)
-        if self.u_val[1] == ComplexTable.ZERO and self.u_val[2] == ComplexTable.ZERO:
+        if not u01 and not u10:
             # Diagonal shortcut: only the edge weights change.
             return (scale(c0, u00), scale(c1, u11))
-        if self.u_val[0] == ComplexTable.ZERO and self.u_val[3] == ComplexTable.ZERO:
+        if not u00 and not u11:
             # Anti-diagonal shortcut (X/Y): swap the successors.
             return (scale(c1, u01), scale(c0, u10))
         add = engine.add
@@ -1343,14 +1260,14 @@ class PooledApplyKernel:
         return (new0, new1)
 
     # -- projector chain for controls below the target -------------------
-    def _proj_edge(self, edge: Tuple[int, int]) -> Tuple[int, int]:
-        if edge[1] == 0:
+    def _proj_edge(self, edge: RawEdge) -> RawEdge:
+        if not edge[1]:
             return ZERO_E
         return self.engine.scale(self._proj(edge[0]), edge[1])
 
-    def _proj(self, index: int) -> Tuple[int, int]:
+    def _proj(self, index: int) -> RawEdge:
         if index < 0 or self.pool.var[index] < self.below_low:
-            return (index, 1)
+            return (index, ONE)
         key = (self.proj_id, index)
         cache = self.cache
         cached = cache.lookup(key)
@@ -1386,18 +1303,18 @@ class PooledApplyKernel:
             return self._pairs(index)
         # The node skips this level: virtually a diagonal (e, 0, 0, e),
         # identical under row ("ml") and column ("mr") grouping.
-        unit = (index, 1)
+        unit = (index, ONE)
         return ((unit, ZERO_E), (ZERO_E, unit))
 
-    def _rec_s_edge(self, edge: Tuple[int, int], level: int) -> Tuple[int, int]:
-        if edge[1] == 0:
+    def _rec_s_edge(self, edge: RawEdge, level: int) -> RawEdge:
+        if not edge[1]:
             return ZERO_E
         return self.engine.scale(self._rec_s(edge[0], level), edge[1])
 
-    def _rec_s(self, index: int, level: int) -> Tuple[int, int]:
+    def _rec_s(self, index: int, level: int) -> RawEdge:
         line = self._next_line(self.lines, level)
         if line is None:
-            return (index, 1)
+            return (index, ONE)
         key = (self.op_id, index, line)
         cache = self.cache
         cached = cache.lookup(key)
@@ -1428,38 +1345,37 @@ class PooledApplyKernel:
         return cached
 
     def _apply_target_s(self, pair):
-        u00, u01, u10, u11 = self.u
+        u00, u01, u10, u11 = self.u_val
         c0, c1 = pair
         engine = self.engine
         scale = engine.scale
         kind = self.kind
         if self.below:
             add = engine.add
-            d00 = self._canonical_index(self.u_val[0] - 1.0)
-            d11 = self._canonical_index(self.u_val[3] - 1.0)
+            d00, d11 = self.d00, self.d11
             p0 = self._proj_s_edge(c0, self.target - 1)
             p1 = self._proj_s_edge(c1, self.target - 1)
             new0 = add(kind, c0, add(kind, scale(p0, d00), scale(p1, u01)))
             new1 = add(kind, c1, add(kind, scale(p0, u10), scale(p1, d11)))
             return (new0, new1)
-        if self.u_val[1] == ComplexTable.ZERO and self.u_val[2] == ComplexTable.ZERO:
+        if not u01 and not u10:
             return (scale(c0, u00), scale(c1, u11))
-        if self.u_val[0] == ComplexTable.ZERO and self.u_val[3] == ComplexTable.ZERO:
+        if not u00 and not u11:
             return (scale(c1, u01), scale(c0, u10))
         add = engine.add
         new0 = add(kind, scale(c0, u00), scale(c1, u01))
         new1 = add(kind, scale(c0, u10), scale(c1, u11))
         return (new0, new1)
 
-    def _proj_s_edge(self, edge: Tuple[int, int], level: int) -> Tuple[int, int]:
-        if edge[1] == 0:
+    def _proj_s_edge(self, edge: RawEdge, level: int) -> RawEdge:
+        if not edge[1]:
             return ZERO_E
         return self.engine.scale(self._proj_s(edge[0], level), edge[1])
 
-    def _proj_s(self, index: int, level: int) -> Tuple[int, int]:
+    def _proj_s(self, index: int, level: int) -> RawEdge:
         line = self._next_line(self.below_lines, level)
         if line is None:
-            return (index, 1)
+            return (index, ONE)
         key = (self.proj_id, index, line)
         cache = self.cache
         cached = cache.lookup(key)
@@ -1492,8 +1408,9 @@ class PooledApplyKernel:
         pool = self.pool
         base = index * pool.arity
         succ, wsucc = pool.succ, pool.wsucc
+        values = self.weights._values
         edges = [
-            (succ[base + k], wsucc[base + k]) for k in range(pool.arity)
+            (succ[base + k], values[wsucc[base + k]]) for k in range(pool.arity)
         ]
         if self.mode == "v":
             return (tuple(edges),)
@@ -1503,7 +1420,7 @@ class PooledApplyKernel:
         # "mr": column pairs per row i: (U_i0, U_i1).
         return ((edges[0], edges[1]), (edges[2], edges[3]))
 
-    def _make(self, var: int, new_pairs) -> Tuple[int, int]:
+    def _make(self, var: int, new_pairs) -> RawEdge:
         if self.mode == "v":
             return self.engine.make_node(VECTOR, var, new_pairs[0])
         if self.mode == "ml":

@@ -79,7 +79,7 @@ class _ForcedGenericKernel(PooledApplyKernel):
         self.op_id = package._pooled.gate_id(("generic-test", self.op_id))
 
     def _apply_target(self, pair):
-        u00, u01, u10, u11 = self.u
+        u00, u01, u10, u11 = self.u_val
         c0, c1 = pair
         add, scale, kind = self.engine.add, self.engine.scale, self.kind
         return (

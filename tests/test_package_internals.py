@@ -9,7 +9,7 @@ import pytest
 
 from repro.dd import DDPackage
 from repro.dd.pool import TERMINAL_INDEX
-from repro.dd.pooled import MATRIX, VECTOR
+from repro.dd.pooled import MATRIX, PooledApplyKernel, VECTOR
 from repro.qc import library
 from repro.qc.dd_builder import gate_to_dd
 from repro.qc.operations import GateOp
@@ -123,9 +123,10 @@ class TestNumericEdgeCases:
 
 
 class TestWeightMemoSoundness:
-    """The engine's weight-arithmetic memos replay only distance-zero
+    """The engine's matrix normalization memo replays only distance-zero
     lookups: once a representative nearer to a snapped raw value is
-    minted, every helper must answer what a fresh lookup answers."""
+    minted, a stored successor weight must follow what a fresh lookup
+    answers."""
 
     @staticmethod
     def _plant_far(weights, raw):
@@ -145,31 +146,13 @@ class TestWeightMemoSoundness:
         assert weights.lookup_index(raw) == near
         return near
 
-    @pytest.mark.parametrize("op", ["mul", "div", "add"])
-    def test_arithmetic_memos_follow_a_nearer_mint(self, op):
-        engine = DDPackage()._pooled
-        weights = engine.weights
-        a = weights.lookup_index(0.3 + 0.1j)
-        b = weights.lookup_index(0.7 - 0.2j)
-        va, vb = weights.value(a), weights.value(b)
-        raw, helper = {
-            "mul": (va * vb, engine._mul_index),
-            "div": (va / vb, engine._div_index),
-            "add": (va + vb, engine._add_index),
-        }[op]
-        far = self._plant_far(weights, raw)
-        assert helper(a, b) == far
-        assert helper(a, b) == far
-        near = self._mint_nearer(weights, raw, far)
-        assert helper(a, b) == near == weights.lookup_index(raw)
-
     def test_matrix_make_node_follows_a_nearer_mint(self):
         engine = DDPackage()._pooled
         weights = engine.weights
-        pivot = weights.lookup_index(2.0 + 0.0j)
-        other = weights.lookup_index(0.3 + 0.1j)
+        pivot = 2.0 + 0.0j
+        other = 0.3 + 0.1j
         # The max-magnitude rule divides by the pivot: by 2, exactly.
-        raw = weights.value(other) / 2.0
+        raw = other / 2.0
         edges = [(TERMINAL_INDEX, w) for w in (pivot, other, other, pivot)]
         far = self._plant_far(weights, raw)
 
@@ -186,23 +169,75 @@ class TestWeightMemoSoundness:
     def test_vector_make_node_follows_a_nearer_mint(self):
         engine = DDPackage()._pooled
         weights = engine.weights
-        w0 = weights.lookup_index(0.6 + 0.2j)
-        w1 = weights.lookup_index(-0.3 + 0.5j)
-        v0, v1 = weights.value(w0), weights.value(w1)
-        # The L2 rule: factor = |(v0, v1)| with the phase of v0, and the
-        # second weight becomes v1 / factor.
-        factor = weights.lookup(
-            cmath.rect(math.sqrt(abs(v0) ** 2 + abs(v1) ** 2), cmath.phase(v0))
-        )
+        v0, v1 = 0.6 + 0.2j, -0.3 + 0.5j
+        # The L2 rule: factor = |(v0, v1)| with the phase of v0 (kept raw),
+        # and the second weight becomes v1 / factor.
+        factor = cmath.rect(math.sqrt(abs(v0) ** 2 + abs(v1) ** 2), cmath.phase(v0))
         raw = v1 / factor
-        edges = [(TERMINAL_INDEX, w0), (TERMINAL_INDEX, w1)]
+        edges = [(TERMINAL_INDEX, v0), (TERMINAL_INDEX, v1)]
         far = self._plant_far(weights, raw)
 
         def second_weight():
-            index, _factor = engine.make_node(VECTOR, 0, edges)
+            index, returned = engine.make_node(VECTOR, 0, edges)
+            assert returned == factor
             return engine.vpool.wsucc[2 * index + 1]
 
         assert second_weight() == far
         assert second_weight() == far
         near = self._mint_nearer(weights, raw, far)
         assert second_weight() == near == weights.lookup_index(raw)
+
+
+class TestOnlyStoredWeightsAreMinted:
+    """In-flight weights stay raw: a simulation mints a complex-table entry
+    only for a successor weight some node stores, a root weight handed out
+    at the package boundary, or an entry of a gate kernel's matrix."""
+
+    def test_cold_simulation_mints_only_stored_weights(self, monkeypatch):
+        circuit = library.random_circuit(8, 60, seed=4)
+        package = DDPackage()
+        weights = package.complex_table
+        engine = package._pooled
+        minted = []
+        boundary = set()
+        kernel_entries = set()
+        mint = weights._mint
+        to_edge = engine.to_edge
+        canonical_value = PooledApplyKernel._canonical_value
+
+        def recording_mint(value, cell):
+            index = mint(value, cell)
+            minted.append(index)
+            return index
+
+        def recording_to_edge(kind, edge):
+            result = to_edge(kind, edge)
+            boundary.add(result.weight)
+            return result
+
+        def recording_canonical_value(kernel, value):
+            result = canonical_value(kernel, value)
+            kernel_entries.add(result)
+            return result
+
+        monkeypatch.setattr(weights, "_mint", recording_mint)
+        monkeypatch.setattr(engine, "to_edge", recording_to_edge)
+        monkeypatch.setattr(
+            PooledApplyKernel, "_canonical_value", recording_canonical_value
+        )
+        DDSimulator(circuit, package=package).run_all()
+        assert package.stats()["governance"]["gc_runs"] == 0
+
+        stored = set()
+        for pool in (engine.vpool, engine.mpool):
+            for index in pool.live_indices():
+                stored.update(widx for _succ, widx in pool.edges_of(index))
+        unexplained = [
+            weights.value(index)
+            for index in minted
+            if index not in stored
+            and weights.value(index) not in boundary
+            and weights.value(index) not in kernel_entries
+        ]
+        assert len(minted) > 100
+        assert unexplained == []
