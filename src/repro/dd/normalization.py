@@ -17,18 +17,15 @@ be deterministic; two schemes are provided:
     broken towards the smallest index), which then becomes exactly 1.  This
     is the classic QMDD scheme and is used for matrix nodes, where an L2
     interpretation does not apply.
+
+Both rules are applied by :meth:`repro.dd.pooled.PooledEngine.make_node`;
+``make_node_public`` first clamps numerically zero weights to the zero stub
+and rejects non-finite ones.
 """
 
 from __future__ import annotations
 
-import cmath
 import enum
-import math
-from typing import Sequence, Tuple
-
-from repro.dd.complex_table import ComplexTable
-from repro.dd.edge import Edge, ZERO_EDGE
-from repro.errors import DDError
 
 
 class NormalizationScheme(enum.Enum):
@@ -36,97 +33,3 @@ class NormalizationScheme(enum.Enum):
 
     L2 = "l2"
     MAX_MAGNITUDE = "max-magnitude"
-
-
-def _clean_edges(edges: Sequence[Edge], table: ComplexTable) -> Tuple[Edge, ...]:
-    """Replace numerically-zero weights by the canonical zero stub.
-
-    Clamps both component-wise sub-tolerance weights (the canonical-zero
-    definition) and weights whose *magnitude* is below the tolerance, so a
-    ``|w| < tolerance`` edge can never become a division pivot — dividing
-    by such a weight amplifies its rounding noise into a garbage phase on
-    every sibling edge.  Non-finite weights are rejected outright: they
-    would otherwise silently win the max-magnitude pivot selection.
-    """
-    cleaned = []
-    for edge in edges:
-        weight = edge.weight
-        if not (math.isfinite(weight.real) and math.isfinite(weight.imag)):
-            raise DDError(f"non-finite edge weight {weight!r} in normalization")
-        if (
-            weight == ComplexTable.ZERO
-            or table.is_zero(weight)
-            or abs(weight) < table.tolerance
-        ):
-            cleaned.append(ZERO_EDGE)
-        else:
-            cleaned.append(edge)
-    return tuple(cleaned)
-
-
-def normalize(
-    edges: Sequence[Edge],
-    table: ComplexTable,
-    scheme: NormalizationScheme,
-) -> Tuple[complex, Tuple[Edge, ...]]:
-    """Normalize a node's successor edges.
-
-    Returns ``(common_factor, normalized_edges)`` such that scaling the
-    normalized edges by ``common_factor`` recovers the original weights.
-    If all edges are zero, the common factor is 0 and all edges are zero
-    stubs (the caller then collapses the whole node to a zero stub).
-    """
-    edges = _clean_edges(edges, table)
-    if all(edge.is_zero for edge in edges):
-        return ComplexTable.ZERO, edges
-    if scheme is NormalizationScheme.L2:
-        return _normalize_l2(edges, table)
-    return _normalize_max(edges, table)
-
-
-def _normalize_l2(
-    edges: Tuple[Edge, ...], table: ComplexTable
-) -> Tuple[complex, Tuple[Edge, ...]]:
-    norm = math.sqrt(sum(abs(edge.weight) ** 2 for edge in edges))
-    first = next(index for index, edge in enumerate(edges) if not edge.is_zero)
-    phase = cmath.phase(edges[first].weight)
-    factor = table.lookup(cmath.rect(norm, phase))
-    normalized = []
-    for index, edge in enumerate(edges):
-        if edge.is_zero:
-            normalized.append(ZERO_EDGE)
-        elif index == first:
-            # Exactly real and non-negative by construction.
-            weight = table.lookup(complex(abs(edge.weight) / norm, 0.0))
-            normalized.append(Edge(edge.node, weight))
-        else:
-            normalized.append(Edge(edge.node, table.lookup(edge.weight / factor)))
-    return factor, tuple(normalized)
-
-
-def _normalize_max(
-    edges: Tuple[Edge, ...], table: ComplexTable
-) -> Tuple[complex, Tuple[Edge, ...]]:
-    magnitudes = [abs(edge.weight) for edge in edges]
-    # Tolerance-aware pivot: the first edge whose magnitude ties with the
-    # maximum.  A plain argmax would let ~1e-16 rounding noise pick
-    # different pivots for equal diagrams, breaking canonicity.
-    maximum = max(magnitudes)
-    # ">=" rather than ">": for large magnitudes the tolerance subtraction
-    # is absorbed (maximum - tol == maximum) and a strict comparison would
-    # match nothing.
-    pivot = next(
-        index
-        for index, magnitude in enumerate(magnitudes)
-        if magnitude >= maximum - table.tolerance
-    )
-    factor = edges[pivot].weight
-    normalized = []
-    for index, edge in enumerate(edges):
-        if edge.is_zero:
-            normalized.append(ZERO_EDGE)
-        elif index == pivot:
-            normalized.append(Edge(edge.node, ComplexTable.ONE))
-        else:
-            normalized.append(Edge(edge.node, table.lookup(edge.weight / factor)))
-    return factor, tuple(normalized)

@@ -16,10 +16,11 @@ independent dense simulator.
 At the package boundary the engine hands out lightweight *views*
 (:class:`PooledVectorNode` / :class:`PooledMatrixNode`): real
 ``VectorNode``/``MatrixNode`` subclasses whose ``edges`` tuple is
-materialized lazily from the pool arrays.  Views keep ``isinstance`` checks,
-serialization, visualization and the sanitizer working unchanged, and they
-double as GC roots: a diagram is live exactly while some view of it is
-reachable from Python, so ordinary references govern liveness.
+materialized lazily from the pool arrays, once per view.  Views keep
+``isinstance`` checks, serialization, visualization and the sanitizer
+working unchanged, and they double as GC roots: a diagram is live exactly
+while some view of it is reachable from Python, so ordinary references
+govern liveness.
 
 Index invariants (enforced by the sanitizer's ``pool-*`` checks):
 
@@ -85,11 +86,20 @@ class _PooledViewMixin:
     Views bypass ``Node.__init__``: ``var``/``uid`` are copied from the pool
     (the uid is the pool's creation-order stamp — stable across view
     re-materialization, unique per allocation) and ``edges`` is a property
-    that builds the successor tuple from the pool arrays on demand.  The
-    ``edges`` *setter* stores an override used by fault injection to model
-    post-consing mutation; the sanitizer compares the override against the
-    pool-derived signature, so a node mutated after consing no longer
-    matches its stored table key.
+    that builds the successor tuple from the pool arrays on first access
+    and memoizes it in ``_edges``.  The memo cannot go stale, for three
+    reasons:
+
+    1. :meth:`PooledEngine.sweep` marks every live view, so a view's slot
+       is never freed or recycled while the view exists;
+    2. :class:`~repro.dd.pool.NodePool` writes ``var``/``succ``/``wsucc``
+       only in ``alloc``, so a live slot's successors never change;
+    3. the weights of a marked node survive ``WeightPool.sweep_indices``.
+
+    The ``edges`` *setter* stores its value in the same slot; fault
+    injection uses it to model post-consing mutation.  The sanitizer
+    compares the stored tuple against the pool-derived signature, so a node
+    mutated after consing no longer matches its stored table key.
     """
 
     __slots__ = ()
@@ -100,18 +110,18 @@ class _PooledViewMixin:
         self.uid = pool.order[index]
         self._engine = engine
         self._index = index
-        self._edges_override = None
+        self._edges = None
 
     @property
     def edges(self):
-        override = self._edges_override
-        if override is not None:
-            return override
-        return self._engine.view_edges(self._KIND, self._index)
+        edges = self._edges
+        if edges is None:
+            edges = self._edges = self._engine.view_edges(self._KIND, self._index)
+        return edges
 
     @edges.setter
     def edges(self, value):
-        self._edges_override = value
+        self._edges = value
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = type(self).__name__
@@ -121,7 +131,7 @@ class _PooledViewMixin:
 class PooledVectorNode(_PooledViewMixin, VectorNode):
     """View of a pooled vector node (a real :class:`VectorNode`)."""
 
-    __slots__ = ("_engine", "_index", "_edges_override")
+    __slots__ = ("_engine", "_index", "_edges")
     _KIND = VECTOR
 
     def __init__(self, engine: "PooledEngine", index: int):
@@ -131,7 +141,7 @@ class PooledVectorNode(_PooledViewMixin, VectorNode):
 class PooledMatrixNode(_PooledViewMixin, MatrixNode):
     """View of a pooled matrix node (a real :class:`MatrixNode`)."""
 
-    __slots__ = ("_engine", "_index", "_edges_override")
+    __slots__ = ("_engine", "_index", "_edges")
     _KIND = MATRIX
 
     def __init__(self, engine: "PooledEngine", index: int):
@@ -441,13 +451,13 @@ class PooledEngine:
     def make_node(self, kind: int, var: int, edges: Sequence[RawEdge]) -> RawEdge:
         """Normalize + cons from in-flight edges; returns ``(index, factor)``.
 
-        Inlines :func:`~repro.dd.normalization.normalize` on the raw
-        weights (``_clean_edges`` is the identity here: an in-flight weight
-        is exactly zero or not sub-tolerance).  Only the successor weights
-        the node stores go through the complex table; the extracted factor
-        is returned raw.  A zero input weight sends its successor to the
-        terminal; a normalized weight that collapses to zero keeps its
-        successor, as :func:`normalize` does.
+        Applies the :class:`~repro.dd.normalization.NormalizationScheme`
+        rules on the raw weights (no cleaning is needed here: an in-flight
+        weight is exactly zero or not sub-tolerance).  Only the successor
+        weights the node stores go through the complex table; the extracted
+        factor is returned raw.  A zero input weight sends its successor to
+        the terminal; a normalized weight that collapses to zero keeps its
+        successor.
         """
         if kind == VECTOR and self.vector_scheme is NormalizationScheme.L2:
             lookup_index = self.weights.lookup_index
@@ -546,9 +556,8 @@ class PooledEngine:
     def make_node_public(self, kind: int, var: int, edges: Sequence[Edge]) -> Edge:
         """Package-boundary constructor taking ordinary edge objects.
 
-        Cleans the edges as :func:`~repro.dd.normalization.normalize`
-        does (non-finite weights are rejected, numerically zero ones become
-        zero stubs), then builds through :meth:`make_node`.
+        Cleans the edges (non-finite weights are rejected, numerically zero
+        ones become zero stubs), then builds through :meth:`make_node`.
         """
         arity = 2 if kind == VECTOR else 4
         if len(edges) != arity:

@@ -419,15 +419,16 @@ class VerificationSession:
         )
 
     def _frame(self, description: str) -> Frame:
-        status = f"{self.node_count} nodes"
+        node_count = self.node_count
         return Frame(
             svg=self.current_svg(),
             title=(
                 f"G: {self._left_position}/{len(self._left_gates)}  |  "
-                f"G': {self._right_position}/{len(self._right_gates)}  |  {status}"
+                f"G': {self._right_position}/{len(self._right_gates)}  |  "
+                f"{node_count} nodes"
             ),
             description=description,
             text=self.current_text(),
-            node_count=self.node_count,
+            node_count=node_count,
             position=self._left_position + self._right_position,
         )

@@ -13,11 +13,12 @@ belongs (paper Fig. 8's screenshots).
 from __future__ import annotations
 
 import html
-from typing import List, Optional
+import weakref
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import VisualizationError
 from repro.qc.circuit import QuantumCircuit
-from repro.qc.operations import BarrierOp, GateOp, MeasureOp, ResetOp
+from repro.qc.operations import BarrierOp, GateOp, MeasureOp, Operation, ResetOp
 
 _COLUMN = 46.0
 _ROW = 42.0
@@ -30,15 +31,15 @@ def _escape(text: str) -> str:
     return html.escape(text, quote=True)
 
 
-def _columns(circuit: QuantumCircuit) -> List[List[int]]:
+def _columns(operations: Sequence[Operation], num_qubits: int) -> List[List[int]]:
     """Greedy layering: operations packed left as far as wires allow.
 
     Returns, per column, the indices of the operations placed in it.
     """
-    levels = [0] * circuit.num_qubits
+    levels = [0] * num_qubits
     columns: List[List[int]] = []
-    for index, operation in enumerate(circuit):
-        lines = operation.qubits or tuple(range(circuit.num_qubits))
+    for index, operation in enumerate(operations):
+        lines = operation.qubits or tuple(range(num_qubits))
         span = range(min(lines), max(lines) + 1)
         column = max(levels[q] for q in span)
         while len(columns) <= column:
@@ -49,63 +50,120 @@ def _columns(circuit: QuantumCircuit) -> List[List[int]]:
     return columns
 
 
+class _Drawing:
+    """One circuit's drawing, prepared once and reused for every progress.
+
+    Holds the layering's result: the SVG head (open tag, title, wires) and,
+    per operation in drawing order, its elements in each of the three
+    states ``circuit_to_svg`` can ask for — plain, executed and pending.
+    Only the state picked per operation depends on ``progress``.  The
+    drawing is built from the circuit's operations and qubit count and
+    keeps no reference to the circuit, so a cache keyed weakly on the
+    circuit lets the circuit die.
+    """
+
+    __slots__ = ("length", "title", "_head", "_order", "_states")
+
+    def __init__(
+        self,
+        operations: Sequence[Operation],
+        num_qubits: int,
+        title: Optional[str],
+    ):
+        self.length = len(operations)
+        self.title = title
+        columns = _columns(operations, num_qubits)
+        num_columns = max(len(columns), 1)
+        width = _LEFT + num_columns * _COLUMN + 20.0
+        top = _TOP + (22.0 if title else 0.0)
+        height = top + num_qubits * _ROW + 8.0
+
+        def wire_y(qubit: int) -> float:
+            # Top wire = most significant qubit.
+            return top + (num_qubits - 1 - qubit) * _ROW + _ROW / 2.0
+
+        parts: List[str] = []
+        if title:
+            parts.append(
+                f'<text x="{width / 2:.1f}" y="16" font-size="13" '
+                f'text-anchor="middle" font-family="Helvetica, sans-serif">'
+                f"{_escape(title)}</text>"
+            )
+        for qubit in range(num_qubits):
+            y = wire_y(qubit)
+            parts.append(
+                f'<text x="{_LEFT - 10:.1f}" y="{y + 4:.1f}" font-size="12" '
+                f'text-anchor="end" font-family="monospace">q{qubit}</text>'
+            )
+            parts.append(
+                f'<line x1="{_LEFT:.1f}" y1="{y:.1f}" '
+                f'x2="{width - 12:.1f}" y2="{y:.1f}" stroke="#333" '
+                f'stroke-width="1" />'
+            )
+        self._head = (
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
+            f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">'
+            f"\n  " + "\n  ".join(parts)
+        )
+        self._order: List[int] = []
+        self._states: List[Tuple[str, ...]] = []
+        for column_index, indices in enumerate(columns):
+            x = _LEFT + (column_index + 0.5) * _COLUMN
+            for op_index in indices:
+                operation = operations[op_index]
+                self._order.append(op_index)
+                self._states.append(tuple(
+                    "\n  ".join(_draw_operation(operation, x, wire_y, color, extra))
+                    for color, extra in _STATES
+                ))
+
+    def render(self, progress: Optional[int]) -> str:
+        if progress is None:
+            progress = -1  # nothing executed, nothing pending
+        chunks = [self._head]
+        chunks.extend(
+            states[
+                _EXECUTED if op_index < progress
+                else _PENDING if op_index == progress
+                else _PLAIN
+            ]
+            for op_index, states in zip(self._order, self._states)
+        )
+        return "\n  ".join(chunks) + "\n</svg>"
+
+
+#: ``(color, extra attributes)`` of an operation's three drawing states.
+_STATES = (
+    ("#333333", ""),
+    ("#1f77b4", ""),
+    ("#333333", ' stroke-dasharray="4,3"'),
+)
+_PLAIN, _EXECUTED, _PENDING = range(3)
+
+_DRAWINGS: "weakref.WeakKeyDictionary[QuantumCircuit, _Drawing]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
 def circuit_to_svg(
     circuit: QuantumCircuit,
     progress: Optional[int] = None,
     title: Optional[str] = None,
 ) -> str:
     """Render ``circuit`` as SVG; operations before ``progress`` are
-    highlighted as executed (blue), the next pending one is outlined."""
+    highlighted as executed (blue), the next pending one is outlined.
+
+    The layering and every operation's elements are prepared once per
+    circuit and title and reused by later calls; a circuit that grew since
+    (circuits are append-only, operations frozen) is drawn afresh.
+    """
     if circuit.num_qubits > 24:
         raise VisualizationError("circuit drawings are limited to 24 qubits")
-    columns = _columns(circuit)
-    num_columns = max(len(columns), 1)
-    width = _LEFT + num_columns * _COLUMN + 20.0
-    top = _TOP + (22.0 if title else 0.0)
-    height = top + circuit.num_qubits * _ROW + 8.0
-
-    def wire_y(qubit: int) -> float:
-        # Top wire = most significant qubit.
-        return top + (circuit.num_qubits - 1 - qubit) * _ROW + _ROW / 2.0
-
-    parts: List[str] = []
-    if title:
-        parts.append(
-            f'<text x="{width / 2:.1f}" y="16" font-size="13" '
-            f'text-anchor="middle" font-family="Helvetica, sans-serif">'
-            f"{_escape(title)}</text>"
-        )
-    for qubit in range(circuit.num_qubits):
-        y = wire_y(qubit)
-        parts.append(
-            f'<text x="{_LEFT - 10:.1f}" y="{y + 4:.1f}" font-size="12" '
-            f'text-anchor="end" font-family="monospace">q{qubit}</text>'
-        )
-        parts.append(
-            f'<line x1="{_LEFT:.1f}" y1="{y:.1f}" '
-            f'x2="{width - 12:.1f}" y2="{y:.1f}" stroke="#333" '
-            f'stroke-width="1" />'
-        )
-
-    for column_index, operations in enumerate(columns):
-        x = _LEFT + (column_index + 0.5) * _COLUMN
-        for op_index in operations:
-            operation = circuit[op_index]
-            executed = progress is not None and op_index < progress
-            pending = progress is not None and op_index == progress
-            color = "#1f77b4" if executed else "#333333"
-            extra = (
-                ' stroke-dasharray="4,3"' if pending else ""
-            )
-            parts.extend(
-                _draw_operation(operation, x, wire_y, color, extra)
-            )
-    body = "\n  ".join(parts)
-    return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
-        f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">'
-        f"\n  {body}\n</svg>"
-    )
+    drawing = _DRAWINGS.get(circuit)
+    if drawing is None or drawing.length != len(circuit) or drawing.title != title:
+        drawing = _Drawing(circuit.operations, circuit.num_qubits, title)
+        _DRAWINGS[circuit] = drawing
+    return drawing.render(progress)
 
 
 def _draw_operation(operation, x, wire_y, color, extra) -> List[str]:

@@ -9,6 +9,7 @@ paper's alternative to cluttered explicit weight labels.
 from __future__ import annotations
 
 import colorsys
+import functools
 import math
 
 from repro.dd.complex_table import phase_of
@@ -40,11 +41,14 @@ def weight_to_width(
     return minimum + (maximum - minimum) * magnitude
 
 
+@functools.lru_cache(maxsize=4096)
 def pretty_complex(value: complex, digits: int = 4) -> str:
     """Human-readable rendering of a complex weight.
 
     Recognizes the values ubiquitous in quantum circuits (integers, simple
     fractions and ``1/sqrt(2)^k``) and falls back to rounded ``a+bi``.
+    Pure in ``(value, digits)``, so a diagram's few distinct labels are
+    formatted once across every frame that draws them.
     """
     real, imag = value.real, value.imag
     if abs(imag) < 1e-12:

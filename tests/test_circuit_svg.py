@@ -1,5 +1,7 @@
 """Unit tests for the SVG circuit renderer."""
 
+import gc
+import weakref
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -99,3 +101,32 @@ class TestCircuitSvg:
             lambda: library.phase_estimation(3, 0.25),
         ):
             ET.fromstring(circuit_to_svg(factory()))
+
+
+class TestDrawingReuse:
+    """``circuit_to_svg`` reuses a per-circuit drawing across calls."""
+
+    def test_append_after_drawing_redraws(self):
+        circuit = library.qft(3)
+        circuit_to_svg(circuit, progress=2)
+        circuit.h(0).barrier().x(2)
+        for progress in (None, 0, 2, len(circuit)):
+            assert circuit_to_svg(circuit, progress=progress) == circuit_to_svg(
+                circuit.copy(), progress=progress
+            )
+
+    def test_title_change_redraws(self):
+        circuit = library.bell_pair()
+        plain = circuit_to_svg(circuit)
+        titled = circuit_to_svg(circuit, title="Bell")
+        assert ">Bell</text>" in titled
+        assert circuit_to_svg(circuit) == plain
+
+    def test_drawing_does_not_keep_the_circuit_alive(self):
+        circuit = library.qft(4)
+        circuit_to_svg(circuit, progress=1)
+        circuit_to_svg(circuit, progress=2, title="QFT")
+        ref = weakref.ref(circuit)
+        del circuit
+        gc.collect()
+        assert ref() is None

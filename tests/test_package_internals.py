@@ -241,3 +241,42 @@ class TestOnlyStoredWeightsAreMinted:
         ]
         assert len(minted) > 100
         assert unexplained == []
+
+
+class TestViewEdgeMemo:
+    """A view builds its successor tuple once and keeps it; the memo stays
+    equal to the pool across collections that free and recycle slots."""
+
+    @staticmethod
+    def _random_state(rng, num_qubits):
+        amplitudes = rng.normal(size=2**num_qubits) + 1j * rng.normal(size=2**num_qubits)
+        return (amplitudes / np.linalg.norm(amplitudes)).tolist()
+
+    def test_memo_is_built_once_and_survives_slot_recycling(self):
+        rng = np.random.default_rng(3)
+        package = DDPackage()
+        engine = package._pooled
+        kept = package.from_state_vector(self._random_state(rng, 4))
+        assert kept.node.edges is kept.node.edges
+        garbage = [
+            package.from_state_vector(self._random_state(rng, 4)) for _ in range(4)
+        ]
+        # Memoize every successor tuple of the kept diagram before the sweep.
+        nodes = [kept.node]
+        for node in nodes:
+            nodes.extend(edge.node for edge in node.edges if edge.node.var >= 0)
+        del garbage
+        gc.collect()
+        package.gc(force=True)
+        freed = len(engine.vpool.free_list)
+        assert freed > 0
+        recycled = [
+            package.from_state_vector(self._random_state(rng, 4)) for _ in range(4)
+        ]
+        assert len(engine.vpool.free_list) < freed
+        for node in nodes:
+            assert node.edges == engine.view_edges(VECTOR, node._index)
+            successors = engine.vpool.edges_of(node._index)
+            for edge, (child, _weight) in zip(node.edges, successors):
+                assert edge.node is engine.view(VECTOR, child)
+        assert all(state.node.var == 3 for state in recycled)
