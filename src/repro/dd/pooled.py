@@ -321,6 +321,9 @@ class PooledEngine:
         # are memoized: no later mint can resolve those differently.  A
         # raw-keyed vector memo was measured and costs more than it saves.
         self._norm_memo: Dict[tuple, tuple] = {}
+        # Reachable-node counts per kind, keyed by node index; see
+        # ``count_nodes``.
+        self._counts: Tuple[Dict[int, int], Dict[int, int]] = ({}, {})
         self._tolerance = weights.tolerance
 
     _NORM_MEMO_CAP = 1 << 17
@@ -387,9 +390,26 @@ class PooledEngine:
         return pool.var[index]
 
     def count_nodes(self, kind: int, index: int) -> int:
-        """Reachable non-terminal node count, walked on the flat arrays."""
+        """Reachable non-terminal node count, memoized per node index.
+
+        Soundness: a pool writes a slot's ``var``/``succ``/``wsucc`` only
+        in ``alloc``, and ``alloc`` reuses only slots that ``sweep`` freed.
+        So the nodes reachable from an index cannot change between sweeps,
+        and ``sweep`` drops the memo (``clear_memos``) before it frees any
+        slot.  The same argument backs the views' successor memo.  Bound:
+        the keys are allocated slot indices, so the memo never holds more
+        entries than the pools have slots.
+        """
         if index < 0:
             return 0
+        counts = self._counts[kind]
+        count = counts.get(index)
+        if count is None:
+            count = counts[index] = self._count_reachable(kind, index)
+        return count
+
+    def _count_reachable(self, kind: int, index: int) -> int:
+        """Walk the flat arrays from ``index``, counting non-terminals."""
         pool = self.vpool if kind == VECTOR else self.mpool
         succ = pool.succ
         arity = pool.arity
@@ -924,12 +944,15 @@ class PooledEngine:
         The shared compute tables are cleared by the package; this hook
         exists so ``clear_caches``/HARD collections also reset state whose
         keys embed canonical weight values.  The matrix normalization memo
-        resolves to weight indices, so it MUST be dropped before any sweep
-        can recycle an index.
+        resolves to weight indices and the node-count memo is keyed by node
+        indices, so both MUST be dropped before any sweep can recycle an
+        index.
         """
         self._gate_ids.clear()
         self._kernel_cache.clear()
         self._norm_memo.clear()
+        for counts in self._counts:
+            counts.clear()
 
     def gate_id(self, op_key: tuple) -> int:
         """Intern an apply-kernel operation key to a small integer."""

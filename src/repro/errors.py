@@ -54,6 +54,11 @@ class ParseError(ReproError):
         super().__init__(message)
 
 
+class CircuitTooLargeError(ParseError):
+    """The input declares or expands to more qubits or operations than the
+    parser's size caps allow."""
+
+
 class SimulationError(ReproError):
     """Error during circuit simulation (e.g. stepping past the end)."""
 

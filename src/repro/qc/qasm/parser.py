@@ -10,18 +10,51 @@ Qubit mapping: quantum registers are concatenated in declaration order;
 ``q[0]`` of the first register is line 0 (the least-significant qubit
 ``q_0`` in the paper's big-endian convention).  Classical registers are
 concatenated likewise.
+
+A gate body may call only gates declared before it, as OpenQASM 2.0
+requires: each call is bound when the body is parsed, which gives every
+definition a fixed expanded size and nesting depth.
+
+Caps
+----
+Every input is bounded while it is parsed, so no text makes the parser
+build an unbounded circuit or recurse without limit.  The size caps
+(``MAX_REGISTER_SIZE``, ``MAX_BITS``, ``MAX_OPERATIONS``) raise
+:class:`~repro.errors.CircuitTooLargeError`; the shape caps
+(``MAX_EXPRESSION_DEPTH``, ``MAX_INT_DIGITS`` and the gate-definition
+nesting) raise a plain :class:`~repro.errors.ParseError`.  The largest
+input that any test, benchmark, campaign, perfbench workload or example in
+this repository parses has a 16-qubit register, 661 operations,
+expressions 3 deep, integer literals of 2 digits and gate definitions
+nested 2 deep.  Every cap is at least 16 times that.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+import operator
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from repro.errors import ParseError
+from repro.errors import CircuitTooLargeError, ParseError
 from repro.qc.circuit import QuantumCircuit
 from repro.qc.operations import BarrierOp, GateOp, MeasureOp, Operation, ResetOp
 from repro.qc.qasm.tokens import Token, TokenType, tokenize
+
+#: Qubits (or classical bits) in one register.
+MAX_REGISTER_SIZE = 256
+#: Qubits in all quantum registers together; the same cap holds for
+#: classical bits.
+MAX_BITS = 1024
+#: Operations after broadcasting and gate-definition expansion.
+MAX_OPERATIONS = 20_000
+#: Height of one parameter expression: nested parentheses, signs,
+#: function calls, powers and chained binary operators.
+MAX_EXPRESSION_DEPTH = 64
+#: Digits of an integer literal (register sizes, indices, ``if`` values):
+#: enough for any value of a ``MAX_REGISTER_SIZE``-bit register.
+MAX_INT_DIGITS = 80
+#: Nesting of gate definitions calling gate definitions.
+_MAX_EXPANSION_DEPTH = 64
 
 # ----------------------------------------------------------------------
 # expression AST
@@ -38,32 +71,46 @@ _FUNCTIONS: Dict[str, Callable[[float], float]] = {
     "atan": math.atan,
 }
 
+_BINARY: Dict[str, Callable[[float, float], float]] = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "^": operator.pow,
+}
+
 
 class Expr:
-    """Base class of parameter-expression AST nodes."""
+    """Base class of parameter-expression AST nodes.
+
+    ``depth`` is the node's height; the parser refuses a node deeper than
+    ``MAX_EXPRESSION_DEPTH``, which bounds the recursion of ``evaluate``.
+    """
+
+    __slots__ = ("depth",)
 
     def evaluate(self, env: Dict[str, float]) -> float:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class Num(Expr):
-    value: float
+    __slots__ = ("value",)
+
+    def __init__(self, value: float):
+        self.value = value
+        self.depth = 1
 
     def evaluate(self, env):
         return self.value
 
 
-@dataclass(frozen=True)
-class Pi(Expr):
-    def evaluate(self, env):
-        return math.pi
-
-
-@dataclass(frozen=True)
 class Param(Expr):
-    name: str
-    line: int
+    __slots__ = ("name", "line")
+
+    def __init__(self, name: str, line: int):
+        self.name = name
+        self.line = line
+        self.depth = 1
 
     def evaluate(self, env):
         if self.name not in env:
@@ -71,73 +118,100 @@ class Param(Expr):
         return env[self.name]
 
 
-@dataclass(frozen=True)
-class UnOp(Expr):
-    op: str
-    operand: Expr
+class Neg(Expr):
+    __slots__ = ("operand",)
+
+    def __init__(self, operand: Expr):
+        self.operand = operand
+        self.depth = operand.depth + 1
 
     def evaluate(self, env):
-        value = self.operand.evaluate(env)
-        return -value if self.op == "-" else value
+        return -self.operand.evaluate(env)
 
 
-@dataclass(frozen=True)
 class BinOp(Expr):
-    op: str
-    left: Expr
-    right: Expr
+    __slots__ = ("op", "left", "right", "token")
+
+    def __init__(self, op: str, left: Expr, right: Expr, token: Token):
+        self.op = op
+        self.left = left
+        self.right = right
+        self.token = token
+        self.depth = max(left.depth, right.depth) + 1
 
     def evaluate(self, env):
         left = self.left.evaluate(env)
         right = self.right.evaluate(env)
-        if self.op == "+":
-            return left + right
-        if self.op == "-":
-            return left - right
-        if self.op == "*":
-            return left * right
-        if self.op == "/":
-            return left / right
-        return left**right  # "^"
+        try:
+            value = _BINARY[self.op](left, right)
+        except ArithmeticError as error:  # division by zero, overflow
+            raise _eval_error(f"{left!r} {self.op} {right!r}", error, self.token)
+        if isinstance(value, complex):  # a negative base to a fractional power
+            raise _eval_error(f"{left!r} {self.op} {right!r}", "not a real number",
+                              self.token)
+        return value
 
 
-@dataclass(frozen=True)
 class Func(Expr):
-    name: str
-    argument: Expr
+    __slots__ = ("name", "argument", "token")
+
+    def __init__(self, name: str, argument: Expr, token: Token):
+        self.name = name
+        self.argument = argument
+        self.token = token
+        self.depth = argument.depth + 1
 
     def evaluate(self, env):
-        return _FUNCTIONS[self.name](self.argument.evaluate(env))
+        argument = self.argument.evaluate(env)
+        try:
+            return _FUNCTIONS[self.name](argument)
+        except (ValueError, OverflowError) as error:  # domain, range
+            raise _eval_error(f"{self.name}({argument!r})", error, self.token)
+
+
+def _eval_error(expression: str, reason, token: Token) -> ParseError:
+    return ParseError(f"cannot evaluate {expression}: {reason}", token.line, token.column)
 
 
 # ----------------------------------------------------------------------
 # gate definitions
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class _GateCall:
-    name: str
+class _GateCall(NamedTuple):
+    """A call in a gate body, bound to its target when the body is parsed;
+    ``qargs`` are positions in the enclosing definition's qubit list."""
+
+    target: Union["_GateDef", "_Native"]
     params: Tuple[Expr, ...]
-    qargs: Tuple[str, ...]
-    line: int
+    qargs: Tuple[int, ...]
+    token: Token
 
 
-@dataclass(frozen=True)
-class _GateBarrier:
-    qargs: Tuple[str, ...]
+class _GateBarrier(NamedTuple):
+    qargs: Tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class _GateDef:
-    name: str
-    params: Tuple[str, ...]
-    qargs: Tuple[str, ...]
-    body: Tuple[Union[_GateCall, _GateBarrier], ...]
+    """A user gate.  ``size`` is its expanded operation count (clamped just
+    above ``MAX_OPERATIONS``) and ``depth`` its definition nesting."""
+
+    def __init__(self, params: Tuple[str, ...], num_qubits: int,
+                 body: Tuple[Union[_GateCall, _GateBarrier], ...]):
+        self.params = params
+        self.body = body
+        self.arity = (len(params), num_qubits)
+        size = depth = 0
+        for item in body:
+            if isinstance(item, _GateBarrier):
+                size += 1
+            else:
+                size += item.target.size
+                depth = max(depth, item.target.depth)
+        self.size = min(size, MAX_OPERATIONS + 1)
+        self.depth = depth + 1
 
 
 #: Argument reference: (register name, index or None for the whole register).
 _Argument = Tuple[str, Optional[int]]
-
-_MAX_EXPANSION_DEPTH = 64
 
 
 class _QasmParser:
@@ -171,7 +245,7 @@ class _QasmParser:
 
     def _expect_symbol(self, symbol: str) -> Token:
         token = self._next()
-        if token.type is not TokenType.SYMBOL or token.text != symbol:
+        if token.text != symbol or token.type is not TokenType.SYMBOL:
             raise self._error(f"expected {symbol!r}, found {token.text!r}", token)
         return token
 
@@ -187,15 +261,24 @@ class _QasmParser:
         token = self._next()
         if token.type is not TokenType.INT:
             raise self._error(f"expected integer, found {token.text!r}", token)
+        if len(token.text) > MAX_INT_DIGITS:
+            raise self._error(
+                f"integer literal longer than {MAX_INT_DIGITS} digits", token
+            )
         return int(token.text)
 
     def _at_symbol(self, symbol: str) -> bool:
-        token = self._peek()
-        return token.type is TokenType.SYMBOL and token.text == symbol
+        token = self.tokens[self.position]
+        return token.text == symbol and token.type is TokenType.SYMBOL
 
-    def _at_id(self, keyword: str) -> bool:
-        token = self._peek()
-        return token.type is TokenType.ID and token.text == keyword
+    def _reserve(self, count: int, token: Token) -> None:
+        """Refuse, before emitting them, operations past MAX_OPERATIONS."""
+        if len(self.operations) + count > MAX_OPERATIONS:
+            raise CircuitTooLargeError(
+                f"the circuit expands to more than {MAX_OPERATIONS} operations",
+                token.line,
+                token.column,
+            )
 
     # ------------------------------------------------------------------
     # top level
@@ -265,11 +348,20 @@ class _QasmParser:
         self._expect_symbol(";")
         if size <= 0:
             raise self._error(f"register {name!r} must have positive size", name_token)
+        offset = self.num_qubits if quantum else self.num_clbits
+        if size > MAX_REGISTER_SIZE or offset + size > MAX_BITS:
+            bits = "qubits" if quantum else "classical bits"
+            raise CircuitTooLargeError(
+                f"register {name!r} of size {size} exceeds the cap of "
+                f"{MAX_REGISTER_SIZE} {bits} per register and {MAX_BITS} in total",
+                name_token.line,
+                name_token.column,
+            )
         if quantum:
-            self.qregs[name] = (self.num_qubits, size)
+            self.qregs[name] = (offset, size)
             self.num_qubits += size
         else:
-            self.cregs[name] = (self.num_clbits, size)
+            self.cregs[name] = (offset, size)
             self.num_clbits += size
 
     # ------------------------------------------------------------------
@@ -277,13 +369,15 @@ class _QasmParser:
     # ------------------------------------------------------------------
     def _gate_definition(self) -> None:
         self._expect_id("gate")
-        name = self._expect_id().text
+        name_token = self._expect_id()
+        name = name_token.text
         params: Tuple[str, ...] = ()
         if self._at_symbol("("):
             self._next()
             params = tuple(self._id_list()) if not self._at_symbol(")") else ()
             self._expect_symbol(")")
         qargs = tuple(self._id_list())
+        positions = {qarg: position for position, qarg in enumerate(qargs)}
         self._expect_symbol("{")
         body: List[Union[_GateCall, _GateBarrier]] = []
         while not self._at_symbol("}"):
@@ -292,8 +386,9 @@ class _QasmParser:
                 raise self._error(f"unexpected token {token.text!r} in gate body")
             if token.text == "barrier":
                 self._next()
-                body.append(_GateBarrier(tuple(self._id_list())))
+                names = self._id_list()
                 self._expect_symbol(";")
+                body.append(_GateBarrier(self._bind(names, positions, name, token)))
                 continue
             call_name = self._next().text
             call_params: Tuple[Expr, ...] = ()
@@ -302,11 +397,28 @@ class _QasmParser:
                 if not self._at_symbol(")"):
                     call_params = tuple(self._expression_list())
                 self._expect_symbol(")")
-            call_qargs = tuple(self._id_list())
+            call_qargs = self._bind(self._id_list(), positions, name, token)
             self._expect_symbol(";")
-            body.append(_GateCall(call_name, call_params, call_qargs, token.line))
+            target = self._resolve(call_name, len(call_params), len(call_qargs), token)
+            body.append(_GateCall(target, call_params, call_qargs, token))
         self._expect_symbol("}")
-        self.gate_defs[name] = _GateDef(name, params, qargs, tuple(body))
+        definition = _GateDef(params, len(qargs), tuple(body))
+        if definition.depth > _MAX_EXPANSION_DEPTH:
+            raise self._error(
+                f"gate definitions nested deeper than {_MAX_EXPANSION_DEPTH}",
+                name_token,
+            )
+        self.gate_defs[name] = definition
+
+    def _bind(self, names: Sequence[str], positions: Dict[str, int], gate: str,
+              token: Token) -> Tuple[int, ...]:
+        """Positions of a body call's qubit names in the definition's list."""
+        try:
+            return tuple(positions[name] for name in names)
+        except KeyError as missing:
+            raise self._error(
+                f"unknown qubit argument {missing.args[0]!r} in gate {gate!r}", token
+            ) from None
 
     def _opaque(self) -> None:
         self._expect_id("opaque")
@@ -331,16 +443,17 @@ class _QasmParser:
     # operations
     # ------------------------------------------------------------------
     def _barrier(self) -> None:
-        self._expect_id("barrier")
+        token = self._expect_id("barrier")
         arguments = self._argument_list()
         self._expect_symbol(";")
         lines: List[int] = []
         for argument in arguments:
             lines.extend(self._qubit_lines(argument))
+        self._reserve(1, token)
         self.operations.append(BarrierOp(lines=tuple(lines)))
 
     def _measure(self) -> None:
-        self._expect_id("measure")
+        token = self._expect_id("measure")
         source = self._argument()
         self._expect_symbol("->")
         destination = self._argument()
@@ -351,14 +464,17 @@ class _QasmParser:
             raise ParseError(
                 f"measure size mismatch: {len(qubits)} qubits vs {len(clbits)} bits"
             )
+        self._reserve(len(qubits), token)
         for qubit, clbit in zip(qubits, clbits):
             self.operations.append(MeasureOp(qubit=qubit, clbit=clbit))
 
     def _reset(self) -> None:
-        self._expect_id("reset")
+        token = self._expect_id("reset")
         argument = self._argument()
         self._expect_symbol(";")
-        for qubit in self._qubit_lines(argument):
+        qubits = self._qubit_lines(argument)
+        self._reserve(len(qubits), token)
+        for qubit in qubits:
             self.operations.append(ResetOp(qubit=qubit))
 
     def _if_statement(self) -> None:
@@ -422,188 +538,171 @@ class _QasmParser:
     def _gate_application(self, condition) -> None:
         name_token = self._expect_id()
         name = name_token.text
-        params: List[float] = []
+        params: Tuple[float, ...] = ()
         if self._at_symbol("("):
             self._next()
             if not self._at_symbol(")"):
-                for expression in self._expression_list():
-                    params.append(expression.evaluate({}))
+                params = _evaluate(self._expression_list(), {}, name_token)
             self._expect_symbol(")")
         arguments = self._argument_list()
         self._expect_symbol(";")
-        for lines in self._broadcast(arguments, name_token):
-            self._emit(name, params, lines, condition, name_token, depth=0)
+        applications = self._broadcast(arguments, name_token)
+        target = self._resolve(name, len(params), len(arguments), name_token)
+        self._reserve(len(applications) * target.size, name_token)
+        for lines in applications:
+            self._apply(target, params, tuple(lines), condition)
 
     def _broadcast(
         self, arguments: Sequence[_Argument], token: Token
     ) -> List[List[int]]:
         """Expand whole-register arguments into per-qubit applications."""
         expanded = [self._qubit_lines(argument) for argument in arguments]
-        sizes = {len(lines) for lines in expanded if len(lines) > 1}
+        if all(index is not None for _name, index in arguments):
+            return [[lines[0] for lines in expanded]]
         # Single-qubit arguments always broadcast; full registers must agree.
         register_sizes = {
-            len(self._qubit_lines(argument))
-            for argument in arguments
-            if argument[1] is None
+            len(lines)
+            for (_name, index), lines in zip(arguments, expanded)
+            if index is None
         }
         register_sizes.discard(1)
         if len(register_sizes) > 1:
             raise self._error("mismatched register sizes in broadcast", token)
         repeat = register_sizes.pop() if register_sizes else 1
-        if repeat == 1 and sizes:
-            raise self._error("indexed and register arguments mismatch", token)
-        applications = []
-        for step in range(repeat):
-            lines = []
-            for argument, qubits in zip(arguments, expanded):
-                if argument[1] is None and len(qubits) > 1:
-                    lines.append(qubits[step])
-                else:
-                    lines.append(qubits[0])
-            applications.append(lines)
-        return applications
+        return [
+            [lines[step] if len(lines) > 1 else lines[0] for lines in expanded]
+            for step in range(repeat)
+        ]
 
-    def _emit(
-        self,
-        name: str,
-        params: Sequence[float],
-        lines: Sequence[int],
-        condition,
-        token: Token,
-        depth: int,
-    ) -> None:
-        if depth > _MAX_EXPANSION_DEPTH:
+    def _resolve(self, name: str, num_params: int, num_qubits: int, token: Token):
+        """The user definition or native gate ``name`` names, arity-checked."""
+        target = self.gate_defs.get(name) or _NATIVE_GATES.get(name)
+        if target is None:
+            if name in self.opaque_gates:
+                raise self._error(f"cannot apply opaque gate {name!r}", token)
+            raise self._error(f"unknown gate {name!r}", token)
+        expected_params, expected_qubits = target.arity
+        if num_params != expected_params:
             raise self._error(
-                f"gate expansion too deep (cycle involving {name!r}?)", token
-            )
-        definition = self.gate_defs.get(name)
-        if definition is not None:
-            self._expand(definition, params, lines, condition, token, depth)
-            return
-        builder = _NATIVE_GATES.get(name)
-        if builder is not None:
-            expected_params, expected_qubits = builder.arity
-            if len(params) != expected_params:
-                raise self._error(
-                    f"gate {name!r} takes {expected_params} parameter(s), "
-                    f"got {len(params)}",
-                    token,
-                )
-            if len(lines) != expected_qubits:
-                raise self._error(
-                    f"gate {name!r} takes {expected_qubits} qubit(s), "
-                    f"got {len(lines)}",
-                    token,
-                )
-            self.operations.extend(builder.build(tuple(params), tuple(lines), condition))
-            return
-        if name in self.opaque_gates:
-            raise self._error(f"cannot apply opaque gate {name!r}", token)
-        raise self._error(f"unknown gate {name!r}", token)
-
-    def _expand(
-        self,
-        definition: _GateDef,
-        params: Sequence[float],
-        lines: Sequence[int],
-        condition,
-        token: Token,
-        depth: int,
-    ) -> None:
-        if len(params) != len(definition.params):
-            raise self._error(
-                f"gate {definition.name!r} takes {len(definition.params)} "
-                f"parameter(s), got {len(params)}",
+                f"gate {name!r} takes {expected_params} parameter(s), "
+                f"got {num_params}",
                 token,
             )
-        if len(lines) != len(definition.qargs):
+        if num_qubits != expected_qubits:
             raise self._error(
-                f"gate {definition.name!r} takes {len(definition.qargs)} "
-                f"qubit(s), got {len(lines)}",
+                f"gate {name!r} takes {expected_qubits} qubit(s), got {num_qubits}",
                 token,
             )
-        env = dict(zip(definition.params, params))
-        binding = dict(zip(definition.qargs, lines))
-        for item in definition.body:
+        return target
+
+    def _apply(self, target, params: Tuple[float, ...], lines: Tuple[int, ...],
+               condition) -> None:
+        if not isinstance(target, _GateDef):
+            self.operations.extend(target.build(params, lines, condition))
+            return
+        env = dict(zip(target.params, params))
+        for item in target.body:
+            mapped = tuple(lines[position] for position in item.qargs)
             if isinstance(item, _GateBarrier):
-                self.operations.append(
-                    BarrierOp(lines=tuple(binding[name] for name in item.qargs))
-                )
-                continue
-            values = [expression.evaluate(env) for expression in item.params]
-            try:
-                mapped = [binding[name] for name in item.qargs]
-            except KeyError as missing:
-                raise ParseError(
-                    f"unknown qubit argument {missing.args[0]!r} in gate "
-                    f"{definition.name!r}",
-                    item.line,
-                ) from None
-            self._emit(item.name, values, mapped, condition, token, depth + 1)
+                self.operations.append(BarrierOp(lines=mapped))
+            else:
+                values = _evaluate(item.params, env, item.token)
+                self._apply(item.target, values, mapped, condition)
 
     # ------------------------------------------------------------------
     # expressions
     # ------------------------------------------------------------------
     def _expression_list(self) -> List[Expr]:
-        expressions = [self._expression()]
+        expressions = [self._expression(1)]
         while self._at_symbol(","):
             self._next()
-            expressions.append(self._expression())
+            expressions.append(self._expression(1))
         return expressions
 
-    def _expression(self) -> Expr:
-        left = self._term()
+    def _checked(self, node: Expr, token: Token) -> Expr:
+        if node.depth > MAX_EXPRESSION_DEPTH:
+            raise self._error(
+                f"expression nested deeper than {MAX_EXPRESSION_DEPTH}", token
+            )
+        return node
+
+    def _expression(self, depth: int) -> Expr:
+        left = self._term(depth)
         while self._at_symbol("+") or self._at_symbol("-"):
-            op = self._next().text
-            left = BinOp(op, left, self._term())
+            token = self._next()
+            left = self._checked(BinOp(token.text, left, self._term(depth), token), token)
         return left
 
-    def _term(self) -> Expr:
-        left = self._factor()
+    def _term(self, depth: int) -> Expr:
+        left = self._factor(depth)
         while self._at_symbol("*") or self._at_symbol("/"):
-            op = self._next().text
-            left = BinOp(op, left, self._factor())
+            token = self._next()
+            left = self._checked(BinOp(token.text, left, self._factor(depth), token), token)
         return left
 
-    def _factor(self) -> Expr:
-        base = self._base()
+    def _factor(self, depth: int) -> Expr:
+        base = self._base(depth)
         if self._at_symbol("^"):
-            self._next()
-            return BinOp("^", base, self._factor())  # right-associative
+            token = self._next()
+            # right-associative
+            return self._checked(BinOp("^", base, self._factor(depth + 1), token), token)
         return base
 
-    def _base(self) -> Expr:
+    def _base(self, depth: int) -> Expr:
         token = self._next()
-        if token.type in (TokenType.REAL, TokenType.INT):
-            return Num(float(token.text))
-        if token.type is TokenType.SYMBOL and token.text == "-":
-            return UnOp("-", self._base())
-        if token.type is TokenType.SYMBOL and token.text == "+":
-            return UnOp("+", self._base())
-        if token.type is TokenType.SYMBOL and token.text == "(":
-            inner = self._expression()
-            self._expect_symbol(")")
-            return inner
+        if depth > MAX_EXPRESSION_DEPTH:
+            raise self._error(
+                f"expression nested deeper than {MAX_EXPRESSION_DEPTH}", token
+            )
+        if token.type is TokenType.REAL or token.type is TokenType.INT:
+            try:
+                return Num(float(token.text))
+            except ValueError:  # an exponent without digits: "1e", "1.5e+"
+                raise self._error(f"invalid number {token.text!r}", token) from None
+        if token.type is TokenType.SYMBOL:
+            if token.text == "-":
+                return self._checked(Neg(self._base(depth + 1)), token)
+            if token.text == "+":
+                return self._base(depth + 1)
+            if token.text == "(":
+                inner = self._expression(depth + 1)
+                self._expect_symbol(")")
+                return inner
         if token.type is TokenType.ID:
             if token.text == "pi":
-                return Pi()
+                return Num(math.pi)
             if token.text in _FUNCTIONS:
                 self._expect_symbol("(")
-                argument = self._expression()
+                argument = self._expression(depth + 1)
                 self._expect_symbol(")")
-                return Func(token.text, argument)
+                return self._checked(Func(token.text, argument, token), token)
             return Param(token.text, token.line)
         raise self._error(f"unexpected token {token.text!r} in expression", token)
+
+
+def _evaluate(expressions: Sequence[Expr], env: Dict[str, float],
+              token: Token) -> Tuple[float, ...]:
+    """Gate parameters from their expressions; each must be finite."""
+    values = tuple(expression.evaluate(env) for expression in expressions)
+    for value in values:
+        if not math.isfinite(value):
+            raise ParseError(
+                f"gate parameter {value!r} is not finite", token.line, token.column
+            )
+    return values
 
 
 # ----------------------------------------------------------------------
 # native gate builders (qelib1.inc and the U/CX primitives)
 # ----------------------------------------------------------------------
 class _Native:
-    """A built-in gate: arity plus an operation builder."""
+    """A built-in gate: arity, expanded size plus an operation builder."""
 
-    def __init__(self, num_params: int, num_qubits: int, build):
+    depth = 0
+
+    def __init__(self, num_params: int, num_qubits: int, build, size: int = 1):
         self.arity = (num_params, num_qubits)
+        self.size = size
         self._build = build
 
     def build(self, params, lines, condition) -> List[GateOp]:
@@ -699,7 +798,7 @@ _NATIVE_GATES: Dict[str, _Native] = {
     "iswap": _Native(0, 2, _swap_like("iswap")),
     "iswapdg": _Native(0, 2, _swap_like("iswapdg")),
     "cswap": _Native(0, 3, _swap_like("swap")),
-    "rzz": _Native(1, 2, _rzz),
+    "rzz": _Native(1, 2, _rzz, size=3),
 }
 
 

@@ -1,10 +1,19 @@
-"""Lexer for OpenQASM 2.0."""
+"""Lexer for OpenQASM 2.0.
+
+One compiled pattern is matched at each position of the source: every
+alternative consumes at least one character and the last one takes any
+character, so the matches tile the text.  Identifiers, numbers, symbols
+and whitespace are ASCII, as the OpenQASM 2.0 grammar specifies; comments
+and string literals may hold any character.  Lines are counted only inside
+whitespace, comment and string matches, the only ones that can span a
+newline.
+"""
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterator, List
+import re
+from typing import List, NamedTuple
 
 from repro.errors import ParseError
 
@@ -18,107 +27,62 @@ class TokenType(enum.Enum):
     EOF = "end of input"
 
 
-#: Multi-character symbols must be listed before their prefixes.
-_SYMBOLS = ("->", "==", "(", ")", "[", "]", "{", "}", ";", ",", "+", "-",
-            "*", "/", "^")
-
-
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     type: TokenType
     text: str
     line: int
     column: int
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<{self.type.name} {self.text!r} @{self.line}:{self.column}>"
+
+# One group per alternative: 1 whitespace and comments, 2 string, then
+# the errors 3 open comment and 4 open string (ahead of the "/" symbol),
+# 5 real, 6 int, 7 identifier, 8 symbol, and 9 any other character.
+# Spaces and tabs before a token are consumed outside the groups.  A block
+# comment ends at the first "*/" at or after its "/*", so "/*/" is a whole
+# comment.  A number's exponent may have no digits ("1e"); the parser
+# rejects such a literal with its position.
+_PATTERN = re.compile(
+    r"[ \t]*(?:"
+    r"([ \t\r\n]+|//[^\n]*|/\*(?:/|[\s\S]*?\*/))"
+    r'|("[^"]*")'
+    r'|(/\*)|(")'
+    r"|((?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]*)?|[0-9]+[eE][+-]?[0-9]*)"
+    r"|([0-9]+)"
+    r"|([A-Za-z_][A-Za-z0-9_]*)"
+    r"|(->|==|[()\[\]{};,+\-*/^])"
+    r"|([\s\S])"
+    r")"
+)
+_SKIP, _STRING = 1, 2
+_TYPES = (None, None, TokenType.STRING, None, None, TokenType.REAL,
+          TokenType.INT, TokenType.ID, TokenType.SYMBOL, None)
+_ERRORS = {3: "unterminated block comment", 4: "unterminated string literal"}
 
 
 def tokenize(source: str) -> List[Token]:
     """Turn OpenQASM source text into a token list (ending with EOF)."""
-    return list(_scan(source))
-
-
-def _scan(source: str) -> Iterator[Token]:
-    position = 0
+    tokens: List[Token] = []
+    append = tokens.append
+    make = tuple.__new__  # skips the NamedTuple's Python-level __new__
+    types = _TYPES
     line = 1
-    column = 1
-    length = len(source)
-
-    def advance(count: int) -> None:
-        nonlocal position, line, column
-        for _ in range(count):
-            if position < length and source[position] == "\n":
-                line += 1
-                column = 1
-            else:
-                column += 1
-            position += 1
-
-    while position < length:
-        char = source[position]
-        if char in " \t\r\n":
-            advance(1)
-            continue
-        if source.startswith("//", position):
-            end = source.find("\n", position)
-            advance((end - position) if end != -1 else (length - position))
-            continue
-        if source.startswith("/*", position):
-            end = source.find("*/", position)
-            if end == -1:
-                raise ParseError("unterminated block comment", line, column)
-            advance(end + 2 - position)
-            continue
-        if char == '"':
-            end = source.find('"', position + 1)
-            if end == -1:
-                raise ParseError("unterminated string literal", line, column)
-            text = source[position + 1 : end]
-            yield Token(TokenType.STRING, text, line, column)
-            advance(end + 1 - position)
-            continue
-        if char.isdigit() or (
-            char == "." and position + 1 < length and source[position + 1].isdigit()
-        ):
-            start = position
-            start_line, start_column = line, column
-            seen_dot = False
-            seen_exp = False
-            scan = position
-            while scan < length:
-                current = source[scan]
-                if current.isdigit():
-                    scan += 1
-                elif current == "." and not seen_dot and not seen_exp:
-                    seen_dot = True
-                    scan += 1
-                elif current in "eE" and not seen_exp and scan > start:
-                    seen_exp = True
-                    scan += 1
-                    if scan < length and source[scan] in "+-":
-                        scan += 1
-                else:
-                    break
-            text = source[start:scan]
-            kind = TokenType.REAL if (seen_dot or seen_exp) else TokenType.INT
-            yield Token(kind, text, start_line, start_column)
-            advance(scan - position)
-            continue
-        if char.isalpha() or char == "_":
-            start = position
-            start_line, start_column = line, column
-            scan = position
-            while scan < length and (source[scan].isalnum() or source[scan] == "_"):
-                scan += 1
-            yield Token(TokenType.ID, source[start:scan], start_line, start_column)
-            advance(scan - position)
-            continue
-        for symbol in _SYMBOLS:
-            if source.startswith(symbol, position):
-                yield Token(TokenType.SYMBOL, symbol, line, column)
-                advance(len(symbol))
-                break
-        else:
-            raise ParseError(f"unexpected character {char!r}", line, column)
-    yield Token(TokenType.EOF, "", line, column)
+    line_start = 0  # index of the first character of the current line
+    for match in _PATTERN.finditer(source):
+        group = match.lastindex
+        start = match.start(group)
+        text = match.group(group)
+        token_type = types[group]
+        if token_type is not None:
+            if group != _STRING:
+                append(make(Token, (token_type, text, line, start - line_start + 1)))
+                continue
+            append(make(Token, (token_type, text[1:-1], line, start - line_start + 1)))
+        elif group != _SKIP:
+            message = _ERRORS.get(group) or f"unexpected character {text!r}"
+            raise ParseError(message, line, start - line_start + 1)
+        newlines = text.count("\n")
+        if newlines:
+            line += newlines
+            line_start = start + text.rindex("\n") + 1
+    append(Token(TokenType.EOF, "", line, len(source) - line_start + 1))
+    return tokens

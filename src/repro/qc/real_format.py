@@ -28,8 +28,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import ParseError
+from repro.errors import CircuitTooLargeError, ParseError
 from repro.qc.circuit import QuantumCircuit
+from repro.qc.qasm.parser import MAX_BITS
 
 
 def parse_real(source: str, name: str = "real") -> QuantumCircuit:
@@ -55,6 +56,11 @@ def parse_real(source: str, name: str = "real") -> QuantumCircuit:
                     num_vars = int(remainder)
                 except ValueError:
                     raise ParseError(f"invalid .numvars {remainder!r}", line_number)
+                if num_vars > MAX_BITS:
+                    raise CircuitTooLargeError(
+                        f".numvars {num_vars} exceeds the cap of {MAX_BITS} lines",
+                        line_number,
+                    )
                 continue
             if directive == ".variables":
                 variables = remainder.split()
@@ -108,9 +114,10 @@ def parse_real(source: str, name: str = "real") -> QuantumCircuit:
 
 
 def _resolve(
-    operands: List[str], line_of: Dict[str, int], line_number: int
+    operands: List[str], line_of: Dict[str, int], line_number: int, targets: int = 1
 ) -> Tuple[List[int], List[int]]:
-    """Split operands into (positive-control/target lines, negative lines)."""
+    """Split operands into (positive-control/target lines, negative lines);
+    at least ``targets`` lines must be positive."""
     positive: List[int] = []
     negative: List[int] = []
     for operand in operands:
@@ -119,6 +126,8 @@ def _resolve(
         if variable not in line_of:
             raise ParseError(f"unknown variable {variable!r}", line_number)
         (negative if inverted else positive).append(line_of[variable])
+    if len(positive) < targets:
+        raise ParseError(f"the gate needs {targets} positive target line(s)", line_number)
     return positive, negative
 
 
@@ -156,9 +165,7 @@ def _append_gate(
         )
         return
     if kind == "f":  # Fredkin family: last two operands are swapped
-        positive, negative = _resolve(operands, line_of, line_number)
-        if len(positive) < 2:
-            raise ParseError("Fredkin gates need two positive targets", line_number)
+        positive, negative = _resolve(operands, line_of, line_number, targets=2)
         a, b = positive[-2], positive[-1]
         high, low = (a, b) if a > b else (b, a)
         circuit.gate(

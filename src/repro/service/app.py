@@ -49,6 +49,7 @@ from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 
 from repro.errors import (
     BadRequestError,
+    CircuitTooLargeError,
     JobTimeoutError,
     NotFoundError,
     RateLimitedError,
@@ -84,6 +85,7 @@ _STATUS_BY_ERROR: Tuple[Tuple[type, int], ...] = (
     (SessionLimitError, 503),
     (ServiceUnavailableError, 503),  # includes TablePressureError
     (RequestTooLargeError, 413),
+    (CircuitTooLargeError, 413),
     (RateLimitedError, 429),
     (JobTimeoutError, 504),
     (BadRequestError, 400),

@@ -280,3 +280,64 @@ class TestViewEdgeMemo:
             for edge, (child, _weight) in zip(node.edges, successors):
                 assert edge.node is engine.view(VECTOR, child)
         assert all(state.node.var == 3 for state in recycled)
+
+
+def _reachable(node):
+    """Index -> view of every non-terminal node below ``node``, walked
+    through the public views (no memo)."""
+    nodes, stack = {}, [node]
+    while stack:
+        node = stack.pop()
+        if node.var >= 0 and node._index not in nodes:
+            nodes[node._index] = node
+            stack.extend(edge.node for edge in node.edges)
+    return nodes
+
+
+class TestNodeCountMemo:
+    """``node_count`` memoizes per node index; the memo must equal a fresh
+    walk at every step, forget recycled slots, and spare warm re-runs."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_counts_equal_a_walk_at_every_step(self, seed):
+        circuit = library.random_circuit(5, 40, seed=seed)
+        simulator = DDSimulator(circuit, seed=seed)
+        package = simulator.package
+        product = package.identity(5)
+        while not simulator.at_end:
+            record = simulator.step_forward()
+            assert record.node_count == len(_reachable(simulator.state.node))
+            product = package.multiply(gate_to_dd(package, record.operation, 5), product)
+            assert package.node_count(product) == len(_reachable(product.node))
+
+    def test_recycled_index_reports_its_new_count(self):
+        rng = np.random.default_rng(7)
+        package = DDPackage()
+        engine = package._pooled
+        garbage = [package.from_state_vector(TestViewEdgeMemo._random_state(rng, 5)) for _ in range(4)]
+        for state in garbage:
+            for index in _reachable(state.node):
+                engine.count_nodes(VECTOR, index)
+        stale = set(engine._counts[VECTOR])
+        del garbage, state
+        gc.collect()
+        package.gc(force=True)
+        assert len(engine.vpool.free_list) >= len(stale)
+        fresh_indices = set()
+        fresh = [package.from_state_vector(TestViewEdgeMemo._random_state(rng, 3)) for _ in range(12)]
+        for state in fresh:
+            for index, node in _reachable(state.node).items():
+                assert engine.count_nodes(VECTOR, index) == len(_reachable(node))
+                fresh_indices.add(index)
+        assert fresh_indices & stale  # some slots were recycled
+
+    def test_warm_rerun_never_walks(self, monkeypatch):
+        circuit = library.random_circuit(6, 60, seed=11)
+        package = DDPackage()
+        first = DDSimulator(circuit, package=package, seed=0).run_all()
+        walks = []
+        monkeypatch.setattr(package._pooled, "_count_reachable",
+                            lambda *args: walks.append(args))
+        second = DDSimulator(circuit, package=package, seed=0).run_all()
+        assert walks == []
+        assert [r.node_count for r in second] == [r.node_count for r in first]

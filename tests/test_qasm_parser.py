@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from repro.errors import ParseError
+from repro.errors import CircuitTooLargeError, ParseError
 from repro.qc.operations import BarrierOp, GateOp, MeasureOp, ResetOp
-from repro.qc.qasm import parse_qasm
+from repro.qc.qasm import parse_qasm, parser
 from repro.simulation import build_unitary
 
 HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
@@ -315,3 +315,109 @@ class TestSemantics:
         assert np.allclose(
             build_unitary(circuit), build_unitary(library.qft(3))
         )
+
+
+class TestArithmeticErrors:
+    """Inputs whose evaluation fails become a ParseError at the failing
+    token, never another exception type (or a silent non-finite angle)."""
+
+    DIGITS = "9" * 5000
+
+    @pytest.mark.parametrize("program, line, column", [
+        ("rz(1e) q[0];", 4, 4),
+        ("rz(1.5e+) q[0];", 4, 4),
+        ("qreg r[²];", 4, 8),
+        ("qreg r[" + DIGITS + "];", 4, 8),
+        ("rz(1/0) q[0];", 4, 5),
+        ("rz(sqrt(-1)) q[0];", 4, 4),
+        ("rz(ln(0)) q[0];", 4, 4),
+        ("rz(10^400) q[0];", 4, 6),
+        ("rz(exp(1000)) q[0];", 4, 4),
+        ("rz((-8)^(1/3)) q[0];", 4, 8),
+        ("rz(" + DIGITS + ") q[0];", 4, 1),
+        ("gate g(t) a { rz(1/t) a; }\ng(0) q[0];", 4, 19),
+    ], ids=["exponent", "signed-exponent", "superscript-digit", "long-register-size",
+            "division-by-zero", "sqrt-domain", "ln-domain", "power-overflow",
+            "exp-overflow", "complex-power", "non-finite-literal", "in-gate-body"])
+    def test_reported_with_position(self, program, line, column):
+        with pytest.raises(ParseError) as caught:
+            parse_qasm(HEADER + "qreg q[1];\n" + program + "\n")
+        assert type(caught.value) is ParseError
+        assert (caught.value.line, caught.value.column) == (line, column)
+
+
+def doubling_chain(levels):
+    """``levels`` gate definitions, each calling the previous one twice:
+    a few hundred bytes that expand to 2**levels operations."""
+    definitions = "gate g0 a { x a; }\n" + "".join(
+        f"gate g{level} a {{ g{level - 1} a; g{level - 1} a; }}\n"
+        for level in range(1, levels + 1)
+    )
+    return HEADER + "qreg q[1];\n" + definitions + f"g{levels} q[0];\n"
+
+
+class TestCaps:
+    def test_register_too_large(self):
+        with pytest.raises(CircuitTooLargeError):
+            parse_qasm(HEADER + "qreg q[2000000]; h q;")
+
+    @pytest.mark.parametrize("kind", ["qreg", "creg"])
+    def test_total_bits_capped(self, kind):
+        size = parser.MAX_REGISTER_SIZE
+        registers = "".join(
+            f"{kind} r{k}[{size}];" for k in range(parser.MAX_BITS // size + 1)
+        )
+        with pytest.raises(CircuitTooLargeError):
+            parse_qasm(HEADER + "qreg q[1];" + registers)
+
+    def test_registers_at_the_caps_accepted(self):
+        circuit = parse_qasm(
+            HEADER + f"qreg q[{parser.MAX_REGISTER_SIZE}];"
+            f"creg c[{parser.MAX_REGISTER_SIZE}];"
+        )
+        assert circuit.num_qubits == parser.MAX_REGISTER_SIZE
+
+    def test_expansion_refused_before_emitting(self, monkeypatch):
+        levels = parser.MAX_OPERATIONS.bit_length()
+        emitted = []
+        monkeypatch.setattr(parser._QasmParser, "_apply", lambda *args: emitted.append(args))
+        with pytest.raises(CircuitTooLargeError):
+            parse_qasm(doubling_chain(levels))
+        assert emitted == []
+
+    def test_expansion_at_the_cap_accepted(self):
+        levels = parser.MAX_OPERATIONS.bit_length() - 1
+        assert len(parse_qasm(doubling_chain(levels))) == 2 ** levels
+
+    def test_broadcast_counts_toward_the_cap(self):
+        size = parser.MAX_REGISTER_SIZE
+        repeats = parser.MAX_OPERATIONS // size + 1
+        with pytest.raises(CircuitTooLargeError):
+            parse_qasm(HEADER + f"qreg q[{size}];" + "h q;" * repeats)
+
+    def test_definition_nesting_capped(self):
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse_qasm(doubling_chain(200))
+
+    @pytest.mark.parametrize("expression", [
+        "(" * 5000 + "1" + ")" * 5000,
+        "-" * 20000 + "1",
+        "+" * 20000 + "1",
+        "2^" * 5000 + "2",
+        "+".join(["1"] * 20000),
+        "sin(" * 5000 + "1" + ")" * 5000,
+    ], ids=["parentheses", "minus-signs", "plus-signs", "powers", "sum-chain", "calls"])
+    def test_deep_expressions_rejected(self, expression):
+        with pytest.raises(ParseError, match="nested deeper") as caught:
+            parse_qasm(HEADER + f"qreg q[1];\nrz({expression}) q[0];\n")
+        assert type(caught.value) is ParseError
+
+    def test_depth_cap_is_exact(self):
+        def program(parentheses):
+            expression = "(" * parentheses + "1" + ")" * parentheses
+            return HEADER + f"qreg q[1];\nrz({expression}) q[0];\n"
+
+        depth = parser.MAX_EXPRESSION_DEPTH
+        assert parse_qasm(program(depth - 1))[0].params == (1.0,)
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse_qasm(program(depth))

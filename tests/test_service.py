@@ -1,6 +1,7 @@
 """Unit tests for the service layer (transport-free, workers inline)."""
 
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from repro.service import (
 )
 from repro.service.workers import WorkerPool, simulate_job, verify_job
 from repro.simulation.simulator import DDSimulator
+from tests.test_qasm_parser import doubling_chain
 
 
 # ----------------------------------------------------------------------
@@ -433,6 +435,56 @@ class TestBatchEndpoints:
         result = _json(_post(app, "/verify", {"left": QFT,
                                               "right": wrong.to_qasm()}))
         assert result["equivalent"] is False
+
+
+class TestHostileQasm:
+    """Parser caps answer 413 and every other parse failure 400, fast."""
+
+    HEADER = 'OPENQASM 2.0; include "qelib1.inc"; '
+    WIDE = HEADER + "qreg q[2000000]; h q;"
+
+    @staticmethod
+    def _timed_status(app, path, payload):
+        start = time.perf_counter()
+        response = _post(app, path, payload)
+        return response.status, time.perf_counter() - start
+
+    def test_wide_register_body_refused_fast(self, app):
+        assert len(self.WIDE.encode()) == 57
+        for path in ("/simulate", "/sessions"):
+            status, seconds = self._timed_status(
+                app, path, {"kind": "simulation", "qasm": self.WIDE})
+            assert status == 413 and seconds < 0.1
+        status, seconds = self._timed_status(
+            app, "/verify", {"left": self.WIDE, "right": QFT})
+        assert status == 413 and seconds < 0.1
+
+    def test_doubling_chain_refused_fast(self, app):
+        chain = doubling_chain(15)
+        assert len(chain) < 1000
+        for path in ("/simulate", "/sessions"):
+            status, seconds = self._timed_status(
+                app, path, {"kind": "simulation", "qasm": chain})
+            assert status == 413 and seconds < 0.1
+
+    @pytest.mark.parametrize("expression", [
+        "(" * 5000 + "1" + ")" * 5000, "-" * 20000 + "1",
+    ], ids=["parentheses", "minus-signs"])
+    def test_nesting_answers_400(self, app, expression):
+        qasm = self.HEADER + f"qreg q[1]; rz({expression}) q[0];"
+        for path in ("/simulate", "/sessions"):
+            response = _post(app, path, {"kind": "simulation", "qasm": qasm})
+            assert response.status == 400
+            assert _json(response)["error"]["type"] == "ParseError"
+
+    @pytest.mark.parametrize("statement", [
+        "rz(1e) q[0];", "rz(1.5e+) q[0];", "qreg r[\u00b2];", "rz(1/0) q[0];",
+        "rz(sqrt(-1)) q[0];", "rz(ln(0)) q[0];", "rz(10^400) q[0];",
+        "rz(exp(1000)) q[0];", "rz((-8)^(1/3)) q[0];", "rz(" + "9" * 5000 + ") q[0];",
+    ])
+    def test_arithmetic_errors_answer_400(self, app, statement):
+        qasm = self.HEADER + "qreg q[1]; " + statement
+        assert _post(app, "/simulate", {"qasm": qasm}).status == 400
 
 
 class TestGovernancePressure:
