@@ -205,8 +205,6 @@ def _make_package(options: Dict[str, Any]):
         kwargs["budget"] = MemoryBudget(**budget_kwargs)
     if options.get("reorder"):
         kwargs["reorder"] = options["reorder"]
-    if options.get("identity_skipping"):
-        kwargs["identity_skipping"] = True
     return DDPackage(**kwargs)
 
 

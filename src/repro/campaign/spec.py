@@ -22,7 +22,7 @@ The schema (``qdd-campaign-spec-v1``) is intentionally small::
         "shots": 0,
         "packages": [
           {"label": "kernels"},
-          {"label": "identity-skipping", "identity_skipping": true}
+          {"label": "sifted", "reorder": "manual"}
         ]
       },
       "execution": {"workers": 0, "cell_timeout": 120.0},
@@ -104,7 +104,6 @@ class PackageSpec:
     budget_bytes: int = 0
     budget_check_interval: Optional[int] = None
     reorder: str = "off"
-    identity_skipping: bool = False
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any], where: str) -> "PackageSpec":
@@ -114,7 +113,7 @@ class PackageSpec:
             data,
             ("label", "tolerance", "vector_scheme", "sanitize_every",
              "budget_nodes", "budget_bytes", "budget_check_interval",
-             "reorder", "identity_skipping"),
+             "reorder"),
             where,
         )
         label = data.get("label")
@@ -166,7 +165,6 @@ class PackageSpec:
             budget_bytes=int(data.get("budget_bytes", 0)),
             budget_check_interval=check_interval,
             reorder=reorder,
-            identity_skipping=bool(data.get("identity_skipping", False)),
         )
 
     def as_dict(self) -> Dict[str, Any]:
@@ -179,7 +177,6 @@ class PackageSpec:
             "budget_bytes": self.budget_bytes,
             "budget_check_interval": self.budget_check_interval,
             "reorder": self.reorder,
-            "identity_skipping": self.identity_skipping,
         }
 
 

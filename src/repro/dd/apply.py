@@ -39,9 +39,11 @@ works on the engine's node and weight indices; this module builds kernels,
 caches them per gate and dispatches circuit operations onto them.
 
 All kernels share one dedicated compute table (``DDPackage._apply_cache``)
-keyed on ``(gate id, node)``, where the gate id canonicalizes the unitary's
-entries through the complex table, so repeated gates (GHZ cascades, Grover
-iterations, the inverse side of the alternating scheme) hit the cache.
+keyed on ``(gate id, node, next gate line)``, where the gate id
+canonicalizes the unitary's entries through the complex table, so repeated
+gates (GHZ cascades, Grover iterations, the inverse side of the alternating
+scheme) hit the cache.  A node at the gate's lowest line recurses no
+further, so its result is memoized only for the current application.
 
 Results agree with the matrix-construction path (gate DD + multiply,
 paper Fig. 4): both normalize through the same unique tables.  The

@@ -39,7 +39,7 @@ from repro.dd.node import MatrixNode, TERMINAL
 from repro.dd.normalization import NormalizationScheme
 from repro.dd.pool import WeightPool
 from repro.dd.pooled import MATRIX, PooledEngine, PooledUniqueAdapter, VECTOR
-from repro.errors import DDError, InvalidStateError
+from repro.errors import DDError, DimensionMismatchError, InvalidStateError
 from repro.obs.metrics import DEFAULT_TIME_BUCKETS, MetricsRegistry
 
 _ID2 = np.eye(2, dtype=complex)
@@ -55,6 +55,15 @@ _ELEMENTARY = {
 }
 
 BitString = Union[str, int, Sequence[int]]
+
+
+def _check_widths(left: Edge, right: Edge, operation: str) -> None:
+    """Both operands of a binary operation must span the same qubits."""
+    if left.node.var != right.node.var:
+        raise DimensionMismatchError(
+            f"cannot {operation} DDs over {left.node.var + 1} and "
+            f"{right.node.var + 1} qubits"
+        )
 
 
 def _bits_from(value: BitString, num_qubits: int) -> Tuple[int, ...]:
@@ -121,14 +130,12 @@ class DDPackage:
         ``"pressure"`` additionally lets the resource governor sift the
         variable order on SOFT memory pressure, before it starts shedding
         compute-table entries.  ``None`` reads ``REPRO_DD_REORDER``.
-    identity_skipping:
-        Reduce matrix-DD nodes of the form ``(e, 0, 0, e)`` to ``e``
-        (arXiv:2406.11959): an edge from level ``l`` straight to a node
-        at level ``k < l - 1`` denotes identities on the skipped levels.
-        Shrinks operation DDs that act trivially on many qubits (the
-        common case during functionality construction and alternating
-        verification).  Only matrix DDs skip; vector DDs stay dense.
-        ``None`` reads ``REPRO_DD_IDENTITY_SKIPPING`` (``1``/``true``).
+
+    Matrix DDs are stored with identity skipping (arXiv:2406.11959, see
+    :mod:`repro.dd.pooled`), but every matrix edge the package hands out
+    shows the paper's dense DD: its node sits at the DD's top level, its
+    views expose skipped levels as identity nodes, and :meth:`node_count`
+    counts them.
     """
 
     _OPERATION_NAMES = ("add", "multiply", "kron", "adjoint", "inner_product")
@@ -145,7 +152,6 @@ class DDPackage:
         sanitize_every: Optional[int] = None,
         event_bus=None,
         reorder: Optional[str] = None,
-        identity_skipping: Optional[bool] = None,
     ):
         self.registry = registry if registry is not None else MetricsRegistry()
         #: Optional :class:`repro.obs.events.EventBus`: the governor
@@ -160,10 +166,6 @@ class DDPackage:
                 f"(expected one of: {', '.join(self._REORDER_MODES)})"
             )
         self.reorder_mode = reorder
-        if identity_skipping is None:
-            raw = os.environ.get("REPRO_DD_IDENTITY_SKIPPING", "").strip().lower()
-            identity_skipping = raw in ("1", "true", "yes", "on")
-        self.identity_skipping = bool(identity_skipping)
         # Level-to-qubit order map: ``_order[level]`` is the qubit hosted at
         # ``level``.  Grown lazily; the identity flag keeps the fast path of
         # every walk free of permutation work while no reorder has run.
@@ -209,7 +211,6 @@ class DDPackage:
                 "inner": self._inner_cache,
                 "apply": self._apply_cache,
             },
-            identity_skipping=self.identity_skipping,
         )
         self._vector_unique = PooledUniqueAdapter(
             self._pooled, "vector", registry=self.registry
@@ -588,13 +589,17 @@ class DDPackage:
             return left
         engine = self._pooled
         lt, rt = left.node.is_terminal, right.node.is_terminal
-        if not lt and not rt and type(left.node) is not type(right.node):
+        if not lt and not rt and (
+            isinstance(left.node, MatrixNode) != isinstance(right.node, MatrixNode)
+        ):
             raise DDError("cannot add a vector DD and a matrix DD")
+        _check_widths(left, right, "add")
         probe = right.node if lt else left.node
         kind = MATRIX if isinstance(probe, MatrixNode) else VECTOR
         return engine.to_edge(
             kind,
             engine.add(kind, engine.from_edge(left), engine.from_edge(right)),
+            probe.var,
         )
 
     def multiply(self, operation: Edge, operand: Edge) -> Edge:
@@ -617,81 +622,51 @@ class DDPackage:
         if operation.is_zero or operand.is_zero:
             return ZERO_EDGE
         if not isinstance(operation.node, MatrixNode):
-            if self.identity_skipping and operation.node.is_terminal:
-                # A fully skipped operation (w * identity) rescales the
-                # operand, whatever its kind.
-                return Edge(
-                    operand.node,
-                    self.complex_table.lookup(operation.weight * operand.weight),
-                )
             raise DDError("the first multiply operand must be a matrix DD")
-        if isinstance(operand.node, MatrixNode) or (
-            self.identity_skipping and operand.node.is_terminal
-        ):
-            # With identity skipping a terminal operand is a collapsed
-            # identity matrix (vector DDs stay level-dense, so a terminal
-            # state can only be the 0-qubit scalar, where the mm rescale
-            # is the same answer).
-            return self._multiply_mm(operation, operand)
-        return self._multiply_mv(operation, operand)
-
-    def _multiply_mv(self, m_edge: Edge, v_edge: Edge) -> Edge:
-        if m_edge.is_zero or v_edge.is_zero:
-            return ZERO_EDGE
+        _check_widths(operation, operand, "multiply")
         engine = self._pooled
-        return engine.to_edge(
-            VECTOR,
-            engine.multiply_mv(engine.from_edge(m_edge), engine.from_edge(v_edge)),
-        )
+        if isinstance(operand.node, MatrixNode):
+            raw = engine.multiply_mm(
+                engine.from_edge(operation), engine.from_edge(operand)
+            )
+            return engine.to_edge(MATRIX, raw, operand.node.var)
+        raw = engine.multiply_mv(engine.from_edge(operation), engine.from_edge(operand))
+        return engine.to_edge(VECTOR, raw)
 
-    def _multiply_mm(self, a_edge: Edge, b_edge: Edge) -> Edge:
-        if a_edge.is_zero or b_edge.is_zero:
-            return ZERO_EDGE
-        engine = self._pooled
-        return engine.to_edge(
-            MATRIX,
-            engine.multiply_mm(engine.from_edge(a_edge), engine.from_edge(b_edge)),
-        )
-
-    def kron(
-        self, top: Edge, bottom: Edge, bottom_qubits: Optional[int] = None
-    ) -> Edge:
+    def kron(self, top: Edge, bottom: Edge) -> Edge:
         """Tensor product ``top ⊗ bottom`` by terminal replacement.
 
         The terminal of ``top`` is replaced by the root of ``bottom`` and the
         ``top`` levels are shifted above ``bottom``'s (paper Fig. 3).  Works
-        for two vector DDs or two matrix DDs.  With identity skipping the
-        span of a matrix DD is no longer ``root.var + 1``; pass
-        ``bottom_qubits`` explicitly when ``bottom`` skips at its root.
+        for two vector DDs or two matrix DDs.
         """
         self._maybe_gc()
         top = self._resolve(top)
         bottom = self._resolve(bottom)
         if not self._obs_on:
-            return self._kron(top, bottom, bottom_qubits)
+            return self._kron(top, bottom)
         start = perf_counter()
-        result = self._kron(top, bottom, bottom_qubits)
+        result = self._kron(top, bottom)
         self._observe_op("kron", start)
         return result
 
-    def _kron(
-        self, top: Edge, bottom: Edge, bottom_qubits: Optional[int] = None
-    ) -> Edge:
+    def _kron(self, top: Edge, bottom: Edge) -> Edge:
         if top.is_zero or bottom.is_zero:
             return ZERO_EDGE
         if (
             not top.node.is_terminal
             and not bottom.node.is_terminal
-            and type(top.node) is not type(bottom.node)
+            and isinstance(top.node, MatrixNode) != isinstance(bottom.node, MatrixNode)
         ):
             raise DDError("cannot tensor a vector DD with a matrix DD")
-        shift = bottom.node.var + 1 if bottom_qubits is None else bottom_qubits
+        shift = bottom.node.var + 1
         engine = self._pooled
         probe = bottom.node if top.node.is_terminal else top.node
         kind = MATRIX if isinstance(probe, MatrixNode) else VECTOR
         return engine.to_edge(
             kind,
             engine.kron(kind, engine.from_edge(top), engine.from_edge(bottom), shift),
+            top.node.var + shift,
         )
 
     # ------------------------------------------------------------------
@@ -767,7 +742,9 @@ class DDPackage:
         ):
             raise DDError("adjoint is only defined for matrix DDs")
         engine = self._pooled
-        return engine.to_edge(MATRIX, engine.adjoint(engine.from_edge(operation)))
+        return engine.to_edge(
+            MATRIX, engine.adjoint(engine.from_edge(operation)), operation.node.var
+        )
 
     # ------------------------------------------------------------------
     # queries
@@ -781,12 +758,15 @@ class DDPackage:
         """Number of non-terminal nodes reachable from ``edge``.
 
         The terminal is not counted, following the paper's convention
-        (Ex. 6: the Bell-state DD "consists of 3 nodes").
+        (Ex. 6: the Bell-state DD "consists of 3 nodes").  A matrix DD
+        counts as the paper's dense DD, identity nodes included.
         """
         node = self._resolve(edge).node
         if node.is_terminal:
             return 0
-        return self._pooled.count_nodes(node._KIND, self._pooled.node_index(node))
+        return self._pooled.count_nodes(
+            node._KIND, self._pooled.node_index(node), node.var
+        )
 
     def amplitude(self, state: Edge, basis: BitString, num_qubits: Optional[int] = None) -> complex:
         """Amplitude of ``|basis>`` in ``state`` (product of path weights)."""
@@ -819,12 +799,7 @@ class DDPackage:
         column: BitString,
         num_qubits: Optional[int] = None,
     ) -> complex:
-        """Entry ``U[row, column]`` of a matrix DD.
-
-        Skip-aware: a node below the expected level (identity skipping)
-        contributes identity entries for the skipped levels.  Pass
-        ``num_qubits`` explicitly for DDs that skip at the root.
-        """
+        """Entry ``U[row, column]`` of a matrix DD."""
         operation = self._resolve(operation)
         if num_qubits is None:
             num_qubits = self.num_qubits(operation)
@@ -839,19 +814,11 @@ class DDPackage:
             col_bits = tuple(col_bits[p] for p in permuted)
         value = complex(1.0, 0.0)
         edge = operation
-        for k in range(num_qubits):
+        for i, j in zip(row_bits, col_bits):
             if edge.is_zero:
                 return ComplexTable.ZERO
-            level = num_qubits - 1 - k
-            i, j = row_bits[k], col_bits[k]
-            node = edge.node
-            if node.is_terminal or node.var < level:
-                # Skipped level: identity — diagonal survives, rest is zero.
-                if i != j:
-                    return ComplexTable.ZERO
-                continue
             value *= edge.weight
-            edge = node.edges[2 * i + j]
+            edge = edge.node.edges[2 * i + j]
         if edge.is_zero:
             return ComplexTable.ZERO
         return self.complex_table.lookup(value * edge.weight)
@@ -880,49 +847,30 @@ class DDPackage:
         self._fill_vector(edge.node.edges[1], offset + stride, weight, out)
 
     def to_matrix(self, operation: Edge, num_qubits: Optional[int] = None) -> np.ndarray:
-        """Dense matrix represented by ``operation`` (for small systems).
-
-        Skip-aware: pass ``num_qubits`` explicitly for identity-skipping
-        DDs whose root sits below the intended top level.
-        """
+        """Dense matrix represented by ``operation`` (for small systems)."""
         operation = self._resolve(operation)
         if num_qubits is None:
             num_qubits = self.num_qubits(operation)
         size = 1 << num_qubits
         out = np.zeros((size, size), dtype=complex)
-        self._fill_matrix(operation, num_qubits - 1, 0, 0, complex(1.0, 0.0), out)
+        self._fill_matrix(operation, 0, 0, complex(1.0, 0.0), out)
         return out
 
     def _fill_matrix(
-        self,
-        edge: Edge,
-        level: int,
-        row: int,
-        column: int,
-        weight: complex,
-        out: np.ndarray,
+        self, edge: Edge, row: int, column: int, weight: complex, out: np.ndarray
     ) -> None:
         if edge.is_zero:
             return
-        node = edge.node
-        if level < 0:
-            out[row, column] = weight * edge.weight
-            return
-        stride = 1 << self.qubit_at(level)
-        if node.is_terminal or node.var < level:
-            # Skipped level: identity — recurse diagonally with the same
-            # edge, deferring its weight until the node is reached.
-            self._fill_matrix(edge, level - 1, row, column, weight, out)
-            self._fill_matrix(
-                edge, level - 1, row + stride, column + stride, weight, out
-            )
-            return
         weight = weight * edge.weight
+        node = edge.node
+        if node.is_terminal:
+            out[row, column] = weight
+            return
+        stride = 1 << self.qubit_at(node.var)
         for i in (0, 1):
             for j in (0, 1):
                 self._fill_matrix(
                     node.edges[2 * i + j],
-                    level - 1,
                     row + i * stride,
                     column + j * stride,
                     weight,
@@ -1230,7 +1178,6 @@ class DDPackage:
         }
         result["reorder"] = {
             "mode": self.reorder_mode,
-            "identity_skipping": self.identity_skipping,
             "runs": self._reorder_runs,
             "swaps": self._reorder_swaps,
             "identity_skips": self.identity_skip_count,
@@ -1242,5 +1189,5 @@ class DDPackage:
 
     @property
     def identity_skip_count(self) -> int:
-        """Total matrix-node reductions performed by identity skipping."""
+        """Total identity matrix nodes ``(e, 0, 0, e)`` reduced to ``e``."""
         return self._pooled.identity_skips

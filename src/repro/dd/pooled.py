@@ -13,14 +13,22 @@ exactly ``0j`` (the zero stub) or not sub-tolerance.  The differential suite
 checks the engine's gate kernels and its matrix products against an
 independent dense simulator.
 
+Matrix DDs are stored with identity skipping (arXiv:2406.11959): a matrix
+node of the shape ``(e, 0, 0, e)`` is never consed, so a stored edge from
+level ``l`` to a node at level ``k < l - 1`` stands for identities on the
+levels in between.  Vector DDs never skip.
+
 At the package boundary the engine hands out lightweight *views*
 (:class:`PooledVectorNode` / :class:`PooledMatrixNode`): real
 ``VectorNode``/``MatrixNode`` subclasses whose ``edges`` tuple is
-materialized lazily from the pool arrays, once per view.  Views keep
-``isinstance`` checks, serialization, visualization and the sanitizer
-working unchanged, and they double as GC roots: a diagram is live exactly
-while some view of it is reachable from Python, so ordinary references
-govern liveness.
+materialized lazily from the pool arrays, once per view.  Matrix views show
+the paper's dense DD: a skipped level appears as a
+:class:`PooledIdentityNode` ``(level, child)``, and a boundary matrix edge
+points at the view for its full width, so a root that skips top levels
+still shows its chain of identity nodes.  Views keep ``isinstance`` checks,
+serialization, visualization and the sanitizer working unchanged, and they
+double as GC roots: a diagram is live exactly while some view of it is
+reachable from Python, so ordinary references govern liveness.
 
 Index invariants (enforced by the sanitizer's ``pool-*`` checks):
 
@@ -60,6 +68,7 @@ __all__ = [
     "PooledEngine",
     "PooledVectorNode",
     "PooledMatrixNode",
+    "PooledIdentityNode",
     "PooledUniqueAdapter",
     "PooledApplyKernel",
 ]
@@ -148,6 +157,43 @@ class PooledMatrixNode(_PooledViewMixin, MatrixNode):
         self._init_view(engine, index)
 
 
+class PooledIdentityNode(MatrixNode):
+    """Dense view of a level the stored matrix DD skips.
+
+    Stands for the identity node ``(e, 0, 0, e)`` at ``var`` above the
+    stored node (or terminal) ``_index``; ``e`` leads to the dense view one
+    level down.  Memoized per ``(level, index)`` pair by the engine.  The
+    view holds the stored child's view, so a sweep marks the child while
+    the identity view lives.  It has no pool slot and no unique-table
+    entry: the sanitizer never sees it as a stored node.
+    """
+
+    __slots__ = ("_engine", "_index", "_child", "_edges")
+    _KIND = MATRIX
+
+    def __init__(self, engine: "PooledEngine", level: int, index: int):
+        self._child = engine.view(MATRIX, index)
+        self.var = level
+        # A negative uid that depends only on the pair, so a re-materialized
+        # view keeps it (Cantor pairing of the child's uid and the level).
+        total = self._child.uid + level
+        self.uid = -1 - (total * (total + 1) // 2 + level)
+        self._engine = engine
+        self._index = index
+        self._edges = None
+
+    @property
+    def edges(self):
+        edges = self._edges
+        if edges is None:
+            unit = Edge(self._engine.matrix_view(self.var - 1, self._index), ONE)
+            edges = self._edges = (unit, ZERO_EDGE, ZERO_EDGE, unit)
+        return edges
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<PooledIdentityNode q{self.var} #{self.uid} @{self._index}>"
+
+
 # ----------------------------------------------------------------------
 # unique-table adapter
 # ----------------------------------------------------------------------
@@ -220,15 +266,19 @@ class PooledUniqueAdapter:
         for index in self._raw.iter_indices():
             if pool.var[index] == FREED_VAR:
                 continue  # dangling table slot; flagged by the pool checks
-            signature = (pool.var[index],) + tuple(
-                (
-                    TERMINAL.uid if succ < 0 else pool.order[succ],
-                    weights.value(wsucc),
-                )
+            var = pool.var[index]
+            signature = (var,) + tuple(
+                (self._child_uid(var, succ, wsucc), weights.value(wsucc))
                 for succ, wsucc in pool.edges_of(index)
             )
             entries.append((signature, engine.view(kind, index)))
         return entries
+
+    def _child_uid(self, var: int, succ: int, wsucc: int) -> int:
+        """Uid of the successor a view shows for one stored edge."""
+        if self._kindbit == MATRIX:
+            return self._engine.dense_child(var, succ, wsucc).uid
+        return TERMINAL.uid if succ < 0 else self._pool.order[succ]
 
     def get_or_create(self, var: int, edges: Tuple[Edge, ...]) -> Node:
         """Raw consing entry (compat API; weights are canonicalized)."""
@@ -273,14 +323,11 @@ class PooledEngine:
         weights: WeightPool,
         vector_scheme: NormalizationScheme,
         caches: Dict[str, object],
-        identity_skipping: bool = False,
     ):
         self.weights = weights
         self.vector_scheme = vector_scheme
-        # Identity skipping (arXiv:2406.11959): matrix nodes of the shape
-        # (e, 0, 0, e) are never consed — the constructor returns ``e``, and
-        # the arithmetic virtualizes skipped levels back on demand.
-        self.identity_skipping = bool(identity_skipping)
+        # Matrix nodes of the shape (e, 0, 0, e) are never consed: the
+        # constructor returns ``e`` and counts the reduction here.
         self.identity_skips = 0
         self.vpool = NodePool(2)
         self.mpool = NodePool(4)
@@ -297,6 +344,10 @@ class PooledEngine:
         self._views: Tuple[weakref.WeakValueDictionary, weakref.WeakValueDictionary] = (
             weakref.WeakValueDictionary(),
             weakref.WeakValueDictionary(),
+        )
+        # Identity views of skipped matrix levels, keyed (level, index).
+        self._identity_views: weakref.WeakValueDictionary = (
+            weakref.WeakValueDictionary()
         )
         # Indices retired by a variable reorder: still allocated (stale
         # edges resolve through the package remap, which pins their views)
@@ -321,8 +372,8 @@ class PooledEngine:
         # are memoized: no later mint can resolve those differently.  A
         # raw-keyed vector memo was measured and costs more than it saves.
         self._norm_memo: Dict[tuple, tuple] = {}
-        # Reachable-node counts per kind, keyed by node index; see
-        # ``count_nodes``.
+        # Reachable-node counts per kind, keyed by node index (dense
+        # counts for matrix nodes); see ``count_nodes``.
         self._counts: Tuple[Dict[int, int], Dict[int, int]] = ({}, {})
         self._tolerance = weights.tolerance
 
@@ -345,9 +396,33 @@ class PooledEngine:
             cache[index] = node
         return node
 
+    def matrix_view(self, level: int, index: int) -> Node:
+        """The dense view of stored matrix node ``index`` shown at ``level``:
+        the node's own view, or an identity view if ``index`` sits below."""
+        if self.var_of(MATRIX, index) == level:
+            return self.view(MATRIX, index)
+        key = (level, index)
+        node = self._identity_views.get(key)
+        if node is None:
+            node = self._identity_views[key] = PooledIdentityNode(self, level, index)
+        return node
+
+    def dense_child(self, var: int, succ: int, wsucc: int) -> Node:
+        """The successor a level-``var`` matrix view shows for one stored
+        edge (a zero stub keeps the terminal)."""
+        if succ < 0 and wsucc == 0:
+            return TERMINAL
+        return self.matrix_view(var - 1, succ)
+
     def view_edges(self, kind: int, index: int) -> Tuple[Edge, ...]:
         pool = self.vpool if kind == VECTOR else self.mpool
         value = self.weights.value
+        if kind == MATRIX:
+            var = pool.var[index]
+            return tuple(
+                Edge(self.dense_child(var, succ, wsucc), value(wsucc))
+                for succ, wsucc in pool.edges_of(index)
+            )
         return tuple(
             Edge(self.view(kind, succ), value(wsucc))
             for succ, wsucc in pool.edges_of(index)
@@ -363,9 +438,10 @@ class PooledEngine:
             )
         return index
 
-    def to_edge(self, kind: int, edge: RawEdge) -> Edge:
+    def to_edge(self, kind: int, edge: RawEdge, top: int = -1) -> Edge:
         """The boundary :class:`Edge` of an in-flight edge (its weight
-        canonicalized)."""
+        canonicalized).  A matrix edge points at its dense view at level
+        ``top``, the DD's width minus one."""
         index, weight = edge
         if not weight:
             return ZERO_EDGE
@@ -373,7 +449,11 @@ class PooledEngine:
         widx = weights.lookup_index(weight)
         if widx == 0:
             return ZERO_EDGE
-        return Edge(self.view(kind, index), weights._values[widx])
+        if kind == MATRIX:
+            node = self.matrix_view(max(top, self.var_of(MATRIX, index)), index)
+        else:
+            node = self.view(kind, index)
+        return Edge(node, weights._values[widx])
 
     def from_edge(self, edge: Edge) -> RawEdge:
         """The in-flight edge of a boundary :class:`Edge`."""
@@ -389,8 +469,14 @@ class PooledEngine:
         pool = self.vpool if kind == VECTOR else self.mpool
         return pool.var[index]
 
-    def count_nodes(self, kind: int, index: int) -> int:
+    def count_nodes(self, kind: int, index: int, top: int = -1) -> int:
         """Reachable non-terminal node count, memoized per node index.
+
+        A matrix DD counts as the paper's dense DD of width ``top + 1``:
+        its stored nodes, plus one identity node per distinct pair
+        ``(skipped level j, child c)``, including the chain from ``top``
+        down to the root.  Only the chain depends on ``top``, so the memo
+        holds the count below the root.
 
         Soundness: a pool writes a slot's ``var``/``succ``/``wsucc`` only
         in ``alloc``, and ``alloc`` reuses only slots that ``sweep`` freed.
@@ -400,16 +486,20 @@ class PooledEngine:
         the keys are allocated slot indices, so the memo never holds more
         entries than the pools have slots.
         """
+        chain = 0
+        if kind == MATRIX:
+            chain = max(0, top - self.var_of(MATRIX, index))
         if index < 0:
-            return 0
+            return chain
         counts = self._counts[kind]
         count = counts.get(index)
         if count is None:
             count = counts[index] = self._count_reachable(kind, index)
-        return count
+        return count + chain
 
     def _count_reachable(self, kind: int, index: int) -> int:
-        """Walk the flat arrays from ``index``, counting non-terminals."""
+        """Walk the flat arrays from ``index``, counting non-terminals (and,
+        for matrix nodes, the identity nodes of skipped levels)."""
         pool = self.vpool if kind == VECTOR else self.mpool
         succ = pool.succ
         arity = pool.arity
@@ -417,16 +507,40 @@ class PooledEngine:
         stack = [index]
         pop = stack.pop
         push = stack.append
+        if kind == VECTOR:
+            while stack:
+                base = pop() * arity
+                for k in range(base, base + arity):
+                    # Any stored successor counts, even under a
+                    # (theoretical) zero weight.
+                    child = succ[k]
+                    if child >= 0 and child not in seen:
+                        seen.add(child)
+                        push(child)
+            return len(seen)
+        var, wsucc = pool.var, pool.wsucc
+        # The highest parent level of every child a non-zero-stub edge
+        # reaches: the child's identity nodes fill the levels in between.
+        top_parent: Dict[int, int] = {}
         while stack:
-            base = pop() * arity
-            for k in range(base, base + arity):
-                # Any stored successor counts, even under a (theoretical)
-                # zero weight.
+            parent = pop()
+            level = var[parent]
+            base = parent * 4
+            for k in range(base, base + 4):
                 child = succ[k]
-                if child >= 0 and child not in seen:
+                if child < 0:
+                    if wsucc[k] and top_parent.get(-1, -1) < level:
+                        top_parent[-1] = level
+                    continue
+                if top_parent.get(child, -1) < level:
+                    top_parent[child] = level
+                if child not in seen:
                     seen.add(child)
                     push(child)
-        return len(seen)
+        skipped = 0
+        for child, level in top_parent.items():
+            skipped += level - 1 - (var[child] if child >= 0 else -1)
+        return len(seen) + skipped
 
     # ------------------------------------------------------------------
     # weight arithmetic (raw values)
@@ -513,7 +627,7 @@ class PooledEngine:
             return (self._cons(kind, var, successors, hit[1]), hit[0])
         (n0, w0), (n1, w1), (n2, w2), (n3, w3) = edges
         if (
-            self.identity_skipping and not w1 and not w2 and w0 and n0 == n3
+            not w1 and not w2 and w0 and n0 == n3
             and (w0 == w3 or self.weights.is_one(w3 / w0))
         ):
             self.identity_skips += 1
@@ -593,7 +707,7 @@ class PooledEngine:
                 converted.append(ZERO_E)
             else:
                 converted.append((self.node_index(edge.node), weight))
-        return self.to_edge(kind, self.make_node(kind, var, converted))
+        return self.to_edge(kind, self.make_node(kind, var, converted), var)
 
     # ------------------------------------------------------------------
     # arithmetic (in-flight edges)
@@ -612,18 +726,10 @@ class PooledEngine:
                 return ZERO_E
             return (TERMINAL_INDEX, total)
         pool = self.vpool if kind == VECTOR else self.mpool
-        lvar = pool.var[ln] if ln >= 0 else -1
-        rvar = pool.var[rn] if rn >= 0 else -1
-        if lvar != rvar:
-            if kind == MATRIX and self.identity_skipping:
-                return self._add_skipping((ln, lw), (rn, rw))
-            raise DimensionMismatchError(
-                f"cannot add DDs at levels {lvar} and {rvar}"
-            )
-        # Addition is commutative: order operands by creation stamp for
-        # better cache reuse.
+        # Addition is commutative: order operands by creation stamp (the
+        # terminal's is 0) for better cache reuse.
         order = pool.order
-        if order[rn] < order[ln]:
+        if (order[rn] if rn >= 0 else 0) < (order[ln] if ln >= 0 else 0):
             ln, lw, rn, rw = rn, rw, ln, lw
         # Factor the left weight out: l + r = w_l * (l/w_l + r/w_l).
         ratio = rw / lw
@@ -631,28 +737,37 @@ class PooledEngine:
         cache = self._add_cache
         cached = cache.lookup(key)
         if cached is None:
-            arity = pool.arity
-            succ, wsucc = pool.succ, pool.wsucc
-            values = self.weights._values
-            lbase = ln * arity
-            rbase = rn * arity
-            children = [
-                self.add(
-                    kind,
-                    (succ[lbase + k], values[wsucc[lbase + k]]),
-                    self.scale((succ[rbase + k], values[wsucc[rbase + k]]), ratio),
-                )
-                for k in range(arity)
-            ]
-            cached = self.make_node(kind, lvar, children)
+            if kind == VECTOR:
+                # Vector DDs never skip: both operands sit at one level.
+                var = pool.var[ln]
+                succ, wsucc = pool.succ, pool.wsucc
+                values = self.weights._values
+                lbase = ln * 2
+                rbase = rn * 2
+                children = [
+                    self.add(
+                        kind,
+                        (succ[lbase + k], values[wsucc[lbase + k]]),
+                        self.scale((succ[rbase + k], values[wsucc[rbase + k]]), ratio),
+                    )
+                    for k in (0, 1)
+                ]
+            else:
+                var = max(self.var_of(MATRIX, ln), self.var_of(MATRIX, rn))
+                lchildren = self._mchildren_at(ln, var, ONE)
+                rchildren = self._mchildren_at(rn, var, ratio)
+                children = [
+                    self.add(MATRIX, lchildren[k], rchildren[k]) for k in range(4)
+                ]
+            cached = self.make_node(kind, var, children)
             cache.insert(key, cached)
         return self.scale(cached, lw)
 
     def _mchildren_at(self, index: int, var: int, weight: complex):
         """Successors of ``weight * node`` viewed as a matrix node at ``var``.
 
-        With identity skipping, the terminal or a node below ``var`` stands
-        for ``I ⊗ ... ⊗ node`` — virtually a diagonal node ``(e, 0, 0, e)``.
+        The terminal or a node below ``var`` stands for ``I ⊗ ... ⊗ node``:
+        virtually a diagonal node ``(e, 0, 0, e)``.
         """
         if index >= 0 and self.mpool.var[index] == var:
             base = index * 4
@@ -665,32 +780,6 @@ class PooledEngine:
         unit = (index, weight)
         return (unit, ZERO_E, ZERO_E, unit)
 
-    def _add_skipping(self, left: RawEdge, right: RawEdge) -> RawEdge:
-        """Matrix addition across mismatched (skipped) levels."""
-        ln, lw = left
-        rn, rw = right
-        pool = self.mpool
-        order = pool.order
-        if (order[rn] if rn >= 0 else 0) < (order[ln] if ln >= 0 else 0):
-            ln, lw, rn, rw = rn, rw, ln, lw
-        var = max(
-            pool.var[ln] if ln >= 0 else -1,
-            pool.var[rn] if rn >= 0 else -1,
-        )
-        ratio = rw / lw
-        key = (MATRIX, ln, rn, ratio)
-        cache = self._add_cache
-        cached = cache.lookup(key)
-        if cached is None:
-            lchildren = self._mchildren_at(ln, var, ONE)
-            rchildren = self._mchildren_at(rn, var, ratio)
-            children = [
-                self.add(MATRIX, lchildren[k], rchildren[k]) for k in range(4)
-            ]
-            cached = self.make_node(MATRIX, var, children)
-            cache.insert(key, cached)
-        return self.scale(cached, lw)
-
     def multiply_mv(self, m_edge: RawEdge, v_edge: RawEdge) -> RawEdge:
         mn, mw = m_edge
         vn, vw = v_edge
@@ -699,50 +788,10 @@ class PooledEngine:
         factor = self._product(mw, vw)
         if not factor:
             return ZERO_E
-        if mn < 0 and vn < 0:
-            return (TERMINAL_INDEX, factor)
-        if self.identity_skipping and vn >= 0:
-            if mn < 0:
-                # w * I applied to the (dense) state: rescale only.
-                return (vn, factor)
-            if self.mpool.var[mn] < self.vpool.var[vn]:
-                return self.scale(self._multiply_mv_skipping(mn, vn), factor)
-        mvar = self.mpool.var[mn] if mn >= 0 else -1
-        vvar = self.vpool.var[vn] if vn >= 0 else -1
-        if mvar != vvar:
-            raise DimensionMismatchError(
-                f"matrix level {mvar} does not match vector level {vvar}"
-            )
-        key = (mn, vn)
-        cache = self._mult_mv_cache
-        cached = cache.lookup(key)
-        if cached is None:
-            msucc, mwsucc = self.mpool.succ, self.mpool.wsucc
-            vsucc, vwsucc = self.vpool.succ, self.vpool.wsucc
-            values = self.weights._values
-            mbase = mn * 4
-            vbase = vn * 2
-            v0 = (vsucc[vbase], values[vwsucc[vbase]])
-            v1 = (vsucc[vbase + 1], values[vwsucc[vbase + 1]])
-            children = [
-                self.add(
-                    VECTOR,
-                    self.multiply_mv(
-                        (msucc[mbase + 2 * i], values[mwsucc[mbase + 2 * i]]), v0
-                    ),
-                    self.multiply_mv(
-                        (msucc[mbase + 2 * i + 1], values[mwsucc[mbase + 2 * i + 1]]),
-                        v1,
-                    ),
-                )
-                for i in (0, 1)
-            ]
-            cached = self.make_node(VECTOR, mvar, children)
-            cache.insert(key, cached)
-        return self.scale(cached, factor)
-
-    def _multiply_mv_skipping(self, mn: int, vn: int) -> RawEdge:
-        """Matrix-vector product where the matrix skips the vector's level."""
+        if mn < 0:
+            # w * I applied to the state: rescale only.
+            return (vn, factor)
+        # The matrix sits at the vector's level or skips down from it.
         vvar = self.vpool.var[vn]
         key = (mn, vn)
         cache = self._mult_mv_cache
@@ -764,10 +813,21 @@ class PooledEngine:
             ]
             cached = self.make_node(VECTOR, vvar, children)
             cache.insert(key, cached)
-        return cached
+        return self.scale(cached, factor)
 
-    def _multiply_mm_skipping(self, an: int, bn: int) -> RawEdge:
-        """Matrix-matrix product across mismatched (skipped) levels."""
+    def multiply_mm(self, a_edge: RawEdge, b_edge: RawEdge) -> RawEdge:
+        an, aw = a_edge
+        bn, bw = b_edge
+        if not aw or not bw:
+            return ZERO_E
+        factor = self._product(aw, bw)
+        if not factor:
+            return ZERO_E
+        # w * I absorbs into the other operand's weight.
+        if an < 0:
+            return (bn, factor)
+        if bn < 0:
+            return (an, factor)
         var = max(self.mpool.var[an], self.mpool.var[bn])
         key = (an, bn)
         cache = self._mult_mm_cache
@@ -788,60 +848,6 @@ class PooledEngine:
                         )
                     )
             cached = self.make_node(MATRIX, var, children)
-            cache.insert(key, cached)
-        return cached
-
-    def multiply_mm(self, a_edge: RawEdge, b_edge: RawEdge) -> RawEdge:
-        an, aw = a_edge
-        bn, bw = b_edge
-        if not aw or not bw:
-            return ZERO_E
-        factor = self._product(aw, bw)
-        if not factor:
-            return ZERO_E
-        if an < 0 and bn < 0:
-            return (TERMINAL_INDEX, factor)
-        if self.identity_skipping:
-            # w * I absorbs into the other operand's weight.
-            if an < 0:
-                return (bn, factor)
-            if bn < 0:
-                return (an, factor)
-            if self.mpool.var[an] != self.mpool.var[bn]:
-                return self.scale(self._multiply_mm_skipping(an, bn), factor)
-        avar = self.mpool.var[an] if an >= 0 else -1
-        bvar = self.mpool.var[bn] if bn >= 0 else -1
-        if avar != bvar:
-            raise DimensionMismatchError(
-                f"cannot multiply matrix DDs at levels {avar} and {bvar}"
-            )
-        key = (an, bn)
-        cache = self._mult_mm_cache
-        cached = cache.lookup(key)
-        if cached is None:
-            succ, wsucc = self.mpool.succ, self.mpool.wsucc
-            values = self.weights._values
-            abase = an * 4
-            bbase = bn * 4
-            children = []
-            for i in (0, 1):
-                for j in (0, 1):
-                    a0 = abase + 2 * i
-                    b0 = bbase + j
-                    children.append(
-                        self.add(
-                            MATRIX,
-                            self.multiply_mm(
-                                (succ[a0], values[wsucc[a0]]),
-                                (succ[b0], values[wsucc[b0]]),
-                            ),
-                            self.multiply_mm(
-                                (succ[a0 + 1], values[wsucc[a0 + 1]]),
-                                (succ[b0 + 2], values[wsucc[b0 + 2]]),
-                            ),
-                        )
-                    )
-            cached = self.make_node(MATRIX, avar, children)
             cache.insert(key, cached)
         return self.scale(cached, factor)
 
@@ -974,6 +980,8 @@ class PooledEngine:
         """
         kind = node._KIND
         index = node._index
+        if index < 0:
+            return  # an identity view over the terminal: nothing to retire
         unique = self._vunique if kind == VECTOR else self._munique
         if unique.remove_index(index):
             self._retired[kind].add(index)
@@ -1106,15 +1114,15 @@ class PooledApplyKernel:
     branches for controls above the target and uses the projector chain
     ``CU = I + P (U - I)`` for controls below it.  It operates on
     in-flight ``(node_index, complex)`` edges, with the apply-cache keyed
-    ``(interned gate id, node index)`` so repeated gates hash two small
-    integers instead of a nested unitary tuple.
+    ``(interned gate id, node index, next gate line)`` so repeated gates
+    hash three small integers instead of a nested unitary tuple.
     """
 
     __slots__ = (
         "engine", "weights", "pool", "cache", "mode", "kind",
-        "u_val", "d00", "d11", "target", "controls", "low", "below", "below_map",
-        "below_low", "op_id", "proj_id", "kernel", "cacheable",
-        "skipping", "high", "lines", "below_lines",
+        "u_val", "d00", "d11", "target", "controls", "below", "below_map",
+        "op_id", "proj_id", "kernel", "cacheable", "high", "lowest",
+        "lines", "below_lines", "transient",
     )
 
     def __init__(
@@ -1163,22 +1171,15 @@ class PooledApplyKernel:
                 raise DDError("target and control lines must be distinct")
             if bit not in (0, 1):
                 raise DDError(f"control value must be 0 or 1, got {bit!r}")
-        levels = [target, *self.controls]
-        self.low = min(levels)
-        self.high = max(levels)
-        self.lines = tuple(sorted(levels, reverse=True))
+        self.lines = tuple(sorted([target, *self.controls], reverse=True))
+        self.high = self.lines[0]
+        self.lowest = self.lines[-1]
         self.below = tuple(
             sorted((line, bit) for line, bit in self.controls.items() if line < target)
         )
         self.below_map = dict(self.below)
-        self.below_low = self.below[0][0] if self.below else target
         self.below_lines = tuple(sorted(self.below_map, reverse=True))
-        # Identity-skipping matrix DDs may skip gate lines; `_rec_s` tracks
-        # levels and materializes skipped ones on demand (vector DDs stay
-        # dense, so mode "v" keeps the fast path).
-        self.skipping = mode != "v" and bool(
-            getattr(package, "identity_skipping", False)
-        )
+        self.transient: Dict[tuple, RawEdge] = {}
         ctrl_key = tuple(sorted(self.controls.items()))
         self.op_id = engine.gate_id(("apply", mode, self.u_val, target, ctrl_key))
         self.proj_id = engine.gate_id(("proj", mode, self.below))
@@ -1202,66 +1203,89 @@ class PooledApplyKernel:
         if root.is_zero:
             return ZERO_EDGE
         node = root.node
-        engine = self.engine
-        if self.skipping:
-            if not node.is_terminal and not isinstance(node, MatrixNode):
-                raise DDError("apply kernels need a matrix DD root")
-            index, weight = engine.from_edge(root)
-            entry = self.high if index < 0 else max(self.high, self.pool.var[index])
-            return engine.to_edge(
-                self.kind, engine.scale(self._rec_s(index, entry), weight)
-            )
         expected = VectorNode if self.mode == "v" else MatrixNode
         if node.is_terminal or not isinstance(node, expected):
             kind = "vector" if self.mode == "v" else "matrix"
             raise DDError(f"apply kernels need a non-trivial {kind} DD root")
-        if node.var < self.target or (self.controls and node.var < max(self.controls)):
+        if node.var < self.high:
             raise DDError(
                 f"gate lines exceed the DD's qubit range (root level {node.var})"
             )
+        engine = self.engine
         index, weight = engine.from_edge(root)
-        return engine.to_edge(self.kind, engine.scale(self._rec(index), weight))
+        if self.transient:
+            self.transient.clear()
+        result = engine.scale(self._rec(index, node.var), weight)
+        return engine.to_edge(self.kind, result, node.var)
 
-    # -- recursion over untouched upper levels ---------------------------
-    def _rec(self, index: int) -> RawEdge:
-        if index < 0 or self.pool.var[index] < self.low:
-            # Everything the gate touches lies above: the subtree (possibly
-            # the terminal) is shared unchanged.
-            return (index, ONE)
-        key = (self.op_id, index)
-        cache = self.cache
-        cached = cache.lookup(key)
-        if cached is None:
-            cached = self._expand(index)
-            cache.insert(key, cached)
-        return cached
+    # -- recursion ---------------------------------------------------------
+    # Matrix DDs skip identity levels, so the recursion tracks the next
+    # gate line and keys the cache on it (node-only keys would collide when
+    # gate lines fall in skipped ranges).  Vector DDs never skip, so the
+    # same recursion is exact for them.
+    #
+    # A node at (or skipping past) the gate's lowest line recurses no
+    # further, so ``_rec`` memoizes its result only for the current
+    # application, in ``transient``; the shared apply cache keeps the
+    # entries that save a recursion and stays no larger than one gate DD
+    # multiplied on per gate (tests/test_apply_properties.py).  Projector
+    # results all go to the shared cache: they are keyed by the controls
+    # below the target alone, so every gate with those controls reuses
+    # them.
+    def _pairs_at(self, index: int, virtual: bool):
+        if not virtual:
+            return self._pairs(index)
+        # The node skips this level: virtually a diagonal (e, 0, 0, e),
+        # identical under row ("ml") and column ("mr") grouping.
+        unit = (index, ONE)
+        return ((unit, ZERO_E), (ZERO_E, unit))
 
-    def _rec_edge(self, edge: RawEdge) -> RawEdge:
+    def _rec_edge(self, edge: RawEdge, level: int) -> RawEdge:
         if not edge[1]:
             return ZERO_E
-        return self.engine.scale(self._rec(edge[0]), edge[1])
+        return self.engine.scale(self._rec(edge[0], level), edge[1])
 
-    def _expand(self, index: int) -> RawEdge:
-        var = self.pool.var[index]
-        pairs = self._pairs(index)
-        if var == self.target:
-            new_pairs = [self._apply_target(pair) for pair in pairs]
+    def _rec(self, index: int, level: int) -> RawEdge:
+        """The gate applied to ``index`` seen at ``level``: levels above the
+        gate's lines are shared unchanged, a control selects its branch and
+        the target level applies the unitary."""
+        for line in self.lines:  # the next gate line at or below ``level``
+            if line <= level:
+                break
         else:
-            bit = self.controls.get(var)
-            if bit is None:
-                # A line between the gate's lines: descend on both branches.
-                new_pairs = [
-                    tuple(self._rec_edge(child) for child in pair) for pair in pairs
-                ]
+            return (index, ONE)
+        var = self.pool.var[index] if index >= 0 else -1
+        key = (self.op_id, index, line)
+        persist = var > line or line != self.lowest
+        cached = self.cache.lookup(key) if persist else self.transient.get(key)
+        if cached is not None:
+            return cached
+        if var > line:
+            # A line between the gate's lines: descend on every branch.
+            new_pairs = [
+                tuple(self._rec_edge(child, var - 1) for child in pair)
+                for pair in self._pairs(index)
+            ]
+            cached = self._make(var, new_pairs)
+        else:
+            pairs = self._pairs_at(index, index < 0 or var < line)
+            if line == self.target:
+                new_pairs = [self._apply_target(pair) for pair in pairs]
             else:
-                # Control above the (remaining) gate lines: the active branch
+                # Control above the remaining gate lines: the active branch
                 # continues, the inactive branch is shared unchanged.
+                bit = self.controls[line]
                 new_pairs = []
                 for pair in pairs:
                     updated = list(pair)
-                    updated[bit] = self._rec_edge(pair[bit])
+                    updated[bit] = self._rec_edge(pair[bit], line - 1)
                     new_pairs.append(tuple(updated))
-        return self._make(var, new_pairs)
+            cached = self._make(line, new_pairs)
+        if persist:
+            self.cache.insert(key, cached)
+        else:
+            self.transient[key] = cached
+        return cached
 
     # -- the target level -----------------------------------------------
     def _apply_target(self, pair):
@@ -1275,8 +1299,8 @@ class PooledApplyKernel:
             # projector chain P applied to the subtrees first.
             add = engine.add
             d00, d11 = self.d00, self.d11
-            p0 = self._proj_edge(c0)
-            p1 = self._proj_edge(c1)
+            p0 = self._proj_edge(c0, self.target - 1)
+            p1 = self._proj_edge(c1, self.target - 1)
             new0 = add(kind, c0, add(kind, scale(p0, d00), scale(p1, u01)))
             new1 = add(kind, c1, add(kind, scale(p0, u10), scale(p1, d11)))
             return (new0, new1)
@@ -1292,146 +1316,38 @@ class PooledApplyKernel:
         return (new0, new1)
 
     # -- projector chain for controls below the target -------------------
-    def _proj_edge(self, edge: RawEdge) -> RawEdge:
+    def _proj_edge(self, edge: RawEdge, level: int) -> RawEdge:
         if not edge[1]:
             return ZERO_E
-        return self.engine.scale(self._proj(edge[0]), edge[1])
+        return self.engine.scale(self._proj(edge[0], level), edge[1])
 
-    def _proj(self, index: int) -> RawEdge:
-        if index < 0 or self.pool.var[index] < self.below_low:
-            return (index, ONE)
-        key = (self.proj_id, index)
-        cache = self.cache
-        cached = cache.lookup(key)
-        if cached is None:
-            var = self.pool.var[index]
-            pairs = self._pairs(index)
-            bit = self.below_map.get(var)
-            new_pairs = []
-            for pair in pairs:
-                if bit is None:
-                    new_pairs.append(tuple(self._proj_edge(child) for child in pair))
-                else:
-                    updated = [ZERO_E, ZERO_E]
-                    updated[bit] = self._proj_edge(pair[bit])
-                    new_pairs.append(tuple(updated))
-            cached = self._make(var, new_pairs)
-            cache.insert(key, cached)
-        return cached
-
-    # -- identity-skipping recursion (matrix modes) ----------------------
-    # Skipped levels stand for identities, so the recursion tracks the next
-    # gate line and keys the cache on it (node-only keys would collide when
-    # gate lines fall in skipped ranges).
-    @staticmethod
-    def _next_line(lines: Tuple[int, ...], level: int):
-        for line in lines:
+    def _proj(self, index: int, level: int) -> RawEdge:
+        for line in self.below_lines:
             if line <= level:
-                return line
-        return None
-
-    def _pairs_at(self, index: int, virtual: bool):
-        if not virtual:
-            return self._pairs(index)
-        # The node skips this level: virtually a diagonal (e, 0, 0, e),
-        # identical under row ("ml") and column ("mr") grouping.
-        unit = (index, ONE)
-        return ((unit, ZERO_E), (ZERO_E, unit))
-
-    def _rec_s_edge(self, edge: RawEdge, level: int) -> RawEdge:
-        if not edge[1]:
-            return ZERO_E
-        return self.engine.scale(self._rec_s(edge[0], level), edge[1])
-
-    def _rec_s(self, index: int, level: int) -> RawEdge:
-        line = self._next_line(self.lines, level)
-        if line is None:
-            return (index, ONE)
-        key = (self.op_id, index, line)
-        cache = self.cache
-        cached = cache.lookup(key)
-        if cached is not None:
-            return cached
-        var = self.pool.var[index] if index >= 0 else -1
-        if index >= 0 and var > line:
-            pairs = self._pairs(index)
-            new_pairs = [
-                tuple(self._rec_s_edge(child, var - 1) for child in pair)
-                for pair in pairs
-            ]
-            cached = self._make(var, new_pairs)
+                break
         else:
-            virtual = index < 0 or var < line
-            pairs = self._pairs_at(index, virtual)
-            if line == self.target:
-                new_pairs = [self._apply_target_s(pair) for pair in pairs]
-            else:
-                bit = self.controls[line]
-                new_pairs = []
-                for pair in pairs:
-                    updated = list(pair)
-                    updated[bit] = self._rec_s_edge(pair[bit], line - 1)
-                    new_pairs.append(tuple(updated))
-            cached = self._make(line, new_pairs)
-        cache.insert(key, cached)
-        return cached
-
-    def _apply_target_s(self, pair):
-        u00, u01, u10, u11 = self.u_val
-        c0, c1 = pair
-        engine = self.engine
-        scale = engine.scale
-        kind = self.kind
-        if self.below:
-            add = engine.add
-            d00, d11 = self.d00, self.d11
-            p0 = self._proj_s_edge(c0, self.target - 1)
-            p1 = self._proj_s_edge(c1, self.target - 1)
-            new0 = add(kind, c0, add(kind, scale(p0, d00), scale(p1, u01)))
-            new1 = add(kind, c1, add(kind, scale(p0, u10), scale(p1, d11)))
-            return (new0, new1)
-        if not u01 and not u10:
-            return (scale(c0, u00), scale(c1, u11))
-        if not u00 and not u11:
-            return (scale(c1, u01), scale(c0, u10))
-        add = engine.add
-        new0 = add(kind, scale(c0, u00), scale(c1, u01))
-        new1 = add(kind, scale(c0, u10), scale(c1, u11))
-        return (new0, new1)
-
-    def _proj_s_edge(self, edge: RawEdge, level: int) -> RawEdge:
-        if not edge[1]:
-            return ZERO_E
-        return self.engine.scale(self._proj_s(edge[0], level), edge[1])
-
-    def _proj_s(self, index: int, level: int) -> RawEdge:
-        line = self._next_line(self.below_lines, level)
-        if line is None:
             return (index, ONE)
+        var = self.pool.var[index] if index >= 0 else -1
         key = (self.proj_id, index, line)
-        cache = self.cache
-        cached = cache.lookup(key)
+        cached = self.cache.lookup(key)
         if cached is not None:
             return cached
-        var = self.pool.var[index] if index >= 0 else -1
-        if index >= 0 and var > line:
-            pairs = self._pairs(index)
+        if var > line:
             new_pairs = [
-                tuple(self._proj_s_edge(child, var - 1) for child in pair)
-                for pair in pairs
+                tuple(self._proj_edge(child, var - 1) for child in pair)
+                for pair in self._pairs(index)
             ]
             cached = self._make(var, new_pairs)
         else:
-            virtual = index < 0 or var < line
-            pairs = self._pairs_at(index, virtual)
+            pairs = self._pairs_at(index, index < 0 or var < line)
             bit = self.below_map[line]
             new_pairs = []
             for pair in pairs:
                 updated = [ZERO_E, ZERO_E]
-                updated[bit] = self._proj_s_edge(pair[bit], line - 1)
+                updated[bit] = self._proj_edge(pair[bit], line - 1)
                 new_pairs.append(tuple(updated))
             cached = self._make(line, new_pairs)
-        cache.insert(key, cached)
+        self.cache.insert(key, cached)
         return cached
 
     # -- mode-dependent successor layout ---------------------------------

@@ -22,8 +22,8 @@ into
 Nodes strictly below the window are shared unchanged; nodes above are
 rebuilt with translated children.  Everything goes back through the
 normalizing constructors, so the result is canonical under the new order
-by construction — and with identity skipping enabled, the reduction rule
-re-fires automatically on every rebuilt matrix node.
+by construction, and the identity-skipping reduction re-fires on every
+rebuilt matrix node.
 
 The package keeps a remap (old root node -> new edge) so edges handed
 out before a reorder keep working; every public ``DDPackage`` entry
@@ -31,7 +31,8 @@ point funnels operands through it (``DDPackage._resolve``).
 
 The recursion only uses ``node.edges`` / ``node.var`` and the package's
 normalizing constructors, which the pooled engine exposes through its
-flyweight node views.
+flyweight node views.  Matrix views show the dense DD (skipped levels as
+identity nodes), so the swap never meets a level-skipping edge.
 """
 
 from __future__ import annotations
@@ -53,50 +54,27 @@ def _make_node(package, is_matrix: bool, var: int, children) -> Edge:
 
 
 def _swap_window(package, level: int, node) -> Edge:
-    """Re-bracket one node whose variable sits inside the swap window.
-
-    ``node.var`` is ``level + 1`` (the usual case) or ``level`` (identity
-    skipping only: the path skips ``level + 1``, so the top of the window
-    is a virtual identity).
-    """
+    """Re-bracket one node whose variable sits at ``level + 1``."""
     table = package.complex_table
     is_matrix = isinstance(node, MatrixNode)
     arity = 4 if is_matrix else 2
-    if node.var == level + 1:
-        tops = node.edges
-    else:
-        if not (is_matrix and package.identity_skipping):
-            raise DDError(
-                f"cannot swap levels ({level}, {level + 1}): a root spans "
-                f"only {node.var + 1} levels (mixed-span roots are not "
-                "supported)"
-            )
-        unit = Edge(node, ComplexTable.ONE)
-        tops = (unit, ZERO_EDGE, ZERO_EDGE, unit)
     rows: List[Tuple[Edge, ...]] = []
-    for child in tops:
+    for child in node.edges:
         if child.is_zero:
             rows.append((ZERO_EDGE,) * arity)
             continue
         cnode = child.node
         if cnode.is_terminal or cnode.var < level:
-            if not (is_matrix and package.identity_skipping):
-                raise DDError(
-                    f"level {level} is missing below a level-{level + 1} "
-                    "node (non-canonical diagram)"
-                )
-            # The child skips the lower window level: virtually diagonal.
-            row = [ZERO_EDGE] * arity
-            row[0] = child
-            row[arity - 1] = child
-            rows.append(tuple(row))
-        else:
-            rows.append(
-                tuple(
-                    ZERO_EDGE if gc.is_zero else gc.scaled(child.weight, table)
-                    for gc in cnode.edges
-                )
+            raise DDError(
+                f"level {level} is missing below a level-{level + 1} "
+                "node (non-canonical diagram)"
             )
+        rows.append(
+            tuple(
+                ZERO_EDGE if gc.is_zero else gc.scaled(child.weight, table)
+                for gc in cnode.edges
+            )
+        )
     inner = tuple(
         _make_node(
             package, is_matrix, level, tuple(rows[k][m] for k in range(arity))
@@ -111,8 +89,7 @@ def _swap_edge(package, level: int, edge: Edge, memo: Dict) -> Edge:
         return edge
     node = edge.node
     if node.is_terminal or node.var < level:
-        # Entirely below the window (or, with identity skipping, an
-        # identity across both window levels): shared unchanged.
+        # Entirely below the window: shared unchanged.
         return edge
     res = memo.get(node)
     if res is None:
@@ -123,8 +100,14 @@ def _swap_edge(package, level: int, edge: Edge, memo: Dict) -> Edge:
             res = _make_node(
                 package, isinstance(node, MatrixNode), node.var, children
             )
-        else:
+        elif node.var == level + 1:
             res = _swap_window(package, level, node)
+        else:
+            raise DDError(
+                f"cannot swap levels ({level}, {level + 1}): a root spans "
+                f"only {node.var + 1} levels (mixed-span roots are not "
+                "supported)"
+            )
         memo[node] = res
     if res.is_zero:
         return ZERO_EDGE

@@ -25,6 +25,7 @@ meaningful within one document.
 from __future__ import annotations
 
 import json
+import math
 from typing import Dict, List
 
 from repro.dd.edge import Edge, ZERO_EDGE
@@ -35,21 +36,19 @@ from repro.errors import DDError
 _FORMAT_VERSION = 1
 
 
-def dd_to_dict(package: DDPackage, root: Edge, num_qubits: int = None) -> dict:
+def dd_to_dict(package: DDPackage, root: Edge) -> dict:
     """Serialize a (non-zero) DD rooted at ``root`` to plain data.
 
-    ``num_qubits`` pins the document's qubit span explicitly; without it
-    the span is inferred from the root level — which *undercounts* for
-    identity-skipping matrix DDs whose top levels are skipped (and for
-    the all-identity diagram, whose root is the terminal), so callers
-    holding the true width should always pass it.  The document records
-    the package's level-to-qubit order and skipping flag so a loader can
-    refuse an incompatible package instead of silently permuting
-    amplitudes.
+    Matrix DDs are written as the paper's dense DD, identity nodes
+    included.  The document records the package's level-to-qubit order so
+    a loader can refuse an incompatible package instead of silently
+    permuting amplitudes.
     """
     root = package._resolve(root)
     if root.is_zero:
         raise DDError("cannot serialize the zero decision diagram")
+    if root.node.is_terminal:
+        raise DDError("cannot serialize a bare terminal diagram")
     ids: Dict[Node, int] = {}
     nodes: List[dict] = []
 
@@ -75,29 +74,13 @@ def dd_to_dict(package: DDPackage, root: Edge, num_qubits: int = None) -> dict:
         nodes.append({"id": identifier, "var": node.var, "edges": edges})
         return identifier
 
-    if root.node.is_terminal:
-        # Identity skipping can collapse a whole matrix DD (e.g. the
-        # identity itself) to a weighted terminal edge.
-        if not package.identity_skipping:
-            raise DDError("cannot serialize a bare terminal diagram")
-        root_id = None
-        kind = "matrix"
-    else:
-        root_id = visit(root.node)
-        kind = "matrix" if isinstance(root.node, MatrixNode) else "vector"
-    if num_qubits is None:
-        num_qubits = root.node.var + 1
-    elif num_qubits < root.node.var + 1:
-        raise DDError(
-            f"num_qubits={num_qubits} is smaller than the root level span "
-            f"({root.node.var + 1})"
-        )
+    root_id = visit(root.node)
+    num_qubits = root.node.var + 1
     return {
         "format": _FORMAT_VERSION,
-        "kind": kind,
+        "kind": "matrix" if isinstance(root.node, MatrixNode) else "vector",
         "num_qubits": num_qubits,
         "order": [package.qubit_at(level) for level in range(num_qubits)],
-        "identity_skipping": bool(package.identity_skipping),
         "root": {"node": root_id, "weight": [root.weight.real, root.weight.imag]},
         "nodes": nodes,
     }
@@ -107,73 +90,165 @@ def dd_from_dict(package: DDPackage, data: dict) -> Edge:
     """Rebuild a DD in ``package`` from :func:`dd_to_dict` data.
 
     Normalization and hash consing re-establish the canonical form, so the
-    result compares (by root pointer) with freshly built diagrams.
+    result compares (by root pointer) with freshly built diagrams.  A
+    malformed document raises :class:`~repro.errors.DDError` before the
+    package is touched: every level lies in ``[0, num_qubits)`` and strictly
+    below its parent (one level below in a vector DD), the root sits at
+    level ``num_qubits - 1``, weights are finite, and ``order`` is a
+    permutation of ``range(num_qubits)``.
     """
+    if not isinstance(data, dict):
+        raise DDError(f"a DD document is a JSON object, not {type(data).__name__}")
     if data.get("format") != _FORMAT_VERSION:
         raise DDError(f"unsupported DD format version {data.get('format')!r}")
     kind = data.get("kind")
     if kind not in ("vector", "matrix"):
         raise DDError(f"unknown DD kind {kind!r}")
-    if bool(data.get("identity_skipping", False)) and not package.identity_skipping:
-        raise DDError(
-            "document was serialized with identity skipping; loading into "
-            "a dense package would plant level-skipping edges "
-            "(use DDPackage(identity_skipping=True))"
-        )
+    num_qubits = _integer(data.get("num_qubits"), "num_qubits")
+    if num_qubits < 1:
+        raise DDError(f"num_qubits must be at least 1, got {num_qubits}")
     doc_order = data.get("order")
     if doc_order is not None:
-        doc_order = [int(q) for q in doc_order]
-        package_order = [package.qubit_at(level) for level in range(len(doc_order))]
-        if doc_order != package_order:
-            pristine = (
-                package._order_is_identity
-                and not package.governor.stats()["live_roots"]
-            )
-            if not pristine:
-                raise DDError(
-                    f"document qubit order {doc_order} does not match the "
-                    f"package's current order {package_order}; reorder the "
-                    "package (or load into a fresh one) first"
-                )
-            # A fresh package holds nothing whose readout the order could
-            # change, so it adopts the document's order wholesale.
-            package._ensure_order(len(doc_order))
-            package._order[: len(doc_order)] = doc_order
-            package._refresh_order_identity()
+        _check_order(doc_order, num_qubits)
+    nodes = _parse_nodes(data.get("nodes"), kind, num_qubits)
+    root_data = data.get("root")
+    if not isinstance(root_data, dict):
+        raise DDError("the document has no root object")
+    root_weight = _weight(root_data.get("weight"), "root")
+    root_id = _integer(root_data.get("node"), "root node")
+    if root_id not in nodes:
+        raise DDError(f"root references unknown node {root_id!r}")
+    if nodes[root_id][0] != num_qubits - 1:
+        raise DDError(
+            f"root sits at level {nodes[root_id][0]}, not at the top level "
+            f"{num_qubits - 1}"
+        )
+    if doc_order is not None:
+        _adopt_order(package, doc_order)
     make_node = (
         package.make_matrix_node if kind == "matrix" else package.make_vector_node
     )
+    table = package.complex_table
     rebuilt: Dict[int, Edge] = {}
-    for entry in data["nodes"]:
-        edges = []
-        for edge_data in entry["edges"]:
-            edges.append(_edge_from(package, edge_data, rebuilt))
-        rebuilt[int(entry["id"])] = make_node(int(entry["var"]), edges)
-    root_data = data["root"]
-    weight = complex(*root_data["weight"])
-    if root_data["node"] is None:
-        base = Edge(TERMINAL, package.complex_table.ONE)
-    else:
-        base = rebuilt.get(int(root_data["node"]))
-    if base is None:
-        raise DDError(f"root references unknown node {root_data['node']!r}")
-    return base.scaled(package.complex_table.lookup(weight), package.complex_table)
+    try:
+        for identifier, (var, edges) in nodes.items():
+            children = []
+            for target, weight in edges:
+                if target == "zero":
+                    children.append(ZERO_EDGE)
+                elif target is None:
+                    children.append(Edge(TERMINAL, table.lookup(weight)))
+                else:
+                    children.append(
+                        rebuilt[target].scaled(table.lookup(weight), table)
+                    )
+            rebuilt[identifier] = make_node(var, children)
+        return rebuilt[root_id].scaled(table.lookup(root_weight), table)
+    except (ValueError, OverflowError, ZeroDivisionError) as error:
+        # Finite weights whose products leave the complex table's range.
+        raise DDError(f"document weights out of range: {error}") from None
 
 
-def _edge_from(package: DDPackage, edge_data, rebuilt: Dict[int, Edge]) -> Edge:
-    if edge_data == "zero":
-        return ZERO_EDGE
-    weight = package.complex_table.lookup(complex(*edge_data["weight"]))
-    target = edge_data["node"]
-    if target is None:
-        return Edge(TERMINAL, weight)
-    child = rebuilt.get(int(target))
-    if child is None:
+def _integer(value, what: str) -> int:
+    if type(value) is not int:
+        raise DDError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _weight(value, where: str) -> complex:
+    if (
+        not isinstance(value, (list, tuple))
+        or len(value) != 2
+        or not all(type(part) in (int, float) for part in value)
+    ):
+        raise DDError(f"{where}: a weight is a [real, imag] pair, got {value!r}")
+    weight = complex(value[0], value[1])
+    if not (math.isfinite(weight.real) and math.isfinite(weight.imag)):
+        raise DDError(f"{where}: non-finite weight {value!r}")
+    return weight
+
+
+def _check_order(order, num_qubits: int) -> None:
+    if (
+        not isinstance(order, list)
+        or len(order) != num_qubits
+        or any(type(qubit) is not int for qubit in order)
+        or sorted(order) != list(range(num_qubits))
+    ):
         raise DDError(
-            f"edge references node {target!r} before its definition "
-            "(the node list must be bottom-up)"
+            f"order must be a permutation of range({num_qubits}), got {order!r}"
         )
-    return child.scaled(weight, package.complex_table)
+
+
+def _parse_nodes(entries, kind: str, num_qubits: int) -> Dict[int, tuple]:
+    """Validated ``id -> (var, [(target, weight), ...])`` in document order;
+    a target is a node id, ``None`` (terminal) or ``"zero"``."""
+    if not isinstance(entries, list):
+        raise DDError("the document's nodes must be a list")
+    arity = 4 if kind == "matrix" else 2
+    nodes: Dict[int, tuple] = {}
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise DDError(f"a node entry is an object, got {entry!r}")
+        identifier = _integer(entry.get("id"), "node id")
+        if identifier in nodes:
+            raise DDError(f"node id {identifier} is defined twice")
+        var = _integer(entry.get("var"), f"node {identifier} var")
+        if not 0 <= var < num_qubits:
+            raise DDError(
+                f"node {identifier}: level {var} outside [0, {num_qubits})"
+            )
+        edges_data = entry.get("edges")
+        if not isinstance(edges_data, list) or len(edges_data) != arity:
+            raise DDError(f"node {identifier}: a {kind} node has {arity} edges")
+        edges = []
+        for offset, edge_data in enumerate(edges_data):
+            where = f"node {identifier} edge {offset}"
+            if edge_data == "zero":
+                edges.append(("zero", 0j))
+                continue
+            if not isinstance(edge_data, dict):
+                raise DDError(f"{where}: an edge is an object or \"zero\"")
+            weight = _weight(edge_data.get("weight"), where)
+            target = edge_data.get("node")
+            child_var = -1
+            if target is not None:
+                target = _integer(target, f"{where} node")
+                if target not in nodes:
+                    raise DDError(
+                        f"{where} references node {target!r} before its "
+                        "definition (the node list must be bottom-up)"
+                    )
+                child_var = nodes[target][0]
+            if child_var >= var or kind == "vector" and child_var != var - 1:
+                raise DDError(
+                    f"{where}: a level-{var} node cannot point at level {child_var}"
+                )
+            edges.append((target, weight))
+        nodes[identifier] = (var, edges)
+    return nodes
+
+
+def _adopt_order(package: DDPackage, doc_order: List[int]) -> None:
+    """Check the document's order against the package's, letting a fresh
+    package adopt it."""
+    package_order = [package.qubit_at(level) for level in range(len(doc_order))]
+    if doc_order == package_order:
+        return
+    pristine = (
+        package._order_is_identity and not package.governor.stats()["live_roots"]
+    )
+    if not pristine:
+        raise DDError(
+            f"document qubit order {doc_order} does not match the "
+            f"package's current order {package_order}; reorder the "
+            "package (or load into a fresh one) first"
+        )
+    # A fresh package holds nothing whose readout the order could change,
+    # so it adopts the document's order wholesale.
+    package._ensure_order(len(doc_order))
+    package._order[: len(doc_order)] = doc_order
+    package._refresh_order_identity()
 
 
 def save_dd(package: DDPackage, root: Edge, path: str) -> None:
@@ -185,4 +260,8 @@ def save_dd(package: DDPackage, root: Edge, path: str) -> None:
 def load_dd(package: DDPackage, path: str) -> Edge:
     """Load a DD from a JSON file into ``package``."""
     with open(path, "r", encoding="utf-8") as handle:
-        return dd_from_dict(package, json.load(handle))
+        try:
+            data = json.load(handle)
+        except (ValueError, RecursionError) as error:
+            raise DDError(f"{path}: not a JSON DD document ({error})") from None
+    return dd_from_dict(package, data)

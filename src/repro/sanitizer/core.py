@@ -53,11 +53,11 @@ Invariant families
     valid permutation of ``0..n-1`` (a corrupted map silently permutes
     every amplitude/sample/serialization query).
 
-``skip-level-*``
-    Identity-skipping consistency: in a dense package no matrix edge may
-    skip a level (``skip-level-dense``), and in a skipping package no
-    explicit identity node ``(e, 0, 0, e)`` may survive construction
-    (``skip-level-unreduced``) — the reduction rule must have fired.
+``skip-level-unreduced``
+    Identity-skipping consistency: no stored identity matrix node
+    ``(e, 0, 0, e)`` may survive construction — the reduction rule must
+    have fired.  The check reads the pool arrays, so the identity views
+    the package shows for skipped levels never trip it.
 
 ``pool-*``
     Pooled-storage index integrity: every live node's successor indices
@@ -243,8 +243,6 @@ class DDSanitizer:
                 by_signature[signature] = node
             self._check_node_edges(node, location, report)
             self._check_normalization(node, scheme, location, report)
-            if kind == "matrix":
-                self._check_level_skips(node, location, report)
 
     def _check_node_edges(
         self, node: Node, location: str, report: SanitizeReport
@@ -347,38 +345,6 @@ class DDSanitizer:
                     f"successor magnitude {peak!r} exceeds 1",
                     location,
                 ))
-
-    def _check_level_skips(
-        self, node: Node, location: str, report: SanitizeReport
-    ) -> None:
-        """Matrix-DD level-skip consistency (dense vs identity skipping)."""
-        if not getattr(self.package, "identity_skipping", False):
-            for index, edge in enumerate(node.edges):
-                if edge.weight == ComplexTable.ZERO:
-                    continue
-                child_var = -1 if edge.node.is_terminal else edge.node.var
-                if child_var != node.var - 1:
-                    report.violations.append(Violation(
-                        "skip-level-dense",
-                        f"successor at level q{child_var} skips level "
-                        f"q{node.var - 1} in a dense (non-skipping) package",
-                        f"{location} edge {index}",
-                    ))
-            return
-        e0, e1, e2, e3 = node.edges
-        if (
-            e1.weight == ComplexTable.ZERO
-            and e2.weight == ComplexTable.ZERO
-            and e0.weight != ComplexTable.ZERO
-            and e0 == e3
-        ):
-            report.violations.append(Violation(
-                "skip-level-unreduced",
-                "matrix node is an identity over its level (e1=e2=0, "
-                "e0=e3) and should have been removed by the skipping "
-                "reduction rule",
-                location,
-            ))
 
     # ------------------------------------------------------------------
     # dynamic variable order
@@ -521,10 +487,7 @@ class DDSanitizer:
                 location = f"{kind} pool node @{index} (q{pool.var[index]})"
                 pool_edges = list(pool.edges_of(index))
                 if kind == "matrix":
-                    self._check_pool_level_skips(
-                        pool, index, pool_edges, TERMINAL_INDEX,
-                        location, report,
-                    )
+                    self._check_unreduced(pool_edges, location, report)
                 for offset, (succ, wsucc) in enumerate(pool_edges):
                     where = f"{location} edge {offset}"
                     if succ != TERMINAL_INDEX and not pool.is_live(succ):
@@ -554,27 +517,9 @@ class DDSanitizer:
                         location,
                     ))
 
-    def _check_pool_level_skips(
-        self, pool, index, edges, terminal_index, location, report
-    ) -> None:
-        """Pooled mirror of :meth:`_check_level_skips` (weight index 0 is
-        the canonical zero)."""
-        var = pool.var[index]
-        if not getattr(self.package, "identity_skipping", False):
-            for offset, (succ, wsucc) in enumerate(edges):
-                if wsucc == 0:
-                    continue
-                if succ != terminal_index and not pool.is_live(succ):
-                    continue  # already reported as pool-dangling-successor
-                child_var = -1 if succ == terminal_index else pool.var[succ]
-                if child_var != var - 1:
-                    report.violations.append(Violation(
-                        "skip-level-dense",
-                        f"successor at level q{child_var} skips level "
-                        f"q{var - 1} in a dense (non-skipping) package",
-                        f"{location} edge {offset}",
-                    ))
-            return
+    def _check_unreduced(self, edges, location, report) -> None:
+        """A stored matrix node must not be an identity over its level
+        (weight index 0 is the canonical zero)."""
         (n0, w0), (n1, w1), (n2, w2), (n3, w3) = edges
         if w1 == 0 and w2 == 0 and w0 != 0 and (n0, w0) == (n3, w3):
             report.violations.append(Violation(

@@ -29,9 +29,9 @@ fault                          detected by
                                under a live edge)
 ``corrupt-order-map``          ``order-map`` (level-to-qubit permutation
                                with a duplicated entry)
-``skip-across-level``          ``skip-level-dense`` (identity-skip edge
-                               planted across a non-identity level of a
-                               dense package)
+``skip-across-level``          ``skip-level-unreduced`` (identity node
+                               ``(c, 0, 0, c)`` stored instead of an
+                               edge that skips across its level)
 =============================  ===========================================
 
 The module also provides worker-pool *fault jobs* (crash, hang, corrupt)
@@ -88,7 +88,7 @@ EXPECTED_CHECKS: Dict[str, str] = {
     "pooled-dangling-successor": "pool-dangling-successor",
     "pooled-stale-weight": "pool-stale-weight",
     "corrupt-order-map": "order-map",
-    "skip-across-level": "skip-level-dense",
+    "skip-across-level": "skip-level-unreduced",
 }
 
 
@@ -342,35 +342,33 @@ class FaultInjector:
         return {"fault": "corrupt-order-map", "level": level, "old": old}
 
     def skip_across_level(self) -> Dict[str, Any]:
-        """Plant an identity-skip edge across a level of a *dense* package.
+        """Store an identity node ``(c, 0, 0, c)`` one level above ``c``.
 
-        Models reading a skipping-package serialization into a dense
-        package (or a constructor that dropped a level): the edge jumps
-        straight past ``q(var-1)`` with no identity semantics to justify
-        it, so dense traversals misalign every level below.
+        Models a constructor that bypassed the reduction rule: the level
+        an edge should skip across is kept as an explicit node, so one
+        operator has two stored forms and hash consing no longer shares
+        them.  ``c`` is a live matrix node or the terminal.
         """
-        from repro.dd.node import TERMINAL, MatrixNode
+        from repro.dd.node import MatrixNode
+        from repro.dd.pool import TERMINAL_INDEX, WeightPool
+        from repro.dd.pooled import MATRIX
 
-        if getattr(self.package, "identity_skipping", False):
-            raise DDError(
-                "skip-across-level targets dense (non-skipping) packages"
-            )
-        candidates = []
-        for _table, _key, node in self._live_entries():
-            if isinstance(node, MatrixNode) and node.var > 0:
-                for index, edge in enumerate(node.edges):
-                    if edge.weight != ComplexTable.ZERO:
-                        candidates.append((node, index))
-        if not candidates:
-            raise DDError(
-                "fault injection needs a live matrix node above level 0"
-            )
-        node, index = self.rng.choice(candidates)
-        edges = list(node.edges)
-        edges[index] = Edge(TERMINAL, edges[index].weight)
-        node.edges = tuple(edges)
+        engine = self.package._pooled
+        children = [TERMINAL_INDEX] + [
+            node._index
+            for _table, _key, node in self._live_entries()
+            if isinstance(node, MatrixNode)
+        ]
+        child = self.rng.choice(children)
+        level = engine.var_of(MATRIX, child) + 1
+        one = WeightPool.ONE_INDEX
+        index = engine._cons(
+            MATRIX, level, (child, TERMINAL_INDEX, TERMINAL_INDEX, child),
+            (one, 0, 0, one),
+        )
+        node = engine.view(MATRIX, index)
         self._pinned.append(node)
-        return {"fault": "skip-across-level", "node": node.uid, "edge": index}
+        return {"fault": "skip-across-level", "node": node.uid, "child": child}
 
     # ------------------------------------------------------------------
     # dispatch

@@ -264,8 +264,6 @@ def _leg_package(sanitize_every: int, options: Optional[Dict[str, object]] = Non
     if options:
         if options.get("reorder"):
             kwargs["reorder"] = options["reorder"]
-        if options.get("identity_skipping"):
-            kwargs["identity_skipping"] = True
         if options.get("budget_nodes"):
             kwargs["budget"] = MemoryBudget(
                 max_nodes=int(options["budget_nodes"]), check_interval=1

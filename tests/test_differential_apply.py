@@ -167,7 +167,7 @@ def test_three_way_amplitude_agreement(case):
     assert kernel_sim.package._matrix_unique.misses == 0
 
 
-# Aggregate bookkeeping for the 4-way sweep: tiny circuits may never hit
+# Aggregate bookkeeping for the differential sweep: tiny circuits may never hit
 # the pressure window, so "sifting actually fired" is asserted over the
 # whole sweep rather than per case.
 _PRESSURE_STATS = {"cases": 0, "reorder_runs": 0, "identity_skips": 0}
@@ -175,18 +175,19 @@ _PRESSURE_STATS = {"cases": 0, "reorder_runs": 0, "identity_skips": 0}
 
 @pytest.mark.parametrize("case", range(NUM_CASES))
 def test_four_way_reorder_and_skipping_agreement(case):
-    """The 4-way differential sweep over the dynamic-order features.
+    """The differential sweep over the dynamic-order features.
 
-    Each seeded circuit runs under (a) ``identity_skipping=True`` through
-    the matrix-DD oracle — every gate is a full matrix DD, so the skip
-    reduction fires constantly — and (b) ``reorder="pressure"`` under a
-    deliberately tiny node budget, so the governor sifts mid-circuit.
-    Both legs must agree amplitude-by-amplitude to ``TOLERANCE`` with the
-    plain matrix-DD oracle and with the dense statevector (``to_vector``
-    undoes the recorded qubit permutation).
+    Each seeded circuit runs through the matrix-DD oracle — every gate is
+    a full matrix DD, so the identity-skipping reduction fires constantly
+    — and under ``reorder="pressure"`` with a deliberately tiny node
+    budget, so the governor sifts mid-circuit.  Both legs must agree
+    amplitude-by-amplitude to ``TOLERANCE`` with each other and with the
+    dense statevector (``to_vector`` undoes the recorded qubit
+    permutation).
     """
     circuit = _case_circuit(case)
-    reference = matrix_dd_statevector(DDPackage(), circuit)
+    oracle_package = DDPackage()
+    reference = matrix_dd_statevector(oracle_package, circuit)
     dense = StatevectorSimulator(circuit)
     dense.run()
     label = f"case {case} (base seed {BASE_SEED}): {circuit.name}"
@@ -194,26 +195,20 @@ def test_four_way_reorder_and_skipping_agreement(case):
         f"{label}: the matrix-DD oracle deviates from the dense reference"
     )
 
-    skip_package = DDPackage(identity_skipping=True)
     pressure_package = DDPackage(
         reorder="pressure", budget=MemoryBudget(max_nodes=30, check_interval=1)
     )
     pressure_sim = DDSimulator(circuit, package=pressure_package)
     pressure_sim.run_all()
-    legs = {
-        "identity-skipping": matrix_dd_statevector(skip_package, circuit),
-        f"pressure reordering (order {pressure_package.qubit_order})": (
-            pressure_sim.statevector()
-        ),
-    }
-    for leg, vector in legs.items():
-        assert np.abs(vector - reference).max() < TOLERANCE, (
-            f"{label}: {leg} deviates from the matrix-DD oracle"
-        )
-        assert np.abs(vector - dense.state).max() < TOLERANCE, (
-            f"{label}: {leg} deviates from the dense reference"
-        )
-    _PRESSURE_STATS["identity_skips"] += skip_package.identity_skip_count
+    leg = f"pressure reordering (order {pressure_package.qubit_order})"
+    vector = pressure_sim.statevector()
+    assert np.abs(vector - reference).max() < TOLERANCE, (
+        f"{label}: {leg} deviates from the matrix-DD oracle"
+    )
+    assert np.abs(vector - dense.state).max() < TOLERANCE, (
+        f"{label}: {leg} deviates from the dense reference"
+    )
+    _PRESSURE_STATS["identity_skips"] += oracle_package.identity_skip_count
     _PRESSURE_STATS["reorder_runs"] += pressure_package._reorder_runs
     _PRESSURE_STATS["cases"] += 1
 

@@ -54,7 +54,7 @@ def _seeded_package() -> DDPackage:
     skew = package.from_state_vector([0.6, 0.8j, 0.0, 0.0])
     package.incref(skew)
     # A live matrix DD above level 0, so matrix-structure faults
-    # (skip-across-level) always have a candidate.
+    # (skip-across-level) can pick a stored node as well as the terminal.
     gate = package.single_qubit_gate(2, [[0, 1], [1, 0]], 1)
     package.incref(gate)
     # GC roots hold weak references; pin the edges so the nodes stay live
@@ -146,15 +146,18 @@ class TestFaultDetection:
         package = _seeded_package()
         inject_fault(package, "skip-across-level", seed=0)
         report = package.sanitize()
-        assert "skip-level-dense" in report.checks_failed, report.summary()
+        assert "skip-level-unreduced" in report.checks_failed, report.summary()
 
-    def test_skip_across_level_refused_on_skipping_package(self):
-        package = DDPackage(identity_skipping=True)
-        gate = package.single_qubit_gate(2, [[0, 1], [1, 0]], 1)
+    def test_identity_views_are_not_unreduced_nodes(self):
+        """The identity views a matrix DD shows for its skipped levels look
+        like ``(e, 0, 0, e)`` nodes but are not stored, so a clean package
+        with such views in reach stays clean."""
+        package = DDPackage()
+        gate = package.single_qubit_gate(4, [[0, 1], [1, 0]], 0)
         package.incref(gate)
-        package._test_pin = gate
-        with pytest.raises(DDError, match="dense"):
-            inject_fault(package, "skip-across-level", seed=0)
+        assert package.node_count(gate) == 4
+        assert package.identity_skip_count > 0
+        assert package.sanitize().ok
 
     @pytest.mark.parametrize("fault", sorted(FAULT_CLASSES))
     @pytest.mark.parametrize("seed", [1, 7, 42, 12345])

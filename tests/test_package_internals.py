@@ -210,8 +210,8 @@ class TestOnlyStoredWeightsAreMinted:
             minted.append(index)
             return index
 
-        def recording_to_edge(kind, edge):
-            result = to_edge(kind, edge)
+        def recording_to_edge(kind, edge, *top):
+            result = to_edge(kind, edge, *top)
             boundary.add(result.weight)
             return result
 
@@ -241,6 +241,24 @@ class TestOnlyStoredWeightsAreMinted:
         ]
         assert len(minted) > 100
         assert unexplained == []
+
+
+def test_identity_view_keeps_its_stored_child_alive():
+    """A gate DD whose stored root skips the top levels is handed out as an
+    identity view; holding only that view keeps the stored node through a
+    forced collection."""
+    package = DDPackage()
+    gate = package.single_qubit_gate(4, [[0, 1], [1, 0]], 0)
+    assert gate.node.var == 3
+    index = package._pooled.node_index(gate.node)
+    assert package._pooled.mpool.var[index] == 0
+    gc.collect()
+    package.gc(force=True)
+    assert package._pooled.mpool.is_live(index)
+    expected = np.kron(np.eye(8), [[0, 1], [1, 0]])
+    assert np.allclose(package.to_matrix(gate), expected)
+    assert package.node_count(gate) == 4
+    assert package.sanitize().ok
 
 
 class TestViewEdgeMemo:
@@ -294,6 +312,18 @@ def _reachable(node):
     return nodes
 
 
+def _views_below(node):
+    """Every distinct non-terminal view below ``node``: the dense DD, whose
+    identity views share their stored child's index."""
+    seen, stack = set(), [node]
+    while stack:
+        node = stack.pop()
+        if node.var >= 0 and node not in seen:
+            seen.add(node)
+            stack.extend(edge.node for edge in node.edges)
+    return seen
+
+
 class TestNodeCountMemo:
     """``node_count`` memoizes per node index; the memo must equal a fresh
     walk at every step, forget recycled slots, and spare warm re-runs."""
@@ -308,7 +338,7 @@ class TestNodeCountMemo:
             record = simulator.step_forward()
             assert record.node_count == len(_reachable(simulator.state.node))
             product = package.multiply(gate_to_dd(package, record.operation, 5), product)
-            assert package.node_count(product) == len(_reachable(product.node))
+            assert package.node_count(product) == len(_views_below(product.node))
 
     def test_recycled_index_reports_its_new_count(self):
         rng = np.random.default_rng(7)

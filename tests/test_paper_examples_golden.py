@@ -49,12 +49,8 @@ def _circuit(name: str):
     }[name]()
 
 
-def compute_payload(identity_skipping: bool = False) -> dict:
+def compute_payload(make_package=DDPackage) -> dict:
     """Everything the golden file freezes, computed on fresh packages."""
-
-    def make_package() -> DDPackage:
-        return DDPackage(identity_skipping=identity_skipping)
-
     payload: dict = {"simulation": {}}
     for name in _SIMULATED:
         circuit = _circuit(name)
@@ -105,41 +101,22 @@ def test_payload_reproduces_golden_byte_for_byte(golden):
 
 
 def test_identity_skipping_reproduces_golden_amplitudes(golden):
-    """Identity skipping changes *representation*, never *semantics*.
+    """Identity skipping changes the stored *representation*, never a
+    reported number.
 
-    With reordering disabled, a skipping package must reproduce every
-    golden amplitude byte-for-byte (same ``repr`` strings) and the same
-    vector-DD node counts — vector DDs stay level-dense, so skipping
-    cannot touch them.  Where the goldens legitimately differ is the
-    matrix-DD sizes: the QFT functionality and the construct-checker peak
-    shrink once identity blocks collapse (arXiv:2406.11959), so those are
-    asserted *smaller*, not equal.
+    The matrix packages behind the payload skip identity levels
+    (arXiv:2406.11959), yet the payload — amplitudes, the QFT(3)
+    functionality size and the Ex. 12 peaks 9 vs 21 — equals the golden
+    file, because node counts report the dense DD.
     """
-    reference = json.loads(golden)
-    payload = compute_payload(identity_skipping=True)
-    assert payload["simulation"] == reference["simulation"], (
-        "identity skipping changed a simulated amplitude or a vector-DD "
-        "node count"
-    )
-    assert payload["example12"]["equivalent"] is True
-    # Matrix-DD node counts are where the goldens may legitimately move.
-    # The *final* 3-qubit QFT unitary is dense (no identity sub-blocks),
-    # so its functionality DD cannot shrink — frozen at the same 21:
-    assert (
-        payload["qft3_functionality_nodes"]
-        == reference["qft3_functionality_nodes"]
-    )
-    assert (
-        payload["example12"]["construct_peak_nodes"]
-        == reference["example12"]["construct_peak_nodes"]
-    )
-    # ... but the alternating scheme's *intermediate* products carry
-    # identity-padded gates, and those do collapse: peak 9 -> 5.
-    assert (
-        payload["example12"]["alternating_peak_nodes"]
-        < reference["example12"]["alternating_peak_nodes"]
-    )
-    assert payload["example12"]["alternating_peak_nodes"] == 5
+    packages = []
+
+    def make_package() -> DDPackage:
+        packages.append(DDPackage())
+        return packages[-1]
+
+    assert _serialize(compute_payload(make_package)) == golden
+    assert sum(package.identity_skip_count for package in packages) > 0
 
 
 def test_golden_freezes_the_paper_numbers(golden):

@@ -130,10 +130,11 @@ def test_sifting_is_idempotent_at_a_local_minimum():
 
 
 def test_sift_preserves_matrix_roots_under_identity_skipping():
-    # A controlled gate rooted in a skipping package: the sift's virtual
-    # identity tops and diagonal rows must reproduce the same operator.
+    # A controlled gate whose stored DD skips identity levels: the sift
+    # walks its dense views (identity nodes for the skipped levels) and
+    # must reproduce the same operator.
     num_qubits = 3
-    package = DDPackage(reorder="manual", identity_skipping=True)
+    package = DDPackage(reorder="manual")
     gate = package.incref(
         package.controlled_gate(num_qubits, [[0, 1], [1, 0]], 0, controls=(2,))
     )
@@ -154,7 +155,7 @@ def test_fresh_package_load_adopts_a_reordered_document():
     package, state, vector = _random_state_package(3, seed=11)
     swap_adjacent(package, 0)
     swap_adjacent(package, 1)
-    data = serialize.dd_to_dict(package, package._resolve(state), 3)
+    data = serialize.dd_to_dict(package, package._resolve(state))
 
     fresh = DDPackage()
     loaded = fresh.incref(serialize.dd_from_dict(fresh, data))

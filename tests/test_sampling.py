@@ -155,7 +155,6 @@ def _assert_matches_reference(package, state, seeds=(0, 1, 2)):
 _PACKAGES = {
     "l2": lambda: DDPackage(),
     "max": lambda: DDPackage(vector_scheme=NormalizationScheme.MAX_MAGNITUDE),
-    "identity-skipping": lambda: DDPackage(identity_skipping=True),
 }
 
 _CIRCUITS = {

@@ -98,6 +98,77 @@ class TestSerialization:
             dd_from_dict(package, data)
 
 
+def _qft3_document():
+    package = DDPackage()
+    return dd_to_dict(package, circuit_to_dd(package, library.qft(3)))
+
+
+def _set(path, value):
+    """A mutation writing ``value`` at ``path`` (keys and list indices)."""
+
+    def mutate(data):
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+
+    return mutate
+
+
+def _delete(key):
+    def mutate(data):
+        del data[key]
+
+    return mutate
+
+
+#: Malformed documents, each a mutation of a valid 3-qubit QFT document.
+#: Each once failed with a KeyError/TypeError/ValueError or was accepted.
+_MALFORMED = {
+    "missing-nodes": _delete("nodes"),
+    "three-element-weight": _set(("nodes", 0, "edges", 0, "weight"), [1.0, 0.0, 0.0]),
+    "string-weight": _set(("nodes", 0, "edges", 0, "weight"), "1+0j"),
+    "int-edge": _set(("nodes", 0, "edges", 0), 5),
+    "string-var": _set(("nodes", 0, "var"), "x"),
+    "three-edges": _set(("nodes", 0, "edges"), ["zero", "zero", "zero"]),
+    "nan-weight": _set(("root", "weight"), [float("nan"), 0.0]),
+    "huge-var": _set(("nodes", 0, "var"), 1000000),
+    "child-not-below-parent": _set(("nodes", 0, "var"), 2),
+    "order-not-a-permutation": _set(("order",), [0, 0, 1]),
+    "null-root": _set(("root", "node"), None),
+    "root-below-top": lambda data: data.update(num_qubits=4, order=[0, 1, 2, 3]),
+    "duplicate-id": _set(("nodes", 1, "id"), 0),
+    "bool-num-qubits": _set(("num_qubits",), True),
+}
+
+
+class TestDocumentValidation:
+    @pytest.mark.parametrize("case", sorted(_MALFORMED))
+    def test_malformed_document_is_a_dd_error(self, case):
+        data = _qft3_document()
+        _MALFORMED[case](data)
+        package = DDPackage()
+        with pytest.raises(DDError):
+            dd_from_dict(package, data)
+        # A refused document leaves the package's order map untouched.
+        assert package.qubit_order == []
+
+    def test_the_unmutated_document_loads(self):
+        package = DDPackage()
+        rebuilt = dd_from_dict(package, _qft3_document())
+        assert package.node_count(rebuilt) == 21
+
+    def test_non_object_document(self, package):
+        with pytest.raises(DDError):
+            dd_from_dict(package, [1, 2, 3])
+
+    def test_load_dd_rejects_non_json(self, package, tmp_path):
+        path = tmp_path / "broken.dd.json"
+        path.write_text('{"format": 1, "kind": ')
+        with pytest.raises(DDError):
+            load_dd(package, str(path))
+
+
 class TestBlochVectors:
     def test_cardinal_states(self, package):
         cases = [
