@@ -203,8 +203,6 @@ def _make_package(options: Dict[str, Any]):
         if options.get("budget_check_interval"):
             budget_kwargs["check_interval"] = int(options["budget_check_interval"])
         kwargs["budget"] = MemoryBudget(**budget_kwargs)
-    if options.get("reorder"):
-        kwargs["reorder"] = options["reorder"]
     return DDPackage(**kwargs)
 
 
@@ -228,9 +226,6 @@ def run_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
     if kind == "vector":
         root = package.incref(package.from_state_vector(built))
         peak_nodes = package.node_count(root)
-        if package.reorder_mode == "manual":
-            package.reorder()
-            root = package._resolve(root)
         metrics = {
             "num_qubits": size,
             "operations": 0,
@@ -250,8 +245,7 @@ def run_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
                 "remove measurements, resets and classical conditions"
             )
         # Gate-by-gate with incref discipline (new root registered before
-        # the old one is released): the governor sees live roots, so
-        # pressure-triggered reordering can fire mid-build, and the
+        # the old one is released): the governor sees live roots, and the
         # recorded peak is the true construction peak rather than the
         # final count.
         root = package.incref(package.identity(built.num_qubits))
@@ -264,9 +258,6 @@ def run_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
             package.decref(root)
             root = stepped
             peak_nodes = max(peak_nodes, package.node_count(root))
-        if package.reorder_mode == "manual":
-            package.reorder()
-            root = package._resolve(root)
         metrics = {
             "num_qubits": built.num_qubits,
             "operations": len(built),
@@ -290,8 +281,6 @@ def run_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
         simulator = DDSimulator(built, package=package, seed=seed)
         try:
             simulator.run_all()
-            if package.reorder_mode == "manual":
-                package.reorder()
             metrics = {
                 "num_qubits": built.num_qubits,
                 "operations": len(built),
@@ -311,8 +300,6 @@ def run_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
         metrics["table_bytes"] = int(governance["table_bytes"])
         metrics["sanitize_runs"] = package.sanitize_runs
         metrics["sanitize_violations"] = package.sanitize_violations
-        metrics["reorder_runs"] = package._reorder_runs
-        metrics["reorder_swaps"] = package._reorder_swaps
         metrics["identity_skips"] = package.identity_skip_count
     return {
         "cell_id": payload.get("cell_id"),

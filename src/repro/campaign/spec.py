@@ -22,7 +22,7 @@ The schema (``qdd-campaign-spec-v1``) is intentionally small::
         "shots": 0,
         "packages": [
           {"label": "kernels"},
-          {"label": "sifted", "reorder": "manual"}
+          {"label": "checked", "sanitize_every": 1}
         ]
       },
       "execution": {"workers": 0, "cell_timeout": 120.0},
@@ -67,7 +67,6 @@ CELL_MODES = ("simulate", "functionality", "dense")
 GATE_DIRECTIONS = ("both", "increase", "decrease")
 
 _VECTOR_SCHEMES = (None, "l2", "max-magnitude")
-_REORDER_MODES = ("off", "manual", "pressure")
 
 
 def _require_keys(mapping: Dict[str, Any], allowed: Sequence[str], where: str) -> None:
@@ -103,7 +102,6 @@ class PackageSpec:
     budget_nodes: int = 0
     budget_bytes: int = 0
     budget_check_interval: Optional[int] = None
-    reorder: str = "off"
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any], where: str) -> "PackageSpec":
@@ -112,8 +110,7 @@ class PackageSpec:
         _require_keys(
             data,
             ("label", "tolerance", "vector_scheme", "sanitize_every",
-             "budget_nodes", "budget_bytes", "budget_check_interval",
-             "reorder"),
+             "budget_nodes", "budget_bytes", "budget_check_interval"),
             where,
         )
         label = data.get("label")
@@ -150,12 +147,6 @@ class PackageSpec:
             raise CampaignSpecError(
                 f"{where}: budget_check_interval must be a positive integer"
             )
-        reorder = data.get("reorder", "off")
-        if reorder not in _REORDER_MODES:
-            raise CampaignSpecError(
-                f"{where}: reorder must be one of "
-                f"{'/'.join(repr(m) for m in _REORDER_MODES)}, got {reorder!r}"
-            )
         return cls(
             label=label,
             tolerance=float(tolerance) if tolerance is not None else None,
@@ -164,7 +155,6 @@ class PackageSpec:
             budget_nodes=int(data.get("budget_nodes", 0)),
             budget_bytes=int(data.get("budget_bytes", 0)),
             budget_check_interval=check_interval,
-            reorder=reorder,
         )
 
     def as_dict(self) -> Dict[str, Any]:
@@ -176,7 +166,6 @@ class PackageSpec:
             "budget_nodes": self.budget_nodes,
             "budget_bytes": self.budget_bytes,
             "budget_check_interval": self.budget_check_interval,
-            "reorder": self.reorder,
         }
 
 

@@ -9,6 +9,11 @@ arithmetic needed for simulation and verification (addition, matrix-vector
 and matrix-matrix multiplication, tensor products, adjoints) together with
 measurement, sampling and reset.
 
+Every diagram uses one fixed variable order: level ``k`` hosts qubit
+``q_k``.  The order sensitivity of paper Sec. III-C is reproduced by
+permuting circuit wires before simulation
+(:func:`repro.qc.transforms.permute_qubits`), not inside the package.
+
 The central entry point is :class:`repro.dd.DDPackage`.
 """
 

@@ -152,17 +152,6 @@ def _control_map(
     return mapping
 
 
-def _map_lines(package, target: int, mapping: Dict[int, int]):
-    """Translate qubit lines into DD levels under the package's variable
-    order (the identity while no reorder has run)."""
-    if package._order_is_identity:
-        return target, mapping
-    return (
-        package.level_of(target),
-        {package.level_of(line): bit for line, bit in mapping.items()},
-    )
-
-
 def apply_single_qubit(package, state: Edge, matrix: np.ndarray, target: int) -> Edge:
     """Apply a single-qubit gate directly to a vector DD: ``U_t |state>``."""
     return apply_controlled(package, state, matrix, target)
@@ -178,11 +167,9 @@ def apply_controlled(
 ) -> Edge:
     """Apply a (multi-)controlled single-qubit gate directly to a vector DD."""
     package._maybe_gc()
-    state = package._resolve(state)
-    target, mapping = _map_lines(
-        package, target, _control_map(controls, negative_controls)
+    kernel = _make_kernel(
+        package, "v", matrix, target, _control_map(controls, negative_controls)
     )
-    kernel = _make_kernel(package, "v", matrix, target, mapping)
     if not package._obs_on:
         return kernel.run(state)
     start = perf_counter()
@@ -208,12 +195,7 @@ def apply_swap(
     if line_a == line_b:
         raise DDError("SWAP needs two distinct lines")
     package._maybe_gc()
-    state = package._resolve(state)
     mapping = _control_map(controls, negative_controls)
-    if not package._order_is_identity:
-        line_a = package.level_of(line_a)
-        line_b = package.level_of(line_b)
-        mapping = {package.level_of(line): bit for line, bit in mapping.items()}
     start = perf_counter() if package._obs_on else None
     outer = _make_kernel(package, "v", _X_MATRIX, line_a, {line_b: 1})
     mapping[line_a] = 1
@@ -267,9 +249,8 @@ def apply_operation(package, state: Edge, operation, num_qubits: int):
     if operation.gate in ("iswap", "iswapdg") and operation.num_controls == 0:
         start = perf_counter() if package._obs_on else None
         sign = 1 if operation.gate == "iswap" else -1
-        result = package._resolve(state)
+        result = state
         for gate_matrix, target, ctrls in _iswap_stages(targets, sign):
-            target, ctrls = _map_lines(package, target, ctrls)
             result = _make_kernel(package, "v", gate_matrix, target, ctrls).run(result)
         result = apply_swap(package, result, targets[0], targets[1])
         if start is not None:
@@ -289,17 +270,17 @@ def apply_operation_matrix(
     if side not in ("left", "right"):
         raise DDError(f"side must be 'left' or 'right', got {side!r}")
     package._maybe_gc()
-    operand = package._resolve(operand)
     mode = "ml" if side == "left" else "mr"
     matrix = operation.matrix_readonly()
     targets = operation.targets
     if matrix.shape == (2, 2):
-        target, mapping = _map_lines(
+        kernel = _make_kernel(
             package,
+            mode,
+            matrix,
             targets[0],
             _control_map(operation.controls, operation.negative_controls),
         )
-        kernel = _make_kernel(package, mode, matrix, target, mapping)
         if not package._obs_on:
             return kernel.run(operand)
         start = perf_counter()
@@ -322,7 +303,6 @@ def apply_operation_matrix(
         ordered = tuple(reversed(stages))
     result = operand
     for gate_matrix, target, ctrls in ordered:
-        target, ctrls = _map_lines(package, target, ctrls)
         result = _make_kernel(package, mode, gate_matrix, target, ctrls).run(result)
     if start is not None:
         _observe(package, "swap", start)

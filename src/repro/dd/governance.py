@@ -245,34 +245,6 @@ class ResourceGovernor:
     def live_root_count(self) -> int:
         return sum(1 for ref, _count in self._roots.values() if ref() is not None)
 
-    def remap_roots(self, translate) -> None:
-        """Rebuild the root registry through an edge-translation function.
-
-        Dynamic reordering replaces root nodes wholesale; the registered
-        ``(uid, weight)`` keys would otherwise keep the *old* diagrams
-        alive (and miss the new ones during mark/sweep).  ``translate``
-        maps an old root edge to its current equivalent — typically
-        :meth:`DDPackage._resolve`.
-        """
-        from repro.dd.edge import Edge
-
-        remapped: Dict[Tuple[int, complex], List] = {}
-        for key, (ref, count) in self._roots.items():
-            node = ref()
-            if node is None:
-                continue
-            edge = translate(Edge(node, key[1]))
-            new_node = edge.node
-            if new_node.is_terminal:
-                continue
-            new_key = (new_node.uid, edge.weight)
-            entry = remapped.get(new_key)
-            if entry is None:
-                remapped[new_key] = [weakref.ref(new_node), count]
-            else:
-                entry[1] += count
-        self._roots = remapped
-
     # ------------------------------------------------------------------
     # accounting
     # ------------------------------------------------------------------
@@ -351,14 +323,6 @@ class ResourceGovernor:
             complex_before=len(package.complex_table),
         )
         dropped = 0
-        if level in (PressureLevel.SOFT, PressureLevel.HARD):
-            # Pressure-triggered reordering runs *before* any shedding: a
-            # successful sift shrinks the diagrams themselves, which may
-            # clear the pressure outright (and clears the compute tables
-            # anyway as part of its cache invalidation).  Growth is bursty,
-            # so a package can blow straight past the SOFT window between
-            # two checks — hence the hook runs at HARD as well.
-            package._pressure_reorder()
         if level is PressureLevel.SOFT:
             for table in package._compute_tables():
                 dropped += table.shrink(0.5)

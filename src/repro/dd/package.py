@@ -123,13 +123,10 @@ class DDPackage:
         publishes structured events: ``dd.gc`` per collection,
         ``dd.pressure`` per pressure-tier transition and ``dd.sanitize``
         per failing sanitizer run (the live dashboard's state feed).
-    reorder:
-        Dynamic variable-reordering mode.  ``"off"`` (the default) keeps
-        the level-to-qubit mapping fixed; ``"manual"`` enables explicit
-        :meth:`reorder` calls (sifting, :mod:`repro.dd.reorder`);
-        ``"pressure"`` additionally lets the resource governor sift the
-        variable order on SOFT memory pressure, before it starts shedding
-        compute-table entries.  ``None`` reads ``REPRO_DD_REORDER``.
+
+    The variable order is fixed: level ``k`` hosts qubit ``q_k``.  A
+    different order is a wire permutation of the circuit before simulation
+    (:func:`repro.qc.transforms.permute_qubits`; paper Sec. III-C).
 
     Matrix DDs are stored with identity skipping (arXiv:2406.11959, see
     :mod:`repro.dd.pooled`), but every matrix edge the package hands out
@@ -140,8 +137,6 @@ class DDPackage:
 
     _OPERATION_NAMES = ("add", "multiply", "kron", "adjoint", "inner_product")
 
-    _REORDER_MODES = ("off", "manual", "pressure")
-
     def __init__(
         self,
         tolerance: float = DEFAULT_TOLERANCE,
@@ -151,35 +146,12 @@ class DDPackage:
         budget: Optional[MemoryBudget] = None,
         sanitize_every: Optional[int] = None,
         event_bus=None,
-        reorder: Optional[str] = None,
     ):
         self.registry = registry if registry is not None else MetricsRegistry()
         #: Optional :class:`repro.obs.events.EventBus`: the governor
         #: publishes GC/pressure events onto it and :meth:`sanitize`
         #: publishes its verdicts, feeding the service's live streams.
         self.event_bus = event_bus
-        if reorder is None:
-            reorder = os.environ.get("REPRO_DD_REORDER", "").strip() or "off"
-        if reorder not in self._REORDER_MODES:
-            raise DDError(
-                f"unknown reorder mode {reorder!r} "
-                f"(expected one of: {', '.join(self._REORDER_MODES)})"
-            )
-        self.reorder_mode = reorder
-        # Level-to-qubit order map: ``_order[level]`` is the qubit hosted at
-        # ``level``.  Grown lazily; the identity flag keeps the fast path of
-        # every walk free of permutation work while no reorder has run.
-        self._order: List[int] = []
-        self._order_is_identity = True
-        # Reorder root-translation map: old root node -> current Edge.  Edges
-        # handed out before a reorder stay resolvable through it (see
-        # :meth:`_resolve`); composition keeps every entry one hop deep.
-        self._remap: Dict[object, Edge] = {}
-        self._in_reorder = False
-        self._reorder_pending = False
-        self._reorder_cooldown = 0
-        self._reorder_runs = 0
-        self._reorder_swaps = 0
         self.complex_table = WeightPool(tolerance, registry=self.registry)
         self.vector_scheme = vector_scheme
         self._add_cache = ComputeTable("add", cache_capacity, registry=self.registry)
@@ -281,62 +253,10 @@ class DDPackage:
         registry.counter("dd_identity_skipped_total").set_value(
             self.identity_skip_count
         )
-        registry.counter("dd_reorder_total").set_value(self._reorder_runs)
-        registry.counter("dd_reorder_swaps_total").set_value(self._reorder_swaps)
 
     def _observe_op(self, name: str, start: float) -> None:
         self._op_counters[name].inc()
         self._op_timers[name].observe(perf_counter() - start)
-
-    # ------------------------------------------------------------------
-    # variable order
-    # ------------------------------------------------------------------
-    def _ensure_order(self, num_qubits: int) -> None:
-        """Grow the level-to-qubit map to cover ``num_qubits`` levels."""
-        while len(self._order) < num_qubits:
-            self._order.append(len(self._order))
-
-    def qubit_at(self, level: int) -> int:
-        """The qubit hosted at ``level`` under the current variable order."""
-        if self._order_is_identity or level >= len(self._order):
-            return level
-        return self._order[level]
-
-    def level_of(self, qubit: int) -> int:
-        """The level currently hosting ``qubit``."""
-        if self._order_is_identity:
-            return qubit
-        try:
-            return self._order.index(qubit)
-        except ValueError:
-            return qubit
-
-    @property
-    def qubit_order(self) -> List[int]:
-        """Copy of the level-to-qubit map (index = level, value = qubit)."""
-        return list(self._order) if self._order else []
-
-    def _refresh_order_identity(self) -> None:
-        self._order_is_identity = all(
-            qubit == level for level, qubit in enumerate(self._order)
-        )
-
-    def _resolve(self, edge: Edge) -> Edge:
-        """Translate an edge handed out before a reorder to its current root.
-
-        Reordering rebuilds diagrams under the new variable order; edges the
-        caller captured earlier keep pointing at the old structure.  Every
-        public entry point funnels operands through this map so stale edges
-        keep working.  A no-op (and near-free) while no reorder has run.
-        """
-        if not self._remap or edge.is_zero or edge.node.is_terminal:
-            return edge
-        res = self._remap.get(edge.node)
-        if res is None:
-            return edge
-        if res.is_zero:
-            return ZERO_EDGE
-        return Edge(res.node, self.complex_table.lookup(edge.weight * res.weight))
 
     # ------------------------------------------------------------------
     # node creation (normalizing constructors)
@@ -372,7 +292,7 @@ class DDPackage:
         bit_tuple = _bits_from(bits, num_qubits)
         edge = ONE_EDGE
         for var in range(num_qubits):
-            bit = bit_tuple[num_qubits - 1 - self.qubit_at(var)]
+            bit = bit_tuple[num_qubits - 1 - var]
             children = [ZERO_EDGE, ZERO_EDGE]
             children[bit] = edge
             edge = self.make_vector_node(var, children)
@@ -389,23 +309,11 @@ class DDPackage:
         num_qubits = int(size).bit_length() - 1
         if size < 2 or (1 << num_qubits) != size:
             raise InvalidStateError(f"state vector length {size} is not a power of two >= 2")
-        array = self._permute_vector_axes(array, num_qubits)
+        if not np.isfinite(np.vdot(array, array).real):
+            raise InvalidStateError(
+                "state vector amplitudes must be finite with a finite norm"
+            )
         return self._vector_from_array(array, num_qubits - 1)
-
-    def _permute_vector_axes(self, array: np.ndarray, num_qubits: int) -> np.ndarray:
-        """Permute a dense state vector from qubit order into level order.
-
-        The recursive array decompositions assign array axis ``k`` (MSB
-        first) to level ``n-1-k``; under a non-identity variable order that
-        level hosts qubit ``order[n-1-k]``, so the axes must be shuffled.
-        """
-        if self._order_is_identity:
-            return array
-        axes = [
-            num_qubits - 1 - self.qubit_at(num_qubits - 1 - k)
-            for k in range(num_qubits)
-        ]
-        return array.reshape([2] * num_qubits).transpose(axes).reshape(-1)
 
     def _vector_from_array(self, array: np.ndarray, var: int) -> Edge:
         if var < 0:
@@ -442,16 +350,8 @@ class DDPackage:
         num_qubits = int(size).bit_length() - 1
         if size < 2 or (1 << num_qubits) != size:
             raise DDError(f"matrix dimension {size} is not a power of two >= 2")
-        if not self._order_is_identity:
-            axes = [
-                num_qubits - 1 - self.qubit_at(num_qubits - 1 - k)
-                for k in range(num_qubits)
-            ]
-            array = (
-                array.reshape([2] * (2 * num_qubits))
-                .transpose(axes + [num_qubits + a for a in axes])
-                .reshape(size, size)
-            )
+        if not np.isfinite(array).all():
+            raise DDError("matrix entries must be finite")
         return self._matrix_from_array(array, num_qubits - 1)
 
     def _matrix_from_array(self, array: np.ndarray, var: int) -> Edge:
@@ -475,7 +375,7 @@ class DDPackage:
         given qubit lines and identities everywhere else."""
         edge = ONE_EDGE
         for var in range(num_qubits):
-            matrix = factors.get(self.qubit_at(var), _ID2)
+            matrix = factors.get(var, _ID2)
             children: List[Edge] = []
             for i in (0, 1):
                 for j in (0, 1):
@@ -573,8 +473,6 @@ class DDPackage:
     def add(self, left: Edge, right: Edge) -> Edge:
         """Element-wise sum of two vector or two matrix DDs (paper Fig. 4)."""
         self._maybe_gc()
-        left = self._resolve(left)
-        right = self._resolve(right)
         if not self._obs_on:
             return self._add(left, right)
         start = perf_counter()
@@ -609,8 +507,6 @@ class DDPackage:
         (simulation step) or a matrix DD (functionality construction).
         """
         self._maybe_gc()
-        operation = self._resolve(operation)
-        operand = self._resolve(operand)
         if not self._obs_on:
             return self._multiply(operation, operand)
         start = perf_counter()
@@ -641,8 +537,6 @@ class DDPackage:
         for two vector DDs or two matrix DDs.
         """
         self._maybe_gc()
-        top = self._resolve(top)
-        bottom = self._resolve(bottom)
         if not self._obs_on:
             return self._kron(top, bottom)
         start = perf_counter()
@@ -726,7 +620,6 @@ class DDPackage:
     def adjoint(self, operation: Edge) -> Edge:
         """Conjugate transpose of a matrix DD."""
         self._maybe_gc()
-        operation = self._resolve(operation)
         if not self._obs_on:
             return self._adjoint(operation)
         start = perf_counter()
@@ -761,7 +654,7 @@ class DDPackage:
         (Ex. 6: the Bell-state DD "consists of 3 nodes").  A matrix DD
         counts as the paper's dense DD, identity nodes included.
         """
-        node = self._resolve(edge).node
+        node = edge.node
         if node.is_terminal:
             return 0
         return self._pooled.count_nodes(
@@ -770,17 +663,9 @@ class DDPackage:
 
     def amplitude(self, state: Edge, basis: BitString, num_qubits: Optional[int] = None) -> complex:
         """Amplitude of ``|basis>`` in ``state`` (product of path weights)."""
-        state = self._resolve(state)
         if num_qubits is None:
             num_qubits = self.num_qubits(state)
         bits = _bits_from(basis, num_qubits)
-        if not self._order_is_identity:
-            # Walk step k descends level n-1-k, which hosts qubit
-            # order[n-1-k]; pick that qubit's bit from the big-endian input.
-            bits = tuple(
-                bits[num_qubits - 1 - self.qubit_at(num_qubits - 1 - k)]
-                for k in range(num_qubits)
-            )
         value = complex(1.0, 0.0)
         edge = state
         for bit in bits:
@@ -800,18 +685,10 @@ class DDPackage:
         num_qubits: Optional[int] = None,
     ) -> complex:
         """Entry ``U[row, column]`` of a matrix DD."""
-        operation = self._resolve(operation)
         if num_qubits is None:
             num_qubits = self.num_qubits(operation)
         row_bits = _bits_from(row, num_qubits)
         col_bits = _bits_from(column, num_qubits)
-        if not self._order_is_identity:
-            permuted = tuple(
-                num_qubits - 1 - self.qubit_at(num_qubits - 1 - k)
-                for k in range(num_qubits)
-            )
-            row_bits = tuple(row_bits[p] for p in permuted)
-            col_bits = tuple(col_bits[p] for p in permuted)
         value = complex(1.0, 0.0)
         edge = operation
         for i, j in zip(row_bits, col_bits):
@@ -825,7 +702,6 @@ class DDPackage:
 
     def to_vector(self, state: Edge, num_qubits: Optional[int] = None) -> np.ndarray:
         """Dense state vector represented by ``state`` (for small systems)."""
-        state = self._resolve(state)
         if num_qubits is None:
             num_qubits = self.num_qubits(state)
         out = np.zeros(1 << num_qubits, dtype=complex)
@@ -841,14 +717,12 @@ class DDPackage:
         if edge.node.is_terminal:
             out[offset] = weight
             return
-        # Level ``var`` hosts qubit ``order[var]``: its bit's significance.
-        stride = 1 << self.qubit_at(edge.node.var)
+        stride = 1 << edge.node.var
         self._fill_vector(edge.node.edges[0], offset, weight, out)
         self._fill_vector(edge.node.edges[1], offset + stride, weight, out)
 
     def to_matrix(self, operation: Edge, num_qubits: Optional[int] = None) -> np.ndarray:
         """Dense matrix represented by ``operation`` (for small systems)."""
-        operation = self._resolve(operation)
         if num_qubits is None:
             num_qubits = self.num_qubits(operation)
         size = 1 << num_qubits
@@ -866,7 +740,7 @@ class DDPackage:
         if node.is_terminal:
             out[row, column] = weight
             return
-        stride = 1 << self.qubit_at(node.var)
+        stride = 1 << node.var
         for i in (0, 1):
             for j in (0, 1):
                 self._fill_matrix(
@@ -880,8 +754,6 @@ class DDPackage:
     def inner_product(self, left: Edge, right: Edge) -> complex:
         """The inner product ``<left|right>`` of two vector DDs."""
         self._maybe_gc()
-        left = self._resolve(left)
-        right = self._resolve(right)
         if not self._obs_on:
             return self._inner_product(left, right)
         start = perf_counter()
@@ -912,120 +784,6 @@ class DDPackage:
         return abs(self.inner_product(left, right)) ** 2
 
     # ------------------------------------------------------------------
-    # dynamic variable reordering
-    # ------------------------------------------------------------------
-    def reorder(self, strategy: str = "sifting", max_growth: float = 2.0) -> Dict:
-        """Re-optimize the variable order of all live (incref'd) roots.
-
-        Runs the sifting optimizer of :mod:`repro.dd.reorder`: each variable
-        is moved through every level via adjacent swaps and settled where
-        the total diagram is smallest.  Edges handed out before the call
-        remain valid — every public entry point translates them through the
-        package's remap (:meth:`_resolve`).  Returns a summary dict with
-        ``nodes_before``/``nodes_after``/``swaps``/``order``.
-
-        Only enabled with ``reorder="manual"`` or ``"pressure"``.
-        """
-        if self.reorder_mode == "off":
-            raise DDError(
-                "dynamic reordering is disabled; construct the package with "
-                "reorder='manual' or reorder='pressure'"
-            )
-        return self._reorder_now(strategy, max_growth)
-
-    def _reorder_now(self, strategy: str = "sifting", max_growth: float = 2.0) -> Dict:
-        from repro.dd.reorder import sift
-
-        if strategy != "sifting":
-            raise DDError(f"unknown reorder strategy {strategy!r}")
-        if self._in_reorder:
-            raise DDError("reorder() is not reentrant")
-        self._in_reorder = True
-        try:
-            summary = sift(self, max_growth=max_growth)
-        finally:
-            self._in_reorder = False
-        self._reorder_runs += 1
-        # Memoized results remain structurally sound across a reorder, but
-        # gate DDs cached per (gate, qubits) are built for the old order.
-        self.clear_caches()
-        cache = getattr(self, "_gate_dd_cache", None)
-        if cache is not None:
-            cache.clear()
-        return summary
-
-    def _pressure_reorder(self) -> None:
-        """Governor hook: request a sift on SOFT pressure
-        (``reorder="pressure"``).
-
-        The sift itself is *deferred* to the next :meth:`incref`: pressure
-        is detected at operation entry, where callers may still hold
-        unrooted intermediate edges (a staged kernel result, a freshly
-        built gate DD) that the root remap cannot see — reordering under
-        their feet would silently re-interpret their levels.  An incref is
-        the natural safe point: the caller is committing a result, so
-        every edge that must survive is registered with the governor.
-        """
-        if self.reorder_mode != "pressure" or self._in_reorder:
-            return
-        if self._reorder_cooldown > 0:
-            self._reorder_cooldown -= 1
-            return
-        self._reorder_pending = True
-
-    def _run_pending_reorder(self) -> None:
-        """Run a pressure-requested sift (called from :meth:`incref`).
-
-        A sift that saves less than 1% of nodes triggers a cooldown to
-        keep repeated SOFT collections from thrashing on a local minimum.
-        """
-        self._reorder_pending = False
-        if self.reorder_mode != "pressure" or self._in_reorder:
-            return
-        summary = self._reorder_now()
-        before = summary.get("nodes_before", 0)
-        after = summary.get("nodes_after", 0)
-        if before <= 0 or (before - after) < 0.01 * before:
-            self._reorder_cooldown = 8
-
-    def _retire_stale_roots(self, nodes) -> None:
-        """Withdraw pre-reorder root nodes from the unique tables.
-
-        Called by the reorder rebuild *before* any swap conses new nodes.
-        The old roots become the remap's domain; evicting them first
-        guarantees neither the rebuild itself nor any later operation can
-        hash-cons onto a stale node — without this, a rebuilt diagram that
-        coincides with another old root (e.g. reordering a state whose
-        SWAP-ed twin is also rooted) would alias two meanings onto one
-        node object and :meth:`_resolve` would translate fresh edges.
-        """
-        for node in nodes:
-            self._pooled.retire_node(node)
-
-    def _apply_reorder_remap(self, mapping: Dict[object, Edge]) -> None:
-        """Fold a swap's old-node -> new-edge map into the package remap.
-
-        Existing entries are re-targeted through the new mapping (so the
-        remap stays one hop deep), then genuinely new entries are added and
-        the governor's root registry is rebuilt.
-        """
-        if not mapping:
-            return
-        table = self.complex_table
-        for old_node, edge in list(self._remap.items()):
-            res = mapping.get(edge.node)
-            if res is not None:
-                self._remap[old_node] = (
-                    ZERO_EDGE
-                    if res.is_zero
-                    else Edge(res.node, table.lookup(edge.weight * res.weight))
-                )
-        for old_node, edge in mapping.items():
-            if old_node not in self._remap:
-                self._remap[old_node] = edge
-        self.governor.remap_roots(self._resolve)
-
-    # ------------------------------------------------------------------
     # resource governance
     # ------------------------------------------------------------------
     def incref(self, edge: Edge) -> Edge:
@@ -1035,13 +793,9 @@ class DDPackage:
         verification engines, service sessions — call this so a complex-
         table sweep never purges the root's weight representative.  Node
         liveness itself is still governed by ordinary Python references.
-        Returns the (resolved) ``edge`` for call-through convenience.
+        Returns ``edge`` for call-through convenience.
         """
-        edge = self._resolve(edge)
         self.governor.incref(edge)
-        if self._reorder_pending:
-            self._run_pending_reorder()
-            edge = self._resolve(edge)
         return edge
 
     def decref(self, edge: Edge) -> None:
@@ -1050,7 +804,7 @@ class DDPackage:
         Unbalanced calls are tolerated: a decref of an unregistered edge is
         a no-op, and a forgotten decref self-cleans once the node dies.
         """
-        self.governor.decref(self._resolve(edge))
+        self.governor.decref(edge)
 
     def gc(self, force: bool = False) -> GcStats:
         """Run one garbage collection at the current pressure tier.
@@ -1175,15 +929,6 @@ class DDPackage:
             "every": self.sanitize_every,
             "runs": self.sanitize_runs,
             "violations": self.sanitize_violations,
-        }
-        result["reorder"] = {
-            "mode": self.reorder_mode,
-            "runs": self._reorder_runs,
-            "swaps": self._reorder_swaps,
-            "identity_skips": self.identity_skip_count,
-            "order": (
-                "identity" if self._order_is_identity else self.qubit_order
-            ),
         }
         return result
 

@@ -60,10 +60,7 @@ def _subtree_norms(edge: Edge, cache: Dict[Node, float]) -> float:
 
 def branch_probabilities(package: DDPackage, state: Edge) -> Tuple[float, float]:
     """Probabilities of the root qubit being |0> / |1> in ``state``."""
-    state = package._resolve(state)
-    return qubit_probabilities(
-        package, state, package.qubit_at(state.node.var)
-    )
+    return qubit_probabilities(package, state, state.node.var)
 
 
 def qubit_probabilities(
@@ -74,14 +71,11 @@ def qubit_probabilities(
     Works for any normalization scheme by accumulating path probabilities
     down to the qubit's level, then using (cached) subtree norms.
     """
-    state = package._resolve(state)
     if state.is_zero:
         raise InvalidStateError("cannot measure the zero vector")
     num_qubits = package.num_qubits(state)
     if not 0 <= qubit < num_qubits:
         raise DDError(f"qubit {qubit} out of range for {num_qubits} qubits")
-    # Under dynamic reordering the qubit's nodes sit at its *level*.
-    level = package.level_of(qubit)
     cache: Dict[Node, float] = {}
     total = _subtree_norms(state, cache)
     if total <= 0.0:
@@ -101,7 +95,7 @@ def qubit_probabilities(
             return 0.0
         node_mass = mass_cache.get(edge.node)
         if node_mass is None:
-            if edge.node.var == level:
+            if edge.node.var == qubit:
                 node_mass = _subtree_norms(edge.node.edges[outcome], cache)
             else:
                 node_mass = sum(
@@ -215,7 +209,6 @@ def sample_counts(
         raise DDError("shots must be positive")
     if rng is None:
         rng = np.random.default_rng()
-    state = package._resolve(state)
     if state.is_zero:
         raise InvalidStateError("cannot sample from the zero vector")
     if state.node.is_terminal:
@@ -226,11 +219,8 @@ def sample_counts(
     p0, zero, one = _branch_table(
         package, package._pooled.node_index(state.node)
     )
-    # Draw k of a row decides level num_qubits - 1 - k; its bit belongs to
-    # qubit_at(level), so reordering never changes the reported outcomes.
-    masks = [
-        1 << package.qubit_at(level) for level in range(num_qubits - 1, -1, -1)
-    ]
+    # Draw k of a row decides qubit num_qubits - 1 - k.
+    masks = [1 << qubit for qubit in range(num_qubits - 1, -1, -1)]
     random = rng.random
     codes: Dict[int, int] = {}
     get = codes.get

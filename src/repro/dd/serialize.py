@@ -40,11 +40,9 @@ def dd_to_dict(package: DDPackage, root: Edge) -> dict:
     """Serialize a (non-zero) DD rooted at ``root`` to plain data.
 
     Matrix DDs are written as the paper's dense DD, identity nodes
-    included.  The document records the package's level-to-qubit order so
-    a loader can refuse an incompatible package instead of silently
-    permuting amplitudes.
+    included.  The document records the level-to-qubit ``order``, always
+    the identity: level ``k`` hosts qubit ``q_k``.
     """
-    root = package._resolve(root)
     if root.is_zero:
         raise DDError("cannot serialize the zero decision diagram")
     if root.node.is_terminal:
@@ -80,7 +78,7 @@ def dd_to_dict(package: DDPackage, root: Edge) -> dict:
         "format": _FORMAT_VERSION,
         "kind": "matrix" if isinstance(root.node, MatrixNode) else "vector",
         "num_qubits": num_qubits,
-        "order": [package.qubit_at(level) for level in range(num_qubits)],
+        "order": list(range(num_qubits)),
         "root": {"node": root_id, "weight": [root.weight.real, root.weight.imag]},
         "nodes": nodes,
     }
@@ -94,8 +92,9 @@ def dd_from_dict(package: DDPackage, data: dict) -> Edge:
     malformed document raises :class:`~repro.errors.DDError` before the
     package is touched: every level lies in ``[0, num_qubits)`` and strictly
     below its parent (one level below in a vector DD), the root sits at
-    level ``num_qubits - 1``, weights are finite, and ``order`` is a
-    permutation of ``range(num_qubits)``.
+    level ``num_qubits - 1``, weights are finite, and ``order``, when
+    present, is the identity ``range(num_qubits)``: a document written
+    under another variable order is refused, not misread.
     """
     if not isinstance(data, dict):
         raise DDError(f"a DD document is a JSON object, not {type(data).__name__}")
@@ -123,8 +122,6 @@ def dd_from_dict(package: DDPackage, data: dict) -> Edge:
             f"root sits at level {nodes[root_id][0]}, not at the top level "
             f"{num_qubits - 1}"
         )
-    if doc_order is not None:
-        _adopt_order(package, doc_order)
     make_node = (
         package.make_matrix_node if kind == "matrix" else package.make_vector_node
     )
@@ -169,14 +166,16 @@ def _weight(value, where: str) -> complex:
 
 
 def _check_order(order, num_qubits: int) -> None:
+    """Every package uses the fixed order level ``k`` = qubit ``k``; a
+    document written under another order is refused, not misread."""
     if (
         not isinstance(order, list)
         or len(order) != num_qubits
-        or any(type(qubit) is not int for qubit in order)
-        or sorted(order) != list(range(num_qubits))
+        or order != list(range(num_qubits))
     ):
         raise DDError(
-            f"order must be a permutation of range({num_qubits}), got {order!r}"
+            f"order must be the identity range({num_qubits}), got {order!r}; "
+            "to change the variable order, permute the circuit's wires"
         )
 
 
@@ -227,28 +226,6 @@ def _parse_nodes(entries, kind: str, num_qubits: int) -> Dict[int, tuple]:
             edges.append((target, weight))
         nodes[identifier] = (var, edges)
     return nodes
-
-
-def _adopt_order(package: DDPackage, doc_order: List[int]) -> None:
-    """Check the document's order against the package's, letting a fresh
-    package adopt it."""
-    package_order = [package.qubit_at(level) for level in range(len(doc_order))]
-    if doc_order == package_order:
-        return
-    pristine = (
-        package._order_is_identity and not package.governor.stats()["live_roots"]
-    )
-    if not pristine:
-        raise DDError(
-            f"document qubit order {doc_order} does not match the "
-            f"package's current order {package_order}; reorder the "
-            "package (or load into a fresh one) first"
-        )
-    # A fresh package holds nothing whose readout the order could change,
-    # so it adopts the document's order wholesale.
-    package._ensure_order(len(doc_order))
-    package._order[: len(doc_order)] = doc_order
-    package._refresh_order_identity()
 
 
 def save_dd(package: DDPackage, root: Edge, path: str) -> None:

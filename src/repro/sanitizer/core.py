@@ -48,11 +48,6 @@ Invariant families
     has its exact representative in the complex table (a sweep that
     purged it would let a later lookup mint a *different* representative).
 
-``order-map``
-    Dynamic-reordering integrity: the package's level-to-qubit map is a
-    valid permutation of ``0..n-1`` (a corrupted map silently permutes
-    every amplitude/sample/serialization query).
-
 ``skip-level-unreduced``
     Identity-skipping consistency: no stored identity matrix node
     ``(e, 0, 0, e)`` may survive construction — the reduction rule must
@@ -198,7 +193,6 @@ class DDSanitizer:
         self._check_complex_table(report)
         self._check_roots(report)
         self._check_pools(report)
-        self._check_order_map(report)
         report.duration_seconds = perf_counter() - start
         return report
 
@@ -347,19 +341,6 @@ class DDSanitizer:
                 ))
 
     # ------------------------------------------------------------------
-    # dynamic variable order
-    # ------------------------------------------------------------------
-    def _check_order_map(self, report: SanitizeReport) -> None:
-        order = list(getattr(self.package, "_order", ()))
-        if sorted(order) != list(range(len(order))):
-            report.violations.append(Violation(
-                "order-map",
-                f"level-to-qubit map {order} is not a permutation of "
-                f"0..{len(order) - 1}",
-                "package order map",
-            ))
-
-    # ------------------------------------------------------------------
     # complex table: representative uniqueness within tolerance
     # ------------------------------------------------------------------
     def _check_complex_table(self, report: SanitizeReport) -> None:
@@ -504,11 +485,6 @@ class DDSanitizer:
                             "out-of-range weight-pool entry",
                             where,
                         ))
-                kind_bit = 0 if kind == "vector" else 1
-                if engine.is_retired(kind_bit, index):
-                    # Retired by a reorder: intentionally withdrawn from
-                    # the consing table while stale edges keep it alive.
-                    continue
                 if not unique.contains_index(index):
                     report.violations.append(Violation(
                         "pool-probe-chain",

@@ -27,8 +27,6 @@ fault                          detected by
                                into the free-list)
 ``pooled-stale-weight``        ``pool-stale-weight`` (weight slot freed
                                under a live edge)
-``corrupt-order-map``          ``order-map`` (level-to-qubit permutation
-                               with a duplicated entry)
 ``skip-across-level``          ``skip-level-unreduced`` (identity node
                                ``(c, 0, 0, c)`` stored instead of an
                                edge that skips across its level)
@@ -72,7 +70,6 @@ FAULT_CLASSES: Dict[str, str] = {
     "duplicate-complex-rep": "duplicate_complex_rep",
     "pooled-dangling-successor": "pooled_dangling_successor",
     "pooled-stale-weight": "pooled_stale_weight",
-    "corrupt-order-map": "corrupt_order_map",
     "skip-across-level": "skip_across_level",
 }
 
@@ -87,7 +84,6 @@ EXPECTED_CHECKS: Dict[str, str] = {
     "duplicate-complex-rep": "complex-duplicate",
     "pooled-dangling-successor": "pool-dangling-successor",
     "pooled-stale-weight": "pool-stale-weight",
-    "corrupt-order-map": "order-map",
     "skip-across-level": "skip-level-unreduced",
 }
 
@@ -323,24 +319,8 @@ class FaultInjector:
         }
 
     # ------------------------------------------------------------------
-    # reordering / identity-skipping fault classes
+    # identity-skipping fault classes
     # ------------------------------------------------------------------
-    def corrupt_order_map(self) -> Dict[str, Any]:
-        """Duplicate one entry of the level-to-qubit permutation.
-
-        Models a reorder interrupted halfway through its swap bookkeeping:
-        two levels claim the same qubit, so every amplitude, sample and
-        serialization query silently reads the wrong axis.
-        """
-        package = self.package
-        package._ensure_order(2)
-        order = package._order
-        level = self.rng.randrange(len(order) - 1)
-        old = order[level]
-        order[level] = order[level + 1]
-        package._order_is_identity = False
-        return {"fault": "corrupt-order-map", "level": level, "old": old}
-
     def skip_across_level(self) -> Dict[str, Any]:
         """Store an identity node ``(c, 0, 0, c)`` one level above ``c``.
 

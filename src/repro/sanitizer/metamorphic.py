@@ -18,13 +18,6 @@ Rewrites
 ``decompose-multicontrol``
     Replace one multi-controlled / non-primitive gate with its exact
     ancilla-free decomposition (:mod:`repro.qc.transforms`).
-``reorder-under-pressure``
-    Identity on the gate list; instead the *transformed* leg executes
-    under a package with ``reorder="pressure"`` and a deliberately tiny
-    node budget, so the governor sifts the variable order mid-circuit.
-    The oracle is trivial (``G == G``) — any disagreement isolates the
-    dynamic-reordering machinery (swap rebuild, root remap, order-aware
-    readout) rather than a circuit transformation.
 ``broken-sign-flip`` (intentionally wrong)
     Inserts ``g(theta) . g(theta)`` where the inverse required
     ``g(-theta)`` — the classic forgotten sign flip.  Exists to prove the
@@ -52,7 +45,6 @@ __all__ = [
     "CORPUS_FORMAT",
     "REWRITES",
     "BROKEN_REWRITES",
-    "ENVIRONMENT_OPTIONS",
     "CaseResult",
     "random_program",
     "apply_rewrite",
@@ -211,30 +203,11 @@ def _rw_broken_sign_flip(circuit: QuantumCircuit, rng: random.Random) -> Quantum
     return _rebuild(circuit, operations, f"{circuit.name}+broken")
 
 
-def _rw_reorder_under_pressure(
-    circuit: QuantumCircuit, rng: random.Random
-) -> QuantumCircuit:
-    """Identity rewrite: the equivalence perturbation is environmental.
-
-    ``ENVIRONMENT_OPTIONS`` makes :func:`check_pair` run the transformed
-    leg under a pressure-reordering package; the gate list itself must
-    stay untouched so the oracle is exact.
-    """
-    return _rebuild(circuit, list(circuit), f"{circuit.name}+reorder")
-
-
 #: Correct (equivalence-preserving) rewrites.
 REWRITES: Dict[str, Callable[[QuantumCircuit, random.Random], QuantumCircuit]] = {
     "insert-inverse-pair": _rw_insert_inverse_pair,
     "commute-disjoint": _rw_commute_disjoint,
     "decompose-multicontrol": _rw_decompose_multicontrol,
-    "reorder-under-pressure": _rw_reorder_under_pressure,
-}
-
-#: Rewrites whose transformed leg runs under a non-default package.  The
-#: options mirror the campaign spec's package block.
-ENVIRONMENT_OPTIONS: Dict[str, Dict[str, object]] = {
-    "reorder-under-pressure": {"reorder": "pressure", "budget_nodes": 24},
 }
 
 #: Deliberately wrong rewrites (harness self-tests).
@@ -256,73 +229,38 @@ def apply_rewrite(circuit: QuantumCircuit, rewrite: str, seed: int) -> QuantumCi
 # the metamorphic check
 # ----------------------------------------------------------------------
 
-def _leg_package(sanitize_every: int, options: Optional[Dict[str, object]] = None):
-    from repro.dd.governance import MemoryBudget
-    from repro.dd.package import DDPackage
-
-    kwargs: Dict[str, object] = {"sanitize_every": sanitize_every}
-    if options:
-        if options.get("reorder"):
-            kwargs["reorder"] = options["reorder"]
-        if options.get("budget_nodes"):
-            kwargs["budget"] = MemoryBudget(
-                max_nodes=int(options["budget_nodes"]), check_interval=1
-            )
-    return DDPackage(**kwargs)
-
-
 def check_pair(
     original: QuantumCircuit,
     transformed: QuantumCircuit,
     shots: int = 128,
     sample_seed: int = 2024,
     sanitize_every: int = 0,
-    rewrite: Optional[str] = None,
 ) -> Tuple[bool, str]:
     """Whether the pair is equivalent by checker *and* by sampling.
 
     Returns ``(ok, reason)``; ``reason`` names the first disagreement.
     Global phase is accepted (the rewrites may introduce one through
     decompositions), *relative* phase is not.
-
-    ``rewrite`` selects per-rewrite environment options: entries in
-    :data:`ENVIRONMENT_OPTIONS` run the transformed leg under a modified
-    package.  Such legs are compared amplitude-by-amplitude instead of by
-    shared-seed counts — sampling draws bits in *level* order, which a
-    reorder permutes, so exact count equality would spuriously fail even
-    for a perfect engine (the statevector check is strictly stronger).
     """
-    import numpy as np
-
+    from repro.dd.package import DDPackage
     from repro.simulation.simulator import DDSimulator
     from repro.verification import check_equivalence_alternating
 
-    environment = ENVIRONMENT_OPTIONS.get(rewrite or "")
-    package = _leg_package(sanitize_every, environment)
+    package = DDPackage(sanitize_every=sanitize_every)
     result = check_equivalence_alternating(original, transformed, package=package)
     if not (result.equivalent or result.equivalent_up_to_global_phase):
         return False, "alternating checker: circuits are not equivalent"
 
     counts = []
-    vectors = []
-    for circuit, options in ((original, None), (transformed, environment)):
+    for circuit in (original, transformed):
         simulator = DDSimulator(
-            circuit, package=_leg_package(sanitize_every, options)
+            circuit, package=DDPackage(sanitize_every=sanitize_every)
         )
         try:
             simulator.run_all()
             counts.append(simulator.sample_counts(shots, seed=sample_seed))
-            if environment is not None:
-                vectors.append(simulator.statevector())
         finally:
             simulator.close()
-    if environment is not None:
-        deviation = float(np.abs(vectors[0] - vectors[1]).max())
-        if deviation > 1e-10:
-            return False, (
-                f"environment leg deviates from the reference by {deviation:g}"
-            )
-        return True, ""
     if counts[0] != counts[1]:
         return False, (
             f"sampling distributions differ under shared seed {sample_seed}: "
@@ -367,7 +305,6 @@ def run_case(
         transformed,
         shots=shots,
         sanitize_every=sanitize_every,
-        rewrite=rewrite,
     )
     return CaseResult(
         seed=seed,
@@ -430,9 +367,7 @@ def shrink_case(result: CaseResult, shots: int = 128) -> CaseResult:
         candidate = _rebuild(base, operations, f"{base.name}-shrunk")
         try:
             transformed = apply_rewrite(candidate, result.rewrite, result.seed)
-            ok, _reason = check_pair(
-                candidate, transformed, shots=shots, rewrite=result.rewrite
-            )
+            ok, _reason = check_pair(candidate, transformed, shots=shots)
         except Exception:
             # A candidate that breaks the pipeline outright is not a
             # *smaller* version of this equivalence failure — skip it.
@@ -457,9 +392,7 @@ def shrink_case(result: CaseResult, shots: int = 128) -> CaseResult:
 
     shrunk = _rebuild(base, operations, f"{base.name}-shrunk")
     transformed = apply_rewrite(shrunk, result.rewrite, result.seed)
-    ok, reason = check_pair(
-        shrunk, transformed, shots=shots, rewrite=result.rewrite
-    )
+    ok, reason = check_pair(shrunk, transformed, shots=shots)
     return CaseResult(
         seed=result.seed,
         rewrite=result.rewrite,
@@ -529,7 +462,7 @@ def replay_record(record: Dict[str, object], shots: int = 128) -> CaseResult:
     rewrite = str(record["rewrite"])
     seed = int(record["seed"])  # type: ignore[arg-type]
     transformed = apply_rewrite(circuit, rewrite, seed)
-    ok, reason = check_pair(circuit, transformed, shots=shots, rewrite=rewrite)
+    ok, reason = check_pair(circuit, transformed, shots=shots)
     return CaseResult(
         seed=seed,
         rewrite=rewrite,

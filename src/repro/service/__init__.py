@@ -15,8 +15,10 @@ Layers (all stdlib, no new dependencies):
 
 * :mod:`repro.service.app` — transport-free request routing and handlers;
 * :mod:`repro.service.eventloop` — the HTTP transport, a non-blocking
-  ``selectors`` reactor: incremental HTTP parsing, keep-alive,
-  backpressure-aware streaming writes;
+  ``selectors`` reactor: incremental HTTP parsing that answers any
+  malformed framing with a structured 4xx (mutation-fuzzed with a
+  rotating ``HTTP_FUZZ_SEED``), keep-alive, backpressure-aware streaming
+  writes;
 * :mod:`repro.service.server` — :class:`DDToolServer`, the app bound to
   the reactor, with graceful SIGTERM drain (``qdd-tool serve``);
 * :mod:`repro.service.loadgen` — the multi-process saturation load

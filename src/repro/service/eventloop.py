@@ -88,15 +88,25 @@ def parse_content_length(raw: Optional[str]) -> int:
     A missing or empty header means "no body".  Anything that is not a
     plain non-negative decimal integer raises :class:`ProtocolError`
     instead of :class:`ValueError` — a malformed header must produce a
-    structured 400, not kill the connection without a response.
+    structured 400, not kill the connection without a response.  A value
+    of more than 18 significant digits exceeds any body limit (and
+    ``int()`` refuses strings of more than 4,300 digits): 413.
     """
     if raw is None or raw.strip() == "":
         return 0
     value = raw.strip()
-    if not value.isdigit():  # rejects signs, floats, hex, text
+    # ASCII only: str.isdigit() also accepts digits such as "²" that int()
+    # rejects.  Rejects signs, floats, hex and text.
+    if not (value.isascii() and value.isdigit()):
         raise ProtocolError(
             400, "BadRequestError",
-            f"invalid Content-Length header: {raw!r}",
+            f"invalid Content-Length header: {raw[:64]!r}",
+        )
+    value = value.lstrip("0") or "0"
+    if len(value) > 18:
+        raise ProtocolError(
+            413, "RequestTooLargeError",
+            f"Content-Length of {len(value)} digits exceeds the body limit",
         )
     return int(value)
 

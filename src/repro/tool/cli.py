@@ -381,7 +381,6 @@ def _cmd_stats(args) -> int:
     governance = all_stats.pop("governance", None)
     sanitizer = all_stats.pop("sanitizer", None)
     all_stats.pop("storage", None)
-    reorder = all_stats.pop("reorder", None)
     print(f"{'table':16s} {'entries':>9s} {'hits':>10s} {'misses':>10s} "
           f"{'hit ratio':>10s}")
     for name, values in all_stats.items():
@@ -398,11 +397,6 @@ def _cmd_stats(args) -> int:
         print()
         print("sanitizer:")
         for key, value in sanitizer.items():
-            print(f"  {key:24s} {value}")
-    if reorder:
-        print()
-        print("reorder:")
-        for key, value in reorder.items():
             print(f"  {key:24s} {value}")
     print()
     print(obs.run_report(registry, title=circuit.name))

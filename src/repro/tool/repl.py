@@ -246,7 +246,6 @@ class InteractiveTool:
         governance = all_stats.pop("governance", None)
         sanitizer = all_stats.pop("sanitizer", None)
         all_stats.pop("storage", None)
-        reorder = all_stats.pop("reorder", None)
         lines = []
         for name, values in all_stats.items():
             lines.append(
@@ -263,11 +262,6 @@ class InteractiveTool:
                 f"{key}={value}" for key, value in sanitizer.items()
             )
             lines.append(f"{'sanitizer':16s} {rendered}")
-        if reorder:
-            rendered = " ".join(
-                f"{key}={value}" for key, value in reorder.items()
-            )
-            lines.append(f"{'reorder':16s} {rendered}")
         return "\n".join(lines)
 
     def _quit(self, arguments: List[str]) -> str:

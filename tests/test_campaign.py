@@ -115,13 +115,15 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize(
         "key,value",
-        [("storage", "pooled"), ("use_apply_kernels", False)],
-        ids=["storage", "use_apply_kernels"],
+        [("storage", "pooled"), ("use_apply_kernels", False),
+         ("identity_skipping", True), ("reorder", "manual")],
+        ids=["storage", "use_apply_kernels", "identity_skipping", "reorder"],
     )
     def test_bad_storage_backend_rejected(self, key, value):
-        # There is one DD engine and one gate-application path: a package
-        # block naming a storage backend or the retired gate-path switch
-        # is an unknown key like any other typo.
+        # There is one DD engine, one gate-application path, one matrix
+        # representation and one variable order: a package block naming a
+        # storage backend or a retired switch is an unknown key like any
+        # other typo.
         data = make_spec_dict()
         data["cells"]["packages"] = [{"label": "x", key: value}]
         with pytest.raises(CampaignSpecError, match=rf"unknown key\(s\) {key}"):

@@ -136,12 +136,6 @@ class TestFaultDetection:
         report = package.sanitize()
         assert "pool-stale-weight" in report.checks_failed, report.summary()
 
-    def test_corrupt_order_map_detected(self):
-        package = _seeded_package()
-        inject_fault(package, "corrupt-order-map", seed=0)
-        report = package.sanitize()
-        assert "order-map" in report.checks_failed, report.summary()
-
     def test_skip_across_level_detected(self):
         package = _seeded_package()
         inject_fault(package, "skip-across-level", seed=0)

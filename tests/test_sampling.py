@@ -110,7 +110,6 @@ class TestSample:
 
 def _reference_sample(package, state, rng, cache):
     """One shot by the per-shot view walk: two ``Edge`` views per level."""
-    state = package._resolve(state)
     if state.is_zero:
         raise InvalidStateError("cannot sample from the zero vector")
     local = package.vector_scheme is NormalizationScheme.L2
@@ -126,7 +125,7 @@ def _reference_sample(package, state, rng, cache):
             mass1 = sampling._subtree_norms(one_child, cache)
             p0 = mass0 / (mass0 + mass1)
         outcome = 0 if rng.random() < p0 else 1
-        bits[num_qubits - 1 - package.qubit_at(edge.node.var)] = outcome
+        bits[num_qubits - 1 - edge.node.var] = outcome
         edge = edge.node.edges[outcome]
     return "".join(str(bit) for bit in bits)
 
@@ -184,14 +183,6 @@ class TestCountsMatchReferenceWalk:
     def test_circuit_states(self, make, circuit):
         package = _PACKAGES[make]()
         _assert_matches_reference(package, _final_state(package, circuit))
-
-    def test_reordered_package(self):
-        package = DDPackage(reorder="manual")
-        stale = _final_state(package, "random10")
-        package.reorder()
-        assert package.qubit_order != list(range(10))
-        _assert_matches_reference(package, stale)
-        _assert_matches_reference(package, package._resolve(stale), seeds=(5,))
 
     @pytest.mark.parametrize("root", [ONE_EDGE, Edge(TERMINAL, 0.5j)])
     def test_zero_qubit_state(self, package, root):

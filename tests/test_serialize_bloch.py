@@ -135,6 +135,7 @@ _MALFORMED = {
     "huge-var": _set(("nodes", 0, "var"), 1000000),
     "child-not-below-parent": _set(("nodes", 0, "var"), 2),
     "order-not-a-permutation": _set(("order",), [0, 0, 1]),
+    "order-not-identity": _set(("order",), [1, 0, 2]),
     "null-root": _set(("root", "node"), None),
     "root-below-top": lambda data: data.update(num_qubits=4, order=[0, 1, 2, 3]),
     "duplicate-id": _set(("nodes", 1, "id"), 0),
@@ -150,8 +151,8 @@ class TestDocumentValidation:
         package = DDPackage()
         with pytest.raises(DDError):
             dd_from_dict(package, data)
-        # A refused document leaves the package's order map untouched.
-        assert package.qubit_order == []
+        # A refused document is refused before the package is touched.
+        assert len(package._vector_unique) == len(package._matrix_unique) == 0
 
     def test_the_unmutated_document_loads(self):
         package = DDPackage()

@@ -94,7 +94,7 @@ def test_malformed_content_length_is_structured_400(server):
     assert headers.get("connection") == "close"
 
 
-@pytest.mark.parametrize("value", ["-5", "1e3", "0x10", "12abc"])
+@pytest.mark.parametrize("value", ["-5", "1e3", "0x10", "12abc", "\u00b2"])
 def test_unparseable_content_length_variants(server, value):
     raw = _raw_exchange(server, (
         "POST /simulate HTTP/1.1\r\n"
@@ -105,6 +105,22 @@ def test_unparseable_content_length_variants(server, value):
     status, _, body = _parse_raw(raw)
     assert status == 400, raw[:200]
     assert json.loads(body)["error"]["type"] == "BadRequestError"
+
+
+def test_overlong_content_length_is_413_and_the_reactor_survives(server):
+    # int() refuses more than 4,300 digits; the ValueError once escaped
+    # into the reactor thread and the server stopped answering anyone.
+    raw = _raw_exchange(server, (
+        b"POST /simulate HTTP/1.1\r\nHost: t\r\n"
+        b"Content-Length: " + b"9" * 5000 + b"\r\n\r\n"
+    ))
+    status, _, body = _parse_raw(raw)
+    assert status == 413
+    assert json.loads(body)["error"]["type"] == "RequestTooLargeError"
+    status, _, _ = _parse_raw(
+        _raw_exchange(server, b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
+    )
+    assert status == 200
 
 
 # ----------------------------------------------------------------------
