@@ -6,8 +6,8 @@ jobs in dedicated worker *processes*, one job at a time each, and every job
 builds a fresh, memory-budgeted package of its own (:func:`job_package`)
 that is dropped when the job ends.  A package shared across jobs would make
 answers depend on history: the complex table snaps near-equal weights to
-the nearest *stored* representative, so what earlier jobs stored changes
-what a later job builds.  Exact repeats never reach a worker anyway: the
+the oldest *stored* representative within tolerance, so what earlier jobs
+stored changes what a later job builds.  Exact repeats never reach a worker anyway: the
 service's result cache answers them.
 
 A job goes to whichever shard becomes free first.  A killed worker is

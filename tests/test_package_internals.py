@@ -126,7 +126,8 @@ class TestWeightMemoSoundness:
     """The engine's matrix normalization memo replays only distance-zero
     lookups: once a representative nearer to a snapped raw value is
     minted, a stored successor weight must follow what a fresh lookup
-    answers."""
+    answers -- which, the oldest representative winning, is still the
+    one the raw value snapped to before."""
 
     @staticmethod
     def _plant_far(weights, raw):
@@ -143,7 +144,7 @@ class TestWeightMemoSoundness:
         (1.125*tol from ``far``, so it is minted, not snapped)."""
         near = weights.lookup_index(raw - complex(0.375 * weights.tolerance, 0.0))
         assert near != far
-        assert weights.lookup_index(raw) == near
+        assert weights.lookup_index(raw) == far
         return near
 
     def test_matrix_make_node_follows_a_nearer_mint(self):
@@ -163,8 +164,8 @@ class TestWeightMemoSoundness:
 
         assert wsuccs() == (1, far, far, 1)
         assert wsuccs() == (1, far, far, 1)
-        near = self._mint_nearer(weights, raw, far)
-        assert wsuccs() == (1, near, near, 1)
+        self._mint_nearer(weights, raw, far)
+        assert wsuccs() == (1, far, far, 1)
 
     def test_vector_make_node_follows_a_nearer_mint(self):
         engine = DDPackage()._pooled
@@ -184,8 +185,8 @@ class TestWeightMemoSoundness:
 
         assert second_weight() == far
         assert second_weight() == far
-        near = self._mint_nearer(weights, raw, far)
-        assert second_weight() == near == weights.lookup_index(raw)
+        self._mint_nearer(weights, raw, far)
+        assert second_weight() == far == weights.lookup_index(raw)
 
 
 class TestOnlyStoredWeightsAreMinted:
