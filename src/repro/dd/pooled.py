@@ -201,7 +201,7 @@ class PooledUniqueAdapter:
     """Object-API facade over one pooled unique table.
 
     Exposes the unique-table surface the rest of the package relies on —
-    ``len``, ``hits``/``misses``, ``audit_entries``, ``get_or_create`` —
+    ``len``, ``hits``/``misses``, ``audit_entries``, ``clear`` —
     backed by the open-addressed table and the node pool.
     ``audit_entries`` rebuilds the stored signature from the *pool arrays*
     while the paired view reports its (possibly fault-overridden)
@@ -279,27 +279,6 @@ class PooledUniqueAdapter:
         if self._kindbit == MATRIX:
             return self._engine.dense_child(var, succ, wsucc).uid
         return TERMINAL.uid if succ < 0 else self._pool.order[succ]
-
-    def get_or_create(self, var: int, edges: Tuple[Edge, ...]) -> Node:
-        """Raw consing entry (compat API; weights are canonicalized)."""
-        for edge in edges:
-            weight = edge.weight
-            real, imag = weight.real, weight.imag
-            if not (real == real and imag == imag and abs(real) != float("inf")
-                    and abs(imag) != float("inf")):
-                raise DDError(
-                    f"non-finite edge weight {weight!r} at level {var}"
-                )
-        engine = self._engine
-        pool = self._pool
-        if len(edges) != pool.arity:
-            noun = "two" if pool.arity == 2 else "four"
-            kind = "vector" if pool.arity == 2 else "matrix"
-            raise ValueError(f"{kind} nodes have exactly {noun} successors")
-        successors = [engine.node_index(edge.node) for edge in edges]
-        weights = [engine.weights.lookup_index(edge.weight) for edge in edges]
-        index = engine._cons(self._kindbit, var, successors, weights)
-        return engine.view(self._kindbit, index)
 
     def clear(self) -> None:
         """Drop the consing table (pool slots are reclaimed at the next sweep)."""

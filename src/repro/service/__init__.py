@@ -21,8 +21,6 @@ Layers (all stdlib, no new dependencies):
   writes;
 * :mod:`repro.service.server` — :class:`DDToolServer`, the app bound to
   the reactor, with graceful SIGTERM drain (``qdd-tool serve``);
-* :mod:`repro.service.loadgen` — the multi-process saturation load
-  generator behind ``scripts/service_loadgen.py``;
 * :mod:`repro.service.sessions` — TTL/LRU session store with backpressure;
 * :mod:`repro.service.cache` — the LRU result cache;
 * :mod:`repro.service.workers` — the process pool and its job functions.

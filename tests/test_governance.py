@@ -246,11 +246,11 @@ class TestUniqueTableGuards:
         bad = Edge(TERMINAL, complex(float("inf"), 0.0))
         good = Edge(TERMINAL, complex(1.0, 0.0))
         with pytest.raises(DDError):
-            package._vector_unique.get_or_create(0, (bad, good))
+            package.make_vector_node(0, (bad, good))
         with pytest.raises(DDError):
-            package._matrix_unique.get_or_create(
-                0, (good, bad, bad, good)
-            )
+            package.make_matrix_node(0, (good, bad, bad, good))
+        assert len(package._vector_unique) == 0
+        assert len(package._matrix_unique) == 0
 
     def test_non_finite_rejected_before_normalization_too(self):
         package = DDPackage()

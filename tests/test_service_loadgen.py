@@ -1,10 +1,21 @@
-"""Aggregation in the service load generator: nearest-rank percentiles and
-requests/second over the clients' own send/response window."""
+"""The service load generator (``benchmarks/loadgen.py``): nearest-rank
+percentiles, requests/second over the clients' own send/response window,
+and the command line's zero-drop exit gate."""
+
+import json
+import os
+import sys
 
 import pytest
 
-from repro.service import DDToolServer, ServiceConfig
-from repro.service.loadgen import _aggregate, _percentile, run_load
+BENCH_DIR = os.path.abspath(
+    os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks")
+)
+if BENCH_DIR not in sys.path:
+    sys.path.insert(0, BENCH_DIR)
+
+from loadgen import _aggregate, _percentile, main, run_load  # noqa: E402
+from repro.service import DDToolServer, ServiceConfig  # noqa: E402
 
 
 class TestPercentile:
@@ -104,3 +115,17 @@ def test_run_load_reports_rate_over_its_own_window():
     # The window is at most the run's duration plus one in-flight request,
     # so the rate is at least requests over that bound.
     assert result.rps >= result.requests / (0.5 + result.max_ms / 1e3) - 1e-9
+
+
+def test_main_writes_both_regimes_and_exits_zero(tmp_path):
+    code = main([
+        "--connections", "2", "--duration", "0.5", "--processes", "1",
+        "--output-dir", str(tmp_path),
+    ])
+    assert code == 0
+    written = json.loads((tmp_path / "service_loadgen.json").read_text())
+    assert sorted(written) == ["cached", "uncached"]
+    for mode, result in written.items():
+        assert result["mode"] == mode
+        assert result["errors"] == 0
+        assert result["requests"] > 0

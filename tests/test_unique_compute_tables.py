@@ -17,43 +17,43 @@ def _vector_table():
 
 class TestUniqueTable:
     def test_identical_structure_shares_node(self):
-        _package, table = _vector_table()
-        a = table.get_or_create(0, (ZERO_EDGE, ONE_EDGE))
-        b = table.get_or_create(0, (ZERO_EDGE, ONE_EDGE))
-        assert a is b
+        package, table = _vector_table()
+        a = package.make_vector_node(0, (ZERO_EDGE, ONE_EDGE))
+        b = package.make_vector_node(0, (ZERO_EDGE, ONE_EDGE))
+        assert a.node is b.node
         assert table.hits == 1
         assert table.misses == 1
 
     def test_different_levels_are_distinct(self):
-        _package, table = _vector_table()
-        a = table.get_or_create(0, (ZERO_EDGE, ONE_EDGE))
-        b = table.get_or_create(1, (ZERO_EDGE, ONE_EDGE))
-        assert a is not b
+        package, _table = _vector_table()
+        a = package.make_vector_node(0, (ZERO_EDGE, ONE_EDGE))
+        b = package.make_vector_node(1, (ZERO_EDGE, ONE_EDGE))
+        assert a.node is not b.node
 
     def test_different_weights_are_distinct(self):
-        _package, table = _vector_table()
-        a = table.get_or_create(0, (ONE_EDGE, ZERO_EDGE))
-        b = table.get_or_create(0, (ONE_EDGE, ONE_EDGE))
-        assert a is not b
+        package, _table = _vector_table()
+        a = package.make_vector_node(0, (ONE_EDGE, ZERO_EDGE))
+        b = package.make_vector_node(0, (ONE_EDGE, ONE_EDGE))
+        assert a.node is not b.node
 
     def test_weak_references_allow_collection(self):
         # The engine caches node views weakly: once the last view is gone,
         # the next full collection frees the slot.
         package, table = _vector_table()
-        node = table.get_or_create(0, (ZERO_EDGE, ONE_EDGE))
+        edge = package.make_vector_node(0, (ZERO_EDGE, ONE_EDGE))
         assert len(table) == 1
-        del node
+        del edge
         gc.collect()
         package.gc(force=True)
         assert len(table) == 0
 
     def test_clear(self):
-        _package, table = _vector_table()
-        keep = table.get_or_create(0, (ZERO_EDGE, ONE_EDGE))
+        package, table = _vector_table()
+        keep = package.make_vector_node(0, (ZERO_EDGE, ONE_EDGE))
         table.clear()
         assert len(table) == 0
-        again = table.get_or_create(0, (ZERO_EDGE, ONE_EDGE))
-        assert again is not keep  # fresh node after clear
+        again = package.make_vector_node(0, (ZERO_EDGE, ONE_EDGE))
+        assert again.node is not keep.node  # fresh node after clear
 
 
 class TestComputeTable:
