@@ -103,7 +103,7 @@ def artifact_cells(
     """Index an artifact's ``ok`` cells by circuit size for one series.
 
     Raises if a matching cell is not ``ok`` — benchmark assertions should
-    fail loudly on a crashed/timed-out cell, not silently skip it.
+    fail loudly on a failed cell, not silently skip it.
     """
     selected: Dict[int, Dict[str, Any]] = {}
     for cell_id, entry in artifact["cells"].items():

@@ -32,7 +32,7 @@ def add_campaign_parser(commands) -> None:
         "run", help="run a campaign spec (resumes automatically if the "
                     "output directory already journals this spec)"
     )
-    run.add_argument("spec", help="path to a .json or .toml campaign spec")
+    run.add_argument("spec", help="path to a .json campaign spec")
     _add_run_arguments(run)
     run.add_argument("--fresh", action="store_true",
                      help="discard any existing manifest instead of resuming")
@@ -42,8 +42,6 @@ def add_campaign_parser(commands) -> None:
                        "directory (uses the spec copy journaled there)"
     )
     resume.add_argument("out", help="campaign output directory")
-    resume.add_argument("--workers", type=int, default=None,
-                        help="override the spec's worker-process count")
     resume.add_argument("--baseline", metavar="ARTIFACT", default=None,
                         help="gate the finished aggregate against this "
                              "baseline artifact")
@@ -72,9 +70,6 @@ def _add_run_arguments(parser) -> None:
     parser.add_argument("--out", metavar="DIR", default=None,
                         help="output directory (default: "
                              f"{DEFAULT_OUT_ROOT}/<campaign-name>)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="override the spec's worker-process count "
-                             "(0 = run cells inline)")
     parser.add_argument("--seed-offset", type=int, default=0,
                         help="shift every seed in the spec (CI seed rotation)")
     parser.add_argument("--baseline", metavar="ARTIFACT", default=None,
@@ -136,7 +131,6 @@ def _cmd_run(args) -> int:
     artifact = run_campaign(
         spec,
         out_dir,
-        workers=args.workers,
         seed_offset=args.seed_offset,
         progress=_progress(args.quiet),
         fresh=args.fresh,
@@ -156,12 +150,7 @@ def _cmd_resume(args) -> int:
         )
     with open(spec_path, "r", encoding="utf-8") as handle:
         spec = parse_spec(json.load(handle))
-    artifact = run_campaign(
-        spec,
-        args.out,
-        workers=args.workers,
-        progress=_progress(args.quiet),
-    )
+    artifact = run_campaign(spec, args.out, progress=_progress(args.quiet))
     return _finish(artifact, args.out, args.baseline)
 
 

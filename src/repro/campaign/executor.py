@@ -1,26 +1,20 @@
-"""Campaign execution — parallel cells, crash isolation, resumable journal.
+"""Campaign execution — one inline loop over the cells and a resumable journal.
 
-The executor owns three responsibilities:
-
-* **Parallelism.**  Cells run through the service's
-  :class:`~repro.service.workers.WorkerPool`: each worker process owns the
-  cell for its duration, the pool's request watchdog enforces the spec's
-  per-cell timeout (an overrunning worker is *killed* and replaced), and a
-  worker crash fails only its own cell.  ``workers = 0`` runs cells inline
-  in this process — no subprocess machinery, same job function.
+The executor owns two responsibilities:
 
 * **Durability.**  Progress journals to ``manifest.jsonl`` in the output
   directory: a header line naming the campaign and its spec digest, then
   one fsync'd JSON line per finished cell.  A killed campaign loses at
-  most the cells that were in flight; re-running the same spec against the
+  most the cell that was in flight; re-running the same spec against the
   same directory skips every journaled ``ok`` cell and re-attempts only
   failed/missing ones.  A *changed* spec (different digest) is refused —
   half of campaign A plus half of campaign B is not a campaign.
 
-* **Isolation of failure classes.**  Each cell lands in exactly one
-  status: ``ok``, ``timeout`` (watchdog killed it), ``crashed`` (worker
-  died), or ``failed`` (the cell raised).  A failing cell never aborts
-  the sweep; the aggregate records what happened where.
+* **Failure isolation.**  Cells run one after another in this process,
+  each on its own cold package (:func:`repro.campaign.jobs.run_cell`).
+  Each cell lands in exactly one status: ``ok``, or ``failed`` (the cell
+  raised).  A failing cell never aborts the sweep; the aggregate records
+  what happened where.
 """
 
 from __future__ import annotations
@@ -29,21 +23,12 @@ import json
 import os
 import threading
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.campaign.jobs import (
-    CAMPAIGN_JOB_KIND,
-    campaign_cell_job,
-    install_campaign_jobs,
-)
-from repro.campaign.planner import Cell, expand_plan
+from repro.campaign.jobs import run_cell
+from repro.campaign.planner import expand_plan
 from repro.campaign.spec import CampaignSpec
-from repro.errors import (
-    CampaignError,
-    JobTimeoutError,
-    ServiceUnavailableError,
-)
-from repro.obs.metrics import DEFAULT_TIME_BUCKETS, MetricsRegistry
+from repro.errors import CampaignError
 
 __all__ = ["Manifest", "run_campaign", "MANIFEST_NAME", "SPEC_COPY_NAME"]
 
@@ -91,8 +76,10 @@ class Manifest:
     def load(self) -> Tuple[Optional[Dict[str, Any]], Dict[str, Dict[str, Any]]]:
         """Read ``(header, {cell_id: record})``; corrupt lines are skipped.
 
-        Later records win for a repeated cell ID, so a cell re-attempted
-        after a failure is represented by its latest outcome.
+        A line is corrupt when it is not a JSON object, or when it is not
+        the header and its ``cell_id`` is not a non-empty string.  Later
+        records win for a repeated cell ID, so a cell re-attempted after a
+        failure is represented by its latest outcome.
         """
         header: Optional[Dict[str, Any]] = None
         records: Dict[str, Dict[str, Any]] = {}
@@ -111,53 +98,30 @@ class Manifest:
                     continue
                 if not isinstance(entry, dict):
                     continue
+                cell_id = entry.get("cell_id")
                 if entry.get("kind") == "header":
                     header = entry
-                elif entry.get("cell_id"):
-                    records[entry["cell_id"]] = entry
+                elif isinstance(cell_id, str) and cell_id:
+                    records[cell_id] = entry
         return header, records
-
-
-def _classify_failure(error: BaseException) -> str:
-    if isinstance(error, JobTimeoutError):
-        return "timeout"
-    if isinstance(error, ServiceUnavailableError):
-        return "crashed"
-    return "failed"
-
-
-def _campaign_metrics(registry: MetricsRegistry):
-    return {
-        "seconds": registry.histogram("campaign_cell_seconds", DEFAULT_TIME_BUCKETS),
-        "status": {
-            status: registry.counter("campaign_cells_total", {"status": status})
-            for status in ("ok", "failed", "timeout", "crashed", "skipped")
-        },
-    }
 
 
 def run_campaign(
     spec: CampaignSpec,
     out_dir: str,
-    workers: Optional[int] = None,
     seed_offset: int = 0,
-    registry: Optional[MetricsRegistry] = None,
     progress: Optional[Callable[[str], None]] = None,
     fresh: bool = False,
 ) -> Dict[str, Any]:
     """Run (or resume) ``spec`` into ``out_dir`` and return the aggregate.
 
-    ``workers`` overrides the spec's worker count; ``fresh`` discards any
-    existing manifest instead of resuming.  The returned artifact is also
-    written to ``out_dir`` alongside the markdown report and timeline SVG
-    (see :mod:`repro.campaign.report`).
+    ``fresh`` discards any existing manifest instead of resuming.  The
+    returned artifact is also written to ``out_dir`` alongside the
+    markdown report and timeline SVG (see :mod:`repro.campaign.report`).
     """
     from repro.campaign.report import aggregate, write_outputs
 
     say = progress or (lambda message: None)
-    registry = registry if registry is not None else MetricsRegistry()
-    metrics = _campaign_metrics(registry)
-    remaining_gauge = registry.gauge("campaign_cells_remaining")
 
     if seed_offset:
         # Fold the offset into the spec itself: the digest, the journaled
@@ -198,76 +162,33 @@ def run_campaign(
         json.dump(spec.as_dict(), handle, indent=2, sort_keys=True)
         handle.write("\n")
 
-    pending = [cell for cell in cells if cell.cell_id not in completed]
+    results: Dict[str, Dict[str, Any]] = dict(completed)
     for cell in cells:
         if cell.cell_id in completed:
-            metrics["status"]["skipped"].inc()
-    remaining_gauge.set(len(pending))
-
-    worker_count = spec.workers if workers is None else max(0, int(workers))
-    install_campaign_jobs()  # parent side: inline pools and forked children
-    from repro.service.workers import WorkerPool
-
-    results: Dict[str, Dict[str, Any]] = dict(completed)
-    results_lock = threading.Lock()
-
-    def execute(pool: "WorkerPool", cell: Cell) -> None:
-        payload = json.dumps(cell.payload(), sort_keys=True)
+            continue
         started = perf_counter()
         try:
-            outcome = pool.submit(CAMPAIGN_JOB_KIND, campaign_cell_job, payload)
+            outcome = run_cell(cell.payload())
             record = {
                 "cell_id": cell.cell_id,
                 "status": "ok",
-                "metrics": outcome.get("metrics", {}),
-                "timing": outcome.get("timing", {}),
-                "counts": outcome.get("counts"),
+                "metrics": outcome["metrics"],
+                "timing": outcome["timing"],
+                "counts": outcome["counts"],
                 "error": None,
             }
         except Exception as error:  # noqa: BLE001 — a cell must never abort the sweep
-            status = _classify_failure(error)
             record = {
                 "cell_id": cell.cell_id,
-                "status": status,
+                "status": "failed",
                 "metrics": {},
                 "timing": {"wall_seconds": perf_counter() - started},
                 "counts": None,
                 "error": f"{type(error).__name__}: {error}",
             }
-        metrics["status"][record["status"]].inc()
-        metrics["seconds"].observe(perf_counter() - started)
         manifest.append(record)
-        with results_lock:
-            results[cell.cell_id] = record
-            remaining_gauge.set(len(cells) - len(results))
-        say(
-            f"[{len(results)}/{len(cells)}] {cell.cell_id}: {record['status']}"
-        )
-
-    pool = WorkerPool(
-        workers=worker_count,
-        job_timeout=spec.cell_timeout,
-        request_deadline=spec.cell_timeout,
-        registry=registry,
-    )
-    try:
-        if worker_count <= 1 or len(pending) <= 1:
-            for cell in pending:
-                execute(pool, cell)
-        else:
-            # One submitting thread per worker: `pool.submit` blocks on a
-            # worker checkout, so this saturates the pool without
-            # outrunning it.
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=worker_count) as threads:
-                futures = [
-                    threads.submit(execute, pool, cell) for cell in pending
-                ]
-                for future in futures:
-                    future.result()
-    finally:
-        pool.close()
+        results[cell.cell_id] = record
+        say(f"[{len(results)}/{len(cells)}] {cell.cell_id}: {record['status']}")
 
     artifact = aggregate(spec, results, planned=cells)
     write_outputs(out_dir, artifact)

@@ -1,48 +1,25 @@
-"""Campaign cell execution — the job function workers run per cell.
+"""Campaign cell execution — the function the executor runs per cell.
 
 A cell builds its *own* :class:`~repro.dd.package.DDPackage` from the
-cell's package options (apply kernels, tolerance, normalization scheme,
-sanitizer cadence, memory budget), constructs the circuit for its
-family/size/seed, runs it in the requested mode, and returns a plain dict
-of metrics.  The worker pool's long-lived service package is deliberately
-not reused: a campaign's whole point is comparing package configurations,
-so every cell starts from a cold, isolated table.
+cell's package options (tolerance, normalization scheme), constructs the
+circuit for its family/size/seed, runs it in the requested mode, and
+returns a plain dict of metrics.  Every cell starts from a cold, isolated
+table: a campaign's whole point is comparing package configurations.
 
 Results split **metrics** (deterministic for a given seed and code
 version: node counts, operation counts, table sizes — what regression
 gates compare) from **timing** (wall-clock — reported, chartable, but
 only gated when a spec explicitly opts a timing metric in).
-
-The job function is module-level, takes one JSON string, and returns a
-JSON-able dict so it satisfies the worker-pool pipe protocol
-(:mod:`repro.service.workers`).
 """
 
 from __future__ import annotations
 
-import json
 from time import perf_counter
 from typing import Any, Callable, Dict, Tuple
 
 from repro.errors import CampaignError
 
-__all__ = [
-    "CAMPAIGN_JOB_KIND",
-    "build_family",
-    "campaign_cell_job",
-    "install_campaign_jobs",
-    "known_families",
-    "register_family",
-    "run_cell",
-]
-
-#: Worker-pool dispatch name for campaign cells.
-CAMPAIGN_JOB_KIND = "campaign-cell"
-
-#: family name -> builder(size, seed, params) -> ("circuit", QuantumCircuit)
-#: or ("vector", ndarray).  Populated lazily; extensible via
-#: :func:`register_family`.
-_FAMILIES: Dict[str, Callable[..., Tuple[str, Any]]] = {}
+__all__ = ["build_family", "known_families", "run_cell"]
 
 
 def _build_qft(size, seed, params):
@@ -136,32 +113,24 @@ def _build_qasm(size, seed, params):
         return "circuit", parse_qasm(handle.read())
 
 
-def _ensure_families() -> Dict[str, Callable[..., Tuple[str, Any]]]:
-    if not _FAMILIES:
-        _FAMILIES.update(
-            {
-                "qft": _build_qft,
-                "qft_compiled": _build_qft_compiled,
-                "grover": _build_grover,
-                "ghz": _build_ghz,
-                "w": _build_w,
-                "random": _build_random,
-                "bellpairs": _build_bellpairs,
-                "dense_random": _build_dense_random,
-                "qasm": _build_qasm,
-            }
-        )
-    return _FAMILIES
+#: family name -> builder(size, seed, params) -> ("circuit", QuantumCircuit)
+#: or ("vector", ndarray).
+_FAMILIES: Dict[str, Callable[..., Tuple[str, Any]]] = {
+    "qft": _build_qft,
+    "qft_compiled": _build_qft_compiled,
+    "grover": _build_grover,
+    "ghz": _build_ghz,
+    "w": _build_w,
+    "random": _build_random,
+    "bellpairs": _build_bellpairs,
+    "dense_random": _build_dense_random,
+    "qasm": _build_qasm,
+}
 
 
 def known_families() -> Tuple[str, ...]:
     """Names accepted in a spec's ``family`` field."""
-    return tuple(_ensure_families())
-
-
-def register_family(name: str, builder: Callable[..., Tuple[str, Any]]) -> None:
-    """Extension point: add a custom circuit family for local campaigns."""
-    _ensure_families()[name] = builder
+    return tuple(_FAMILIES)
 
 
 def build_family(
@@ -172,52 +141,36 @@ def build_family(
     The same builders cells use, exposed for benchmarks and tests that
     want the circuit object itself (e.g. to transform it before running).
     """
-    builders = _ensure_families()
-    if family not in builders:
+    if family not in _FAMILIES:
         raise CampaignError(f"unknown circuit family {family!r}")
-    return builders[family](size, seed, params or {})
+    return _FAMILIES[family](size, seed, params or {})
 
 
 def _make_package(options: Dict[str, Any]):
-    from repro.dd.governance import MemoryBudget
     from repro.dd.normalization import NormalizationScheme
     from repro.dd.package import DDPackage
     from repro.obs.metrics import MetricsRegistry
 
-    kwargs: Dict[str, Any] = {
-        # A dark registry keeps the cell hot path free of instrumentation;
-        # campaign-level metrics live in the executor's registry.
-        "registry": MetricsRegistry(enabled=False),
-    }
+    # A dark registry keeps the cell hot path free of instrumentation.
+    kwargs: Dict[str, Any] = {"registry": MetricsRegistry(enabled=False)}
     if options.get("tolerance") is not None:
         kwargs["tolerance"] = float(options["tolerance"])
     if options.get("vector_scheme"):
         kwargs["vector_scheme"] = NormalizationScheme(options["vector_scheme"])
-    if options.get("sanitize_every"):
-        kwargs["sanitize_every"] = int(options["sanitize_every"])
-    if options.get("budget_nodes") or options.get("budget_bytes"):
-        budget_kwargs = {
-            "max_nodes": options.get("budget_nodes") or None,
-            "max_bytes": options.get("budget_bytes") or None,
-        }
-        if options.get("budget_check_interval"):
-            budget_kwargs["check_interval"] = int(options["budget_check_interval"])
-        kwargs["budget"] = MemoryBudget(**budget_kwargs)
     return DDPackage(**kwargs)
 
 
 def run_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Execute one planned cell and return its result record."""
     family = payload.get("family")
-    builders = _ensure_families()
-    if family not in builders:
+    if family not in _FAMILIES:
         raise CampaignError(f"unknown circuit family {family!r}")
     size = int(payload["size"])
     seed = int(payload.get("seed", 0))
     params = payload.get("params") or {}
     mode = payload.get("mode", "simulate")
     shots = int(payload.get("shots") or 0)
-    kind, built = builders[family](size, seed, params)
+    kind, built = _FAMILIES[family](size, seed, params)
 
     package = _make_package(payload.get("package") or {})
     start = perf_counter()
@@ -316,19 +269,3 @@ def _sample(package, root, shots: int, seed: int):
 
     rng = np.random.default_rng(seed)
     return sampling.sample_counts(package, root, shots, rng)
-
-
-def campaign_cell_job(payload_json: str) -> Dict[str, Any]:
-    """Pipe-protocol wrapper: one JSON-string argument in, a dict out."""
-    return run_cell(json.loads(payload_json))
-
-
-def install_campaign_jobs() -> None:
-    """Register the cell job with the worker-pool dispatch table.
-
-    Called by the executor before it spawns (or inlines) a pool, and by
-    the worker bootstrap so spawn-started children can serve cells too.
-    """
-    from repro.service import workers
-
-    workers.register_job(CAMPAIGN_JOB_KIND, campaign_cell_job)

@@ -41,7 +41,7 @@ class Cell:
     package: PackageSpec = field(default_factory=lambda: PackageSpec(label="default"))
 
     def payload(self) -> Dict[str, Any]:
-        """The plain-data form shipped to a worker over the job pipe."""
+        """The plain-data form :func:`repro.campaign.jobs.run_cell` takes."""
         return {
             "cell_id": self.cell_id,
             "family": self.family,

@@ -2,10 +2,9 @@
 
 A campaign spec names a cross-product of experiment *cells*: circuit
 family × size × seed × repetition × :class:`~repro.dd.package.DDPackage`
-configuration.  The spec is plain data (JSON, or TOML on interpreters
-with :mod:`tomllib`), so a sweep lives next to the code as one reviewed,
-versioned file instead of a nest of ad-hoc ``for`` loops in a benchmark
-script.
+configuration.  The spec is plain JSON, so a sweep lives next to the
+code as one reviewed, versioned file instead of a nest of ad-hoc ``for``
+loops in a benchmark script.
 
 The schema (``qdd-campaign-spec-v1``) is intentionally small::
 
@@ -21,11 +20,10 @@ The schema (``qdd-campaign-spec-v1``) is intentionally small::
         "repetitions": 1,
         "shots": 0,
         "packages": [
-          {"label": "kernels"},
-          {"label": "checked", "sanitize_every": 1}
+          {"label": "default"},
+          {"label": "loose", "tolerance": 1e-10}
         ]
       },
-      "execution": {"workers": 0, "cell_timeout": 120.0},
       "gates": [
         {"metric": "final_nodes", "tolerance_pct": 0.0}
       ]
@@ -41,7 +39,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.errors import CampaignSpecError
 
@@ -98,21 +96,12 @@ class PackageSpec:
     label: str
     tolerance: Optional[float] = None
     vector_scheme: Optional[str] = None
-    sanitize_every: Optional[int] = None
-    budget_nodes: int = 0
-    budget_bytes: int = 0
-    budget_check_interval: Optional[int] = None
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any], where: str) -> "PackageSpec":
         if not isinstance(data, dict):
             raise CampaignSpecError(f"{where} must be an object")
-        _require_keys(
-            data,
-            ("label", "tolerance", "vector_scheme", "sanitize_every",
-             "budget_nodes", "budget_bytes", "budget_check_interval"),
-            where,
-        )
+        _require_keys(data, ("label", "tolerance", "vector_scheme"), where)
         label = data.get("label")
         if not isinstance(label, str) or not label:
             raise CampaignSpecError(f"{where}: every package needs a non-empty 'label'")
@@ -127,34 +116,10 @@ class PackageSpec:
             not isinstance(tolerance, (int, float)) or tolerance <= 0
         ):
             raise CampaignSpecError(f"{where}: tolerance must be a positive number")
-        sanitize_every = data.get("sanitize_every")
-        if sanitize_every is not None and (
-            isinstance(sanitize_every, bool)
-            or not isinstance(sanitize_every, int)
-            or sanitize_every < 1
-        ):
-            raise CampaignSpecError(f"{where}: sanitize_every must be a positive integer")
-        for key in ("budget_nodes", "budget_bytes"):
-            value = data.get(key, 0)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-                raise CampaignSpecError(f"{where}: {key} must be a non-negative integer")
-        check_interval = data.get("budget_check_interval")
-        if check_interval is not None and (
-            isinstance(check_interval, bool)
-            or not isinstance(check_interval, int)
-            or check_interval < 1
-        ):
-            raise CampaignSpecError(
-                f"{where}: budget_check_interval must be a positive integer"
-            )
         return cls(
             label=label,
             tolerance=float(tolerance) if tolerance is not None else None,
             vector_scheme=scheme,
-            sanitize_every=sanitize_every,
-            budget_nodes=int(data.get("budget_nodes", 0)),
-            budget_bytes=int(data.get("budget_bytes", 0)),
-            budget_check_interval=check_interval,
         )
 
     def as_dict(self) -> Dict[str, Any]:
@@ -162,10 +127,6 @@ class PackageSpec:
             "label": self.label,
             "tolerance": self.tolerance,
             "vector_scheme": self.vector_scheme,
-            "sanitize_every": self.sanitize_every,
-            "budget_nodes": self.budget_nodes,
-            "budget_bytes": self.budget_bytes,
-            "budget_check_interval": self.budget_check_interval,
         }
 
 
@@ -294,7 +255,7 @@ class GateSpec:
 
 @dataclass(frozen=True)
 class CampaignSpec:
-    """A fully-validated campaign: axes, execution knobs, and gates."""
+    """A fully-validated campaign: axes and gates."""
 
     name: str
     description: str
@@ -303,8 +264,6 @@ class CampaignSpec:
     repetitions: int
     shots: int
     packages: Tuple[PackageSpec, ...]
-    workers: int
-    cell_timeout: float
     gates: Tuple[GateSpec, ...]
 
     def as_dict(self) -> Dict[str, Any]:
@@ -319,10 +278,6 @@ class CampaignSpec:
                 "repetitions": self.repetitions,
                 "shots": self.shots,
                 "packages": [package.as_dict() for package in self.packages],
-            },
-            "execution": {
-                "workers": self.workers,
-                "cell_timeout": self.cell_timeout,
             },
             "gates": [gate.as_dict() for gate in self.gates],
         }
@@ -341,9 +296,9 @@ def spec_digest(spec: CampaignSpec) -> str:
 def parse_spec(data: Dict[str, Any]) -> CampaignSpec:
     """Validate a decoded spec document into a :class:`CampaignSpec`."""
     if not isinstance(data, dict):
-        raise CampaignSpecError("a campaign spec must be a JSON/TOML object")
+        raise CampaignSpecError("a campaign spec must be a JSON object")
     _require_keys(
-        data, ("format", "name", "description", "cells", "execution", "gates"),
+        data, ("format", "name", "description", "cells", "gates"),
         "spec",
     )
     fmt = data.get("format", SPEC_FORMAT)
@@ -400,21 +355,6 @@ def parse_spec(data: Dict[str, Any]) -> CampaignSpec:
     if len(set(package_labels)) != len(package_labels):
         raise CampaignSpecError("spec.cells.packages: duplicate package labels")
 
-    execution = data.get("execution", {})
-    if not isinstance(execution, dict):
-        raise CampaignSpecError("spec.execution must be an object")
-    _require_keys(execution, ("workers", "cell_timeout"), "spec.execution")
-    workers = execution.get("workers", 0)
-    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 0:
-        raise CampaignSpecError("spec.execution.workers must be a non-negative integer")
-    cell_timeout = execution.get("cell_timeout", 120.0)
-    if (
-        isinstance(cell_timeout, bool)
-        or not isinstance(cell_timeout, (int, float))
-        or cell_timeout <= 0
-    ):
-        raise CampaignSpecError("spec.execution.cell_timeout must be a positive number")
-
     raw_gates = data.get("gates", [])
     if not isinstance(raw_gates, list):
         raise CampaignSpecError("spec.gates must be a list")
@@ -434,35 +374,20 @@ def parse_spec(data: Dict[str, Any]) -> CampaignSpec:
         repetitions=repetitions,
         shots=shots,
         packages=packages,
-        workers=workers,
-        cell_timeout=float(cell_timeout),
         gates=gates,
     )
 
 
 def load_spec(path: str) -> CampaignSpec:
-    """Load and validate a campaign spec from a ``.json`` or ``.toml`` file."""
+    """Load and validate a campaign spec from a JSON file."""
     if not os.path.exists(path):
         raise CampaignSpecError(f"campaign spec not found: {path}")
-    lowered = path.lower()
     with open(path, "rb") as handle:
         raw = handle.read()
-    if lowered.endswith(".toml"):
-        try:
-            import tomllib
-        except ImportError:  # pragma: no cover - Python < 3.11
-            raise CampaignSpecError(
-                "TOML specs need Python 3.11+ (tomllib); use JSON instead"
-            )
-        try:
-            data = tomllib.loads(raw.decode("utf-8"))
-        except (tomllib.TOMLDecodeError, UnicodeDecodeError) as error:
-            raise CampaignSpecError(f"{path}: invalid TOML: {error}")
-    else:
-        try:
-            data = json.loads(raw.decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as error:
-            raise CampaignSpecError(f"{path}: invalid JSON: {error}")
+    try:
+        data = json.loads(raw.decode("utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as error:
+        raise CampaignSpecError(f"{path}: invalid JSON: {error}")
     spec = parse_spec(data)
     _resolve_relative_paths(spec, os.path.dirname(os.path.abspath(path)))
     return spec

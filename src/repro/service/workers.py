@@ -169,16 +169,6 @@ _JOB_FUNCTIONS: Dict[str, Callable[..., Dict[str, Any]]] = {
 }
 
 
-def register_job(kind: str, fn: Callable[..., Dict[str, Any]]) -> None:
-    """Add (or replace) a named job in the dispatch table.
-
-    Registration in the parent covers inline pools and fork-started
-    workers; spawn-started workers re-register in their own bootstrap
-    (see ``_worker_main``), so callers register at both ends.
-    """
-    _JOB_FUNCTIONS[kind] = fn
-
-
 def _governance_report(package) -> Dict[str, Any]:
     """Post-job governance snapshot; collects if the budget shows pressure."""
     governor = package.governor
@@ -230,12 +220,6 @@ def _worker_main(conn, budget: MemoryBudget) -> None:  # pragma: no cover - chil
         from repro.sanitizer.faults import install_service_faults
 
         install_service_faults()
-    # Campaign cells are a first-class job kind: install unconditionally so
-    # spawn-started children (which do not inherit parent registrations)
-    # can serve `qdd-tool campaign` work.
-    from repro.campaign.jobs import install_campaign_jobs
-
-    install_campaign_jobs()
     import repro.dd.package  # noqa: F401 - import before signalling readiness
 
     conn.send(("ready", None, None))

@@ -1,7 +1,7 @@
 """The campaign subsystem: specs, planning, execution, resume, gating, CLI.
 
 The SIGKILL-resume test lives in ``test_campaign_resume.py`` (it drives a
-real subprocess); everything here runs inline (``workers = 0``).
+real subprocess); everything else runs here in-process.
 """
 
 import copy
@@ -40,7 +40,6 @@ def make_spec_dict(**overrides):
             "repetitions": 1,
             "packages": [{"label": "default"}],
         },
-        "execution": {"workers": 0, "cell_timeout": 60.0},
         "gates": [{"metric": "final_nodes", "tolerance_pct": 0.0}],
     }
     data.update(overrides)
@@ -60,8 +59,14 @@ class TestSpecValidation:
         assert spec.gates[0].metric == "final_nodes"
 
     def test_unknown_top_level_key_rejected(self):
-        with pytest.raises(CampaignSpecError, match="unknown key"):
-            parse_spec(make_spec_dict(extra_knob=1))
+        # Cells always run inline: the removed `execution` block (worker
+        # count, per-cell timeout) is an unknown key like any other typo.
+        for key, value in (
+            ("extra_knob", 1),
+            ("execution", {"workers": 0, "cell_timeout": 60.0}),
+        ):
+            with pytest.raises(CampaignSpecError, match=rf"unknown key\(s\) {key}"):
+                parse_spec(make_spec_dict(**{key: value}))
 
     def test_unknown_cells_key_rejected(self):
         data = make_spec_dict()
@@ -116,14 +121,17 @@ class TestSpecValidation:
     @pytest.mark.parametrize(
         "key,value",
         [("storage", "pooled"), ("use_apply_kernels", False),
-         ("identity_skipping", True), ("reorder", "manual")],
-        ids=["storage", "use_apply_kernels", "identity_skipping", "reorder"],
+         ("identity_skipping", True), ("reorder", "manual"),
+         ("sanitize_every", 1), ("budget_nodes", 1000)],
+        ids=["storage", "use_apply_kernels", "identity_skipping", "reorder",
+             "sanitize_every", "budget_nodes"],
     )
     def test_bad_storage_backend_rejected(self, key, value):
         # There is one DD engine, one gate-application path, one matrix
-        # representation and one variable order: a package block naming a
-        # storage backend or a retired switch is an unknown key like any
-        # other typo.
+        # representation and one variable order, the sanitizer cadence
+        # comes from REPRO_SANITIZE_EVERY and cells run unbudgeted: a
+        # package block naming a storage backend or a retired switch is an
+        # unknown key like any other typo.
         data = make_spec_dict()
         data["cells"]["packages"] = [{"label": "x", key: value}]
         with pytest.raises(CampaignSpecError, match=rf"unknown key\(s\) {key}"):
@@ -177,27 +185,6 @@ class TestSpecValidation:
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(CampaignSpecError, match="invalid JSON"):
             load_spec(str(path))
-
-    def test_load_spec_toml(self, tmp_path):
-        tomllib = pytest.importorskip("tomllib")
-        assert tomllib is not None
-        path = tmp_path / "c.toml"
-        path.write_text(
-            "\n".join([
-                'format = "qdd-campaign-spec-v1"',
-                'name = "toml-campaign"',
-                'description = "same schema, TOML surface"',
-                "[cells]",
-                'families = [{family = "ghz", sizes = [2]}]',
-                "seeds = [0]",
-                "[execution]",
-                "workers = 0",
-            ]),
-            encoding="utf-8",
-        )
-        spec = load_spec(str(path))
-        assert spec.name == "toml-campaign"
-        assert spec.families[0].family == "ghz"
 
     def test_relative_qasm_path_resolved_against_spec_file(self, tmp_path):
         (tmp_path / "bell.qasm").write_text(
@@ -316,6 +303,21 @@ class TestRunAndResume:
         # header + one full record + half of the next (a SIGKILL mid-append)
         with open(manifest_path, "w", encoding="utf-8") as handle:
             handle.write(lines[0] + lines[1] + lines[2][: len(lines[2]) // 2])
+        resumed = run_campaign(spec, out)
+        assert deterministic_view(resumed) == deterministic_view(reference)
+
+    def test_resume_skips_records_without_string_cell_id(self, tmp_path):
+        spec = parse_spec(make_spec_dict())
+        out = str(tmp_path / "run")
+        reference = run_campaign(spec, out, fresh=True)
+        manifest_path = os.path.join(out, "manifest.jsonl")
+        with open(manifest_path, "a", encoding="utf-8") as handle:
+            for cell_id in (["a"], {"b": 1}, 7, ""):
+                handle.write(json.dumps({"cell_id": cell_id, "status": "ok"}))
+                handle.write("\n")
+        header, records = Manifest(manifest_path).load()
+        assert header["planned_cells"] == 3
+        assert set(records) == set(reference["cells"])
         resumed = run_campaign(spec, out)
         assert deterministic_view(resumed) == deterministic_view(reference)
 

@@ -36,7 +36,6 @@ SPEC = {
         "seeds": list(range(20)),
         "packages": [{"label": "default"}],
     },
-    "execution": {"workers": 0, "cell_timeout": 60.0},
     "gates": [{"metric": "final_nodes", "tolerance_pct": 0.0}],
 }
 

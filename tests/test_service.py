@@ -1,6 +1,10 @@
 """Unit tests for the service layer (transport-free, workers inline)."""
 
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -592,6 +596,37 @@ def test_answers_do_not_depend_on_job_history(workers):
     assert simulated["nodes"] == simulator.node_count()
     assert simulated["peak_nodes"] == simulator.peak_node_count
     assert simulated["counts"] == counts
+
+
+#: Runs in a fresh interpreter: a worker forked from the test process would
+#: inherit every module the suite has already imported.
+_WORKER_MODULES_PROBE = """
+import json, sys
+from repro.service import workers
+
+def loaded():
+    return {"campaign": sorted(m for m in sys.modules if m.startswith("repro.campaign"))}
+
+workers._JOB_FUNCTIONS["loaded"] = loaded
+with workers.WorkerPool(workers=1) as pool:
+    print(json.dumps({"parent": loaded()["campaign"],
+                      "worker": pool.submit("loaded", loaded)["campaign"]}))
+"""
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the probe job reaches the worker through a forked dispatch table",
+)
+def test_worker_does_not_load_the_campaign_package():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    completed = subprocess.run(
+        [sys.executable, "-c", _WORKER_MODULES_PROBE],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert json.loads(completed.stdout) == {"parent": [], "worker": []}
 
 
 class TestRateLimit:
