@@ -10,10 +10,18 @@ import hashlib
 import math
 import os
 
+import pytest
+
+from repro.dd import DDPackage
+from repro.dd.edge import ONE_EDGE, Edge
+from repro.dd.node import TERMINAL
 from repro.qc import QuantumCircuit, library
+from repro.qc.dd_builder import circuit_to_dd
+from repro.simulation import DDSimulator
 from repro.tool.session import SimulationSession, VerificationSession
 from repro.vis.circuit_svg import circuit_to_svg
 from repro.vis.style import DDStyle
+from repro.vis.svg import dd_to_svg
 
 _DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -77,4 +85,107 @@ def test_circuit_drawings():
     drawings.append(circuit_to_svg(library.qft(4), title="QFT"))
     assert _digest(drawings) == (
         "8f5adc387ab0f19b17be917a213d94b1b39f0541fb5d99d9a0868b46e7189090"
+    )
+
+
+# ----------------------------------------------------------------------
+# every dd_to_svg path: the three styles on vector and matrix DDs, a
+# title that needs escaping, custom qubit labels and scalar roots
+# ----------------------------------------------------------------------
+
+_STYLES = {
+    "classic": DDStyle.classic(),
+    "colored": DDStyle.colored(),
+    "modern": DDStyle.modern(),
+}
+
+
+def _vector_roots(package):
+    """Every state of a stepped circuit: zero stubs, terminal edges, real,
+    negative and complex weights."""
+    circuit = library.random_circuit(4, 24, seed=11)
+    circuit.h(3).cx(3, 0).gate("z", [1]).p(math.pi / 3, 2).y(0)
+    simulator = DDSimulator(circuit, package=package)
+    roots = [simulator.state]
+    while not simulator.at_end:
+        simulator.step_forward()
+        roots.append(simulator.state)
+    roots.append(package.from_state_vector([0.6, 0, 0, -0.8j]))
+    return roots
+
+
+def _matrix_roots(package):
+    """Functionalities with non-unit, complex and skipped-identity levels."""
+    sparse = QuantumCircuit(4)
+    sparse.cx(3, 0).t(1).h(2)
+    return [
+        package.identity(3),
+        circuit_to_dd(package, library.bell_pair()),
+        circuit_to_dd(package, library.qft(3)),
+        circuit_to_dd(package, sparse),
+    ]
+
+
+_DD_ROOTS = {"vector": _vector_roots, "matrix": _matrix_roots}
+
+_DD_DIGESTS = {
+    ("classic", "vector"): (
+        "7b1dfff1378df83398e205c1dbb9b2e494df14c7efffa765358ab9ff7af20bb6"
+    ),
+    ("classic", "matrix"): (
+        "843fb3789656c6874ff393d3507b314ba0a0c9f94aa11d2886376ea96f4db94b"
+    ),
+    ("colored", "vector"): (
+        "6cd1098bf3e11059e67fd58e1ee6cc62ec3f35fb58f4c5a751e15fde93b5a959"
+    ),
+    ("colored", "matrix"): (
+        "5a280a29def44be2cef7eb4d8b840ec55924ca326d4e2ec8c8e218e8b0c8da93"
+    ),
+    ("modern", "vector"): (
+        "d28246cbea47a279983b3c3dc0290dc51a047677c2a281ada292b784167fecdf"
+    ),
+    ("modern", "matrix"): (
+        "d1dbe7b83958eec7503b5493b84ed17ab79c4d4e42c264144daeb67b5f826fd7"
+    ),
+}
+
+
+@pytest.mark.parametrize("style,kind", sorted(_DD_DIGESTS), ids="-".join)
+def test_dd_svg_styles(style, kind):
+    package = DDPackage()
+    drawings = [dd_to_svg(package, root, _STYLES[style]) for root in _DD_ROOTS[kind](package)]
+    assert _digest(drawings) == _DD_DIGESTS[(style, kind)]
+
+
+def test_dd_svg_title_and_qubit_labels():
+    package = DDPackage()
+    state = _vector_roots(package)[-2]
+    operation = circuit_to_dd(package, library.qft(3))
+    labels = ["a<0>", "b&1", 'c"2']
+    drawings = [
+        dd_to_svg(package, root, style, qubit_labels=labels[:width], title=title)
+        for style in _STYLES.values()
+        for root in (state, operation)
+        for width in (3, 1)
+        for title in (None, "state <|psi> & \"U\"")
+    ]
+    assert _digest(drawings) == (
+        "92bd8c034659af2b03228b12f010def3a3fdaa933b7dac1044f3ac2ef3f956a1"
+    )
+
+
+def test_dd_svg_scalar_roots():
+    package = DDPackage()
+    scalars = [
+        ONE_EDGE,
+        Edge(TERMINAL, package.complex_table.lookup(0.5)),
+        Edge(TERMINAL, package.complex_table.lookup(-1j / math.sqrt(2.0))),
+    ]
+    drawings = [
+        dd_to_svg(package, root, style, title="scalar <1>")
+        for style in _STYLES.values()
+        for root in scalars
+    ]
+    assert _digest(drawings) == (
+        "e942c804d3d86d634bf5fb52b0371c1f6f0054e14c44e61151a8ea802f4286f5"
     )
