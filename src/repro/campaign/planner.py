@@ -56,31 +56,22 @@ class Cell:
         }
 
 
-def expand_plan(spec: CampaignSpec, seed_offset: int = 0) -> List[Cell]:
-    """Expand the spec's cross-product into an ordered list of cells.
-
-    ``seed_offset`` shifts every seed in the spec — the hook by which CI
-    rotates ``BENCH_SEED`` fleet-wide without editing spec files.  The
-    shifted seed is part of the cell ID, so offset runs journal and gate
-    as distinct campaigns.
-    """
+def expand_plan(spec: CampaignSpec) -> List[Cell]:
+    """Expand the spec's cross-product into an ordered list of cells."""
     cells: List[Cell] = []
     for family in spec.families:
         shots = spec.shots if family.shots is None else family.shots
         for size in family.sizes:
             for package in spec.packages:
                 for seed in spec.seeds:
-                    effective_seed = seed + seed_offset
                     for rep in range(spec.repetitions):
                         cells.append(
                             Cell(
-                                cell_id=cell_id(
-                                    family, size, package, effective_seed, rep
-                                ),
+                                cell_id=cell_id(family, size, package, seed, rep),
                                 family=family.family,
                                 label=family.display,
                                 size=size,
-                                seed=effective_seed,
+                                seed=seed,
                                 rep=rep,
                                 mode=family.mode,
                                 shots=shots,
@@ -91,9 +82,8 @@ def expand_plan(spec: CampaignSpec, seed_offset: int = 0) -> List[Cell]:
     seen: Dict[str, Cell] = {}
     for cell in cells:
         if cell.cell_id in seen:
-            # Can only happen via seed collisions after offsetting
-            # (e.g. seeds [0, 1] with repetitions over the same family);
-            # refuse rather than silently dropping work.
+            # Can only happen via duplicate seeds; refuse rather than
+            # silently dropping work.
             from repro.errors import CampaignSpecError
 
             raise CampaignSpecError(

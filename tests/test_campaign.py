@@ -5,6 +5,7 @@ real subprocess); everything else runs here in-process.
 """
 
 import copy
+import dataclasses
 import json
 import os
 
@@ -230,8 +231,11 @@ class TestPlanner:
         assert len({cell.cell_id for cell in cells}) == len(cells)
 
     def test_seed_offset_shifts_ids(self):
+        # The offset is folded into the spec, as `run_campaign` does it.
         spec = parse_spec(make_spec_dict())
-        shifted = expand_plan(spec, seed_offset=7)
+        shifted = expand_plan(
+            dataclasses.replace(spec, seeds=tuple(seed + 7 for seed in spec.seeds))
+        )
         assert shifted[0].cell_id == "ghz-n2-default-s7-r0"
         assert shifted[0].seed == 7
 
