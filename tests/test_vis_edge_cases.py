@@ -20,7 +20,7 @@ from repro.dd.node import TERMINAL
 from repro.errors import VisualizationError
 from repro.vis import DDStyle, dd_to_svg
 from repro.vis.color import hls_wheel_color, phase_to_color, weight_to_width
-from repro.vis.layout import compute_layout
+from repro.vis.layout import column_x, compute_layout, row_y
 from repro.vis.svg import color_wheel_svg
 
 TWO_PI = 2.0 * math.pi
@@ -40,8 +40,9 @@ class TestScalarDD:
         assert layout.layers == []
         assert layout.width > 0 and layout.height > 0
         # Root anchor and terminal line up on the (degenerate) spine.
-        assert layout.root_anchor[0] == layout.terminal[0]
-        assert layout.root_anchor[1] < layout.terminal[1]
+        column, row = layout.terminal_cell
+        assert layout.root_anchor[0] == column_x(column)
+        assert layout.root_anchor[1] < row_y(row)
 
     @pytest.mark.parametrize(
         "style",

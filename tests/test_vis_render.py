@@ -11,7 +11,7 @@ from repro.qc import QuantumCircuit, library
 from repro.qc.dd_builder import circuit_to_dd
 from repro.simulation import DDSimulator
 from repro.vis import DDStyle, RenderMode, dd_to_dot, dd_to_svg, dd_to_text
-from repro.vis.layout import compute_layout
+from repro.vis.layout import column_x, compute_layout, row_y
 from repro.vis.svg import color_wheel_svg
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -78,27 +78,30 @@ class TestLayout:
         state = _bell(package)
         layout = compute_layout(state)
         assert len(layout.layers) == 2
-        y_top = layout.positions[layout.layers[0][0]][1]
-        y_bottom = layout.positions[layout.layers[1][0]][1]
-        assert y_top < y_bottom < layout.terminal[1]
+        # layers[d] sits on row d + 1, the terminal one row below the last.
+        assert layout.terminal_cell[1] == len(layout.layers) + 1
+        y_top, y_bottom, y_terminal = (row_y(row) for row in (1, 2, layout.terminal_cell[1]))
+        assert y_top < y_bottom < y_terminal
 
     def test_all_nodes_positioned(self, package):
         operation = circuit_to_dd(package, library.qft(3))
         layout = compute_layout(operation)
-        assert len(layout.positions) == package.node_count(operation)
+        assert len(layout.columns) == package.node_count(operation)
+        assert set(layout.columns) == {node for layer in layout.layers for node in layer}
 
     def test_nodes_within_bounds(self, package):
         operation = circuit_to_dd(package, library.qft(3))
         layout = compute_layout(operation)
-        for x, y in layout.positions.values():
-            assert 0 <= x <= layout.width
-            assert 0 <= y <= layout.height
+        for depth, layer in enumerate(layout.layers):
+            for node in layer:
+                assert 0 <= column_x(layout.columns[node]) <= layout.width
+                assert 0 <= row_y(depth + 1) <= layout.height
 
     def test_no_overlap_within_level(self, package):
         operation = circuit_to_dd(package, library.qft(3))
         layout = compute_layout(operation)
         for layer in layout.layers:
-            xs = [layout.positions[node][0] for node in layer]
+            xs = [column_x(layout.columns[node]) for node in layer]
             assert len(set(xs)) == len(xs)
 
     def test_zero_rejected(self):
