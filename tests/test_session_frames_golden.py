@@ -19,7 +19,9 @@ from repro.qc import QuantumCircuit, library
 from repro.qc.dd_builder import circuit_to_dd
 from repro.simulation import DDSimulator
 from repro.tool.session import SimulationSession, VerificationSession
+from repro.vis.ascii_art import dd_to_text
 from repro.vis.circuit_svg import circuit_to_svg
+from repro.vis.dot import dd_to_dot
 from repro.vis.style import DDStyle
 from repro.vis.svg import dd_to_svg
 
@@ -188,4 +190,66 @@ def test_dd_svg_scalar_roots():
     ]
     assert _digest(drawings) == (
         "e942c804d3d86d634bf5fb52b0371c1f6f0054e14c44e61151a8ea802f4286f5"
+    )
+
+
+# ----------------------------------------------------------------------
+# dd_to_dot on vector DDs and on matrix DDs that skip levels, with and
+# without qubit labels, and dd_to_text of those matrix DDs
+# ----------------------------------------------------------------------
+
+
+def _skipping_matrix_roots(package):
+    """Matrix DDs stored with skipped levels: QFT(4)·QFT(4)† is stored as
+    the terminal yet shows a chain of four identity nodes, and a CNOT from
+    line 3 to line 0 skips the two levels in between."""
+    functionality = circuit_to_dd(package, library.qft(4))
+    jump = QuantumCircuit(4)
+    jump.cx(3, 0).h(3)
+    return [
+        package.multiply(functionality, package.adjoint(functionality)),
+        circuit_to_dd(package, jump),
+    ] + _matrix_roots(package)
+
+
+_DOT_ROOTS = {"vector": _vector_roots, "skipping": _skipping_matrix_roots}
+
+_DOT_DIGESTS = {
+    ("classic", "vector"): (
+        "ab05c10770d1d360d060d0d1819ee0d9983083a058add62cb6c7e3859a1694b2"
+    ),
+    ("classic", "skipping"): (
+        "a75c9e4cf629c2b193870e17c4eccbb056af7ff9ca6bb00543daf7165a9352b8"
+    ),
+    ("colored", "vector"): (
+        "149bfe8e880713e86c37d9e7ad6b5204bd41062593c606a3e415b89e9c7a3a88"
+    ),
+    ("colored", "skipping"): (
+        "c0ed9b2dd2f57f832cb78e70724e68ba939b670ac51b3e97c151f89b89b7e94f"
+    ),
+    ("modern", "vector"): (
+        "270c41644472aeb193d078dd17d907d2dc2c2b2ea98d5442d61a6a59d939faec"
+    ),
+    ("modern", "skipping"): (
+        "e6f25021f76e753996862f25b271ee48e1768261e3cb1272a8e17bfe9295ef79"
+    ),
+}
+
+
+@pytest.mark.parametrize("style,kind", sorted(_DOT_DIGESTS), ids="-".join)
+def test_dd_dot_styles(style, kind):
+    package = DDPackage()
+    drawings = [
+        dd_to_dot(package, root, _STYLES[style], qubit_labels=labels)
+        for root in _DOT_ROOTS[kind](package)
+        for labels in (None, ["a", "b", "c"])
+    ]
+    assert _digest(drawings) == _DOT_DIGESTS[(style, kind)]
+
+
+def test_dd_text_of_skipping_matrices():
+    package = DDPackage()
+    drawings = [dd_to_text(package, root) for root in _skipping_matrix_roots(package)]
+    assert _digest(drawings) == (
+        "9e2d5eba5013526c8597f83e8483a3813e57161c6528a36cd22cec15e0d2a28a"
     )
