@@ -27,7 +27,7 @@ from __future__ import annotations
 import os
 import weakref
 from time import perf_counter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from repro.dd.governance import GcStats, MemoryBudget, ResourceGovernor
 from repro.dd.node import MatrixNode, TERMINAL
 from repro.dd.normalization import NormalizationScheme
 from repro.dd.pool import WeightPool
-from repro.dd.pooled import MATRIX, PooledEngine, PooledUniqueAdapter, VECTOR
+from repro.dd.pooled import MATRIX, PooledEngine, PooledUniqueAdapter, VECTOR, WalkEntry
 from repro.errors import DDError, DimensionMismatchError, InvalidStateError
 from repro.obs.metrics import DEFAULT_TIME_BUCKETS, MetricsRegistry
 
@@ -660,6 +660,20 @@ class DDPackage:
         return self._pooled.count_nodes(
             node._KIND, self._pooled.node_index(node), node.var
         )
+
+    def walk(self, edge: Edge) -> Dict[Hashable, WalkEntry]:
+        """The nodes of the DD rooted at ``edge`` as the renderers read
+        them, without creating node views: ``key -> (var, ((child key,
+        weight), ...))`` in depth-first pre-order, the root first.
+
+        Keys are hashable, one per node a view would show: a vector node's
+        index, or a matrix node's ``(level, index)``, skipped levels
+        included as identity nodes.  Every child key that is not a key of
+        the result is the terminal; a zero stub carries weight ``0``.  A
+        root of another package raises :class:`~repro.errors.DDError`.
+        See :meth:`repro.dd.pooled.PooledEngine.walk`.
+        """
+        return self._pooled.walk(edge)
 
     def amplitude(self, state: Edge, basis: BitString, num_qubits: Optional[int] = None) -> complex:
         """Amplitude of ``|basis>`` in ``state`` (product of path weights)."""

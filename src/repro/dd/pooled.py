@@ -26,9 +26,11 @@ the paper's dense DD: a skipped level appears as a
 :class:`PooledIdentityNode` ``(level, child)``, and a boundary matrix edge
 points at the view for its full width, so a root that skips top levels
 still shows its chain of identity nodes.  Views keep ``isinstance`` checks,
-serialization, visualization and the sanitizer working unchanged, and they
-double as GC roots: a diagram is live exactly while some view of it is
-reachable from Python, so ordinary references govern liveness.
+serialization and the sanitizer working unchanged, and they double as GC
+roots: a diagram is live exactly while some view of it is reachable from
+Python, so ordinary references govern liveness.  The renderers create no
+views below the root: :meth:`PooledEngine.walk` reads the same dense DD
+straight from the arrays.
 
 Index invariants (enforced by the sanitizer's ``pool-*`` checks):
 
@@ -48,7 +50,7 @@ import cmath
 import itertools
 import math
 import weakref
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.dd.complex_table import ComplexTable
 from repro.dd.edge import Edge, ZERO_EDGE
@@ -71,6 +73,7 @@ __all__ = [
     "PooledIdentityNode",
     "PooledUniqueAdapter",
     "PooledApplyKernel",
+    "TERMINAL_KEY",
 ]
 
 #: An in-flight edge: ``(node_index, raw complex weight)``.
@@ -84,6 +87,12 @@ ZERO_E = (TERMINAL_INDEX, ZERO)
 ONE_E = (TERMINAL_INDEX, ONE)
 
 VECTOR, MATRIX = 0, 1
+
+#: The terminal's key in :meth:`PooledEngine.walk`, for both node kinds.
+TERMINAL_KEY = TERMINAL_INDEX
+#: What :meth:`PooledEngine.walk` maps a node key to: its level and its
+#: ``(child key, weight)`` pairs in slot order.
+WalkEntry = Tuple[int, Tuple[Tuple[Hashable, complex], ...]]
 
 
 # ----------------------------------------------------------------------
@@ -515,6 +524,87 @@ class PooledEngine:
         for child, level in top_parent.items():
             skipped += level - 1 - (var[child] if child >= 0 else -1)
         return len(seen) + skipped
+
+    # ------------------------------------------------------------------
+    # read-only walk
+    # ------------------------------------------------------------------
+    def walk(self, root: Edge) -> Dict[Hashable, WalkEntry]:
+        """Every non-terminal node the views of ``root`` show, read from the
+        pool arrays without creating a view: ``key -> (var, ((child key,
+        weight), ...))`` in depth-first pre-order (the root first, then
+        each non-zero child in slot order), each node once.
+
+        A vector node's key is its index.  A matrix node's key is
+        ``(level, index)``: the stored node when ``level`` is its own
+        level, else the identity node ``(e, 0, 0, e)`` the dense DD shows
+        at that skipped level (:class:`PooledIdentityNode`).  The terminal
+        is :data:`TERMINAL_KEY`, and a zero stub is weight ``0`` on it.  A
+        scalar root yields nothing.  Each call builds its own dict, so no
+        memo outlives it; the caller's ``root`` keeps every walked slot
+        alive (a sweep marks what its view reaches).
+        """
+        node = root.node
+        if node.var < 0:
+            return {}
+        index = self.node_index(node)
+        if node._KIND == VECTOR:
+            return self._walk_vector(index)
+        return self._walk_matrix(node.var, index)
+
+    def _walk_vector(self, index: int) -> Dict[Hashable, WalkEntry]:
+        var, succ, wsucc = self.vpool.var, self.vpool.succ, self.vpool.wsucc
+        values = self.weights._values
+        nodes: Dict[Hashable, WalkEntry] = {}
+        stack = [index]
+        pop, push = stack.pop, stack.append
+        while stack:
+            index = pop()
+            if index in nodes:
+                continue
+            base = index + index
+            low, high = succ[base], succ[base + 1]
+            wlow, whigh = wsucc[base], wsucc[base + 1]
+            # Weight index 0 is the zero stub (TERMINAL_KEY is the index -1).
+            if not wlow:
+                low = TERMINAL_KEY
+            if not whigh:
+                high = TERMINAL_KEY
+            nodes[index] = (var[index], ((low, values[wlow]), (high, values[whigh])))
+            if high >= 0:
+                push(high)
+            if low >= 0:
+                push(low)
+        return nodes
+
+    def _walk_matrix(self, level: int, index: int) -> Dict[Hashable, WalkEntry]:
+        var, succ, wsucc = self.mpool.var, self.mpool.succ, self.mpool.wsucc
+        values = self.weights._values
+        stub = (TERMINAL_KEY, ZERO)
+        nodes: Dict[Hashable, WalkEntry] = {}
+        stack = [(level, index)]
+        pop, push = stack.pop, stack.append
+        while stack:
+            key = pop()
+            if key in nodes:
+                continue
+            level, index = key
+            below = level - 1
+            if index >= 0 and var[index] == level:
+                base = 4 * index
+                edges = tuple(
+                    (TERMINAL_KEY if below < 0 else (below, succ[k]), values[wsucc[k]])
+                    if wsucc[k] else stub
+                    for k in range(base, base + 4)
+                )
+            else:
+                unit = (TERMINAL_KEY if below < 0 else (below, index), ONE)
+                edges = (unit, stub, stub, unit)
+            nodes[key] = (level, edges)
+            if below >= 0:
+                for child, weight in reversed(edges):
+                    if weight:
+                        push(child)
+        return nodes
 
     # ------------------------------------------------------------------
     # weight arithmetic (raw values)

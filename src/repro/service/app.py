@@ -68,7 +68,7 @@ from repro.obs.metrics import DEFAULT_TIME_BUCKETS, MetricsRegistry
 from repro.qc.qasm.parser import parse_qasm
 from repro.service.cache import ResultCache
 from repro.service.sessions import SessionHandle, SessionStore
-from repro.service.workers import WorkerPool, simulate_job, verify_job
+from repro.service.workers import WorkerPool, depth_limited, simulate_job, verify_job
 from repro.tool.session import SimulationSession, VerificationSession
 from repro.vis.style import DDStyle
 
@@ -729,7 +729,8 @@ class ServiceApp:
                 f"unknown session kind {kind!r} "
                 "(expected 'simulation' or 'verification')"
             )
-        handle = self.store.create(kind, factory)
+        with depth_limited():
+            handle = self.store.create(kind, factory)
         with handle.lock:
             self._publish_frames(handle)  # frame 0: the initial state
             return Response.json(self._status_payload(handle), status=201)
@@ -767,10 +768,12 @@ class ServiceApp:
             if outcome not in (0, 1):
                 raise BadRequestError("field 'outcome' must be 0 or 1")
         with handle.lock:
-            if handle.kind == "simulation":
-                self._step_simulation(handle.session, action, count, outcome)
-            else:
-                self._step_verification(handle.session, action, count)
+            # An overflow leaves the session at its last completed step.
+            with depth_limited():
+                if handle.kind == "simulation":
+                    self._step_simulation(handle.session, action, count, outcome)
+                else:
+                    self._step_verification(handle.session, action, count)
             handle.touch()
             self._publish_frames(handle)
             return Response.json(self._status_payload(handle))

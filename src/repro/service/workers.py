@@ -46,14 +46,14 @@ inline; pressure shedding still works).
 
 from __future__ import annotations
 
-import functools
+import contextlib
 import multiprocessing
 import multiprocessing.connection
 import queue
 import threading
 import time
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro import errors as _errors
 from repro.errors import (
@@ -99,32 +99,32 @@ def job_package():
     return package
 
 
-def _depth_limited(job: Callable[..., Dict[str, Any]]) -> Callable[..., Dict[str, Any]]:
+@contextlib.contextmanager
+def depth_limited() -> Iterator[None]:
     """Report a diagram too deep for the interpreter's recursion limit as a
     circuit too large (413) rather than an internal error.
 
     The DD recursion descends one Python frame per qubit level, so it
     overflows near 250 qubits, while the parser admits 256 qubits per
     register and 1,024 across registers.  The interpreter's recursion
-    limit is thus the deepest diagram a job handles; any overflow below
-    it is reported this way.  Every job builds its own package and drops
-    it at the end, so no half-built table state survives the overflow.
+    limit is thus the deepest diagram a job or a session step handles; any
+    overflow below it is reported this way.  A job builds its own package
+    and drops it at the end.  A session keeps its package and the state of
+    its last completed step: the kernels store only finished results in
+    the shared tables, so an overflow leaves no half-built entry behind.
+    Used as ``with depth_limited():`` and as the decorator
+    ``@depth_limited()``.
     """
-
-    @functools.wraps(job)
-    def run(*args: Any, **kwargs: Any) -> Dict[str, Any]:
-        try:
-            return job(*args, **kwargs)
-        except RecursionError:
-            raise CircuitTooLargeError(
-                "the circuit's decision diagram is too deep to process "
-                "(interpreter recursion limit)"
-            ) from None
-
-    return run
+    try:
+        yield
+    except RecursionError:
+        raise CircuitTooLargeError(
+            "the circuit's decision diagram is too deep to process "
+            "(interpreter recursion limit)"
+        ) from None
 
 
-@_depth_limited
+@depth_limited()
 def simulate_job(qasm: str, shots: int = 0, seed: Optional[int] = 0) -> Dict[str, Any]:
     """Parse, simulate to the end, optionally sample; return a JSON dict."""
     from repro.dd import sampling
@@ -155,7 +155,7 @@ def simulate_job(qasm: str, shots: int = 0, seed: Optional[int] = 0) -> Dict[str
         simulator.close()  # release the history's governor roots
 
 
-@_depth_limited
+@depth_limited()
 def verify_job(left_qasm: str, right_qasm: str, strategy: str = "proportional") -> Dict[str, Any]:
     """Equivalence-check two QASM circuits; return a JSON dict."""
     from repro.qc.qasm.parser import parse_qasm

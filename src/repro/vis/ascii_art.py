@@ -10,54 +10,64 @@ negative controls, ``X`` for SWAP ends and ``:`` columns for barriers.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Hashable, List
 
 from repro.dd.edge import Edge
-from repro.dd.node import Node
 from repro.dd.package import DDPackage
 from repro.qc.circuit import QuantumCircuit
 from repro.qc.operations import BarrierOp, GateOp, MeasureOp, ResetOp
 from repro.vis.color import pretty_complex
 
+#: Slot names of a node's edges by arity: a vector node's 0/1 branch, a
+#: matrix node's row and column bits.
+_SLOT_NAMES = {2: ("0", "1"), 4: ("00", "01", "10", "11")}
+
 
 def dd_to_text(package: DDPackage, root: Edge, indent: str = "  ") -> str:
-    """Render a DD as an indented text tree with sharing markers."""
+    """Render a DD of ``package`` as an indented text tree with sharing
+    markers, read from the package's arrays (:meth:`DDPackage.walk`)."""
     if root.is_zero:
         return "0"
-    names: Dict[Node, str] = {}
+    nodes = package.walk(root)
+    if not nodes:  # a scalar
+        return pretty_complex(root.weight)
+    names: Dict[Hashable, str] = {}
     lines: List[str] = []
-
-    def name_for(node: Node) -> str:
-        if node not in names:
-            names[node] = f"#{len(names) + 1}"
-        return names[node]
-
-    def visit(edge: Edge, depth: int, slot: Optional[str]) -> None:
-        prefix = indent * depth
-        slot_text = f"[{slot}] " if slot is not None else ""
-        if edge.is_zero:
-            lines.append(f"{prefix}{slot_text}0")
-            return
-        weight = pretty_complex(edge.weight)
-        if edge.node.is_terminal:
-            lines.append(f"{prefix}{slot_text}{weight}")
-            return
-        expanded = edge.node not in names
-        name = name_for(edge.node)
-        label = f"q{edge.node.var}{name}"
-        if not expanded:
-            lines.append(f"{prefix}{slot_text}({weight}) -> {label} (shared)")
-            return
-        lines.append(f"{prefix}{slot_text}({weight}) -> {label}")
-        arity = len(edge.node.edges)
-        for index, child in enumerate(edge.node.edges):
-            if arity == 2:
-                slot_name = str(index)
-            else:
-                slot_name = f"{index >> 1}{index & 1}"
-            visit(child, depth + 1, slot_name)
-
-    visit(root, 0, None)
+    append = lines.append
+    # The walk lists the root first.
+    root_key = next(iter(nodes))
+    slot_names = _SLOT_NAMES[len(nodes[root_key][1])]
+    last_slot = len(slot_names) - 1
+    # heads[depth][slot]: indentation and slot name of a line.
+    heads = [("",)]
+    # Depth first, children in slot order: (key, weight, depth, line head).
+    stack = [(root_key, root.weight, 0, "")]
+    pop, push = stack.pop, stack.append
+    while stack:
+        key, weight, depth, head = pop()
+        if not weight:
+            append(f"{head}0")
+            continue
+        weight_text = pretty_complex(weight)
+        entry = nodes.get(key)
+        if entry is None:  # the terminal
+            append(f"{head}{weight_text}")
+            continue
+        name = names.get(key)
+        if name is not None:
+            append(f"{head}({weight_text}) -> q{entry[0]}{name} (shared)")
+            continue
+        name = names[key] = f"#{len(names) + 1}"
+        append(f"{head}({weight_text}) -> q{entry[0]}{name}")
+        depth += 1
+        if depth == len(heads):
+            prefix = indent * depth
+            heads.append(tuple(f"{prefix}[{slot}] " for slot in slot_names))
+        child_heads = heads[depth]
+        edges = entry[1]
+        for slot in range(last_slot, -1, -1):
+            child, child_weight = edges[slot]
+            push((child, child_weight, depth, child_heads[slot]))
     return "\n".join(lines)
 
 

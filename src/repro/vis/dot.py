@@ -7,39 +7,18 @@ renderer in :mod:`repro.vis.svg` needs no external tools.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Hashable, List, Optional, Sequence
 
 from repro.dd.complex_table import ComplexTable
 from repro.dd.edge import Edge
-from repro.dd.node import MatrixNode, Node
 from repro.dd.package import DDPackage
 from repro.errors import VisualizationError
 from repro.vis.color import phase_to_color, pretty_complex, weight_to_width
 from repro.vis.style import DDStyle, RenderMode
 
 
-def _collect_nodes(root: Edge) -> List[Node]:
-    """All non-terminal nodes in deterministic (DFS pre-order) order."""
-    ordered: List[Node] = []
-    seen = set()
-
-    def visit(node: Node) -> None:
-        if node.is_terminal or node in seen:
-            return
-        seen.add(node)
-        ordered.append(node)
-        for child in node.edges:
-            if not child.is_zero:
-                visit(child.node)
-
-    if not root.is_zero:
-        visit(root.node)
-    return ordered
-
-
-def _edge_attributes(edge: Edge, style: DDStyle) -> List[str]:
+def _edge_attributes(weight: complex, style: DDStyle) -> List[str]:
     attributes = []
-    weight = edge.weight
     is_unit = weight == ComplexTable.ONE
     if style.edge_labels and not is_unit:
         attributes.append(f'label="{pretty_complex(weight)}"')
@@ -59,7 +38,8 @@ def dd_to_dot(
     name: str = "dd",
     qubit_labels: Optional[Sequence[str]] = None,
 ) -> str:
-    """Render a vector or matrix DD as Graphviz DOT text.
+    """Render a vector or matrix DD of ``package`` as Graphviz DOT text,
+    read from the package's arrays (:meth:`DDPackage.walk`).
 
     ``qubit_labels`` overrides the default ``q0, q1, ...`` node labels
     (index = level).
@@ -68,37 +48,37 @@ def dd_to_dot(
         style = DDStyle.classic()
     if root.is_zero:
         raise VisualizationError("cannot render the zero decision diagram")
-    nodes = _collect_nodes(root)
-    ids: Dict[Node, str] = {node: f"n{index}" for index, node in enumerate(nodes)}
+    # Pre-order (DFS, the root first): node ids follow it.
+    nodes = package.walk(root)
+    ids: Dict[Hashable, str] = {key: f"n{index}" for index, key in enumerate(nodes)}
     lines = [f"digraph {name} {{", "  rankdir=TB;", "  ordering=out;"]
+    modern = style.mode is RenderMode.MODERN
     shape = "circle" if style.mode is RenderMode.CLASSIC else "Mrecord"
     lines.append(f"  node [shape={shape}];")
     lines.append('  root [shape=point, style=invis];')
     stub_counter = 0
 
-    def label_for(node: Node) -> str:
-        if qubit_labels is not None and node.var < len(qubit_labels):
-            return qubit_labels[node.var]
-        return f"q{node.var}"
-
-    for node in nodes:
-        if style.mode is RenderMode.MODERN:
-            ports = "|".join(f"<p{i}>" for i in range(len(node.edges)))
-            lines.append(
-                f'  {ids[node]} [label="{{{label_for(node)}|{{{ports}}}}}"];'
-            )
+    for key, (var, edges) in nodes.items():
+        if qubit_labels is not None and var < len(qubit_labels):
+            label = qubit_labels[var]
         else:
-            lines.append(f'  {ids[node]} [label="{label_for(node)}"];')
+            label = f"q{var}"
+        if modern:
+            ports = "|".join(f"<p{i}>" for i in range(len(edges)))
+            lines.append(f'  {ids[key]} [label="{{{label}|{{{ports}}}}}"];')
+        else:
+            lines.append(f'  {ids[key]} [label="{label}"];')
     lines.append('  terminal [shape=box, label="1"];')
-    root_attributes = _edge_attributes(root, style)
+    root_attributes = _edge_attributes(root.weight, style)
     rendered = f" [{', '.join(root_attributes)}]" if root_attributes else ""
-    lines.append(f"  root -> {ids[root.node]}{rendered};")
-    for node in nodes:
-        for index, child in enumerate(node.edges):
-            source = ids[node]
-            if style.mode is RenderMode.MODERN:
+    root_target = ids[next(iter(nodes))] if nodes else "terminal"
+    lines.append(f"  root -> {root_target}{rendered};")
+    for key, (_var, edges) in nodes.items():
+        for index, (child, weight) in enumerate(edges):
+            source = ids[key]
+            if modern:
                 source = f"{source}:p{index}"
-            if child.is_zero:
+            if weight == ComplexTable.ZERO:
                 if style.retract_zero_stubs:
                     continue
                 stub = f"stub{stub_counter}"
@@ -108,8 +88,8 @@ def dd_to_dot(
                 )
                 lines.append(f"  {source} -> {stub};")
                 continue
-            target = "terminal" if child.node.is_terminal else ids[child.node]
-            attributes = _edge_attributes(child, style)
+            target = ids.get(child, "terminal")
+            attributes = _edge_attributes(weight, style)
             rendered = f" [{', '.join(attributes)}]" if attributes else ""
             lines.append(f"  {source} -> {target}{rendered};")
     lines.append("}")

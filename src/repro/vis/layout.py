@@ -15,11 +15,11 @@ module is geometry-only; :mod:`repro.vis.svg` does the drawing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, Hashable, List, Tuple
 
-from repro.dd.complex_table import ComplexTable
 from repro.dd.edge import Edge
-from repro.dd.node import Node
+from repro.dd.package import DDPackage
+from repro.dd.pooled import WalkEntry
 from repro.errors import VisualizationError
 
 #: Horizontal distance between node centers.
@@ -42,12 +42,20 @@ def row_y(row: int) -> float:
 
 @dataclass
 class Layout:
-    """Grid cells of a DD drawing (:func:`column_x`, :func:`row_y` give pixels)."""
+    """Grid cells of a DD drawing (:func:`column_x`, :func:`row_y` give pixels).
 
-    #: nodes per level, top level first, in final left-to-right order
-    layers: List[List[Node]] = field(default_factory=list)
-    #: grid column of every node; a node of ``layers[d]`` sits on row d + 1
-    columns: Dict[Node, int] = field(default_factory=dict)
+    Nodes are the keys of :meth:`DDPackage.walk` (node indices, or
+    ``(level, index)`` pairs for matrix DDs), not node views, so a layout
+    keeps no diagram alive and drawing one creates no views.
+    """
+
+    #: the walk the layout was computed from: key -> (var, ((child key,
+    #: weight), ...)); a child key that is not a key here is the terminal
+    nodes: Dict[Hashable, WalkEntry] = field(default_factory=dict)
+    #: node keys per level, top level first, in final left-to-right order
+    layers: List[List[Hashable]] = field(default_factory=list)
+    #: grid column of every node key; a node of ``layers[d]`` sits on row d + 1
+    columns: Dict[Hashable, int] = field(default_factory=dict)
     #: column of the root node (of the terminal for a scalar DD)
     root_column: int = 0
     #: (column, row) of the terminal box
@@ -61,33 +69,26 @@ class Layout:
         return column_x(self.root_column), MARGIN + V_SPACING * 0.35
 
 
-def compute_layout(root: Edge, barycenter_passes: int = 3) -> Layout:
-    """Compute a layered layout for the DD rooted at ``root``."""
+def compute_layout(package: DDPackage, root: Edge, barycenter_passes: int = 3) -> Layout:
+    """Compute a layered layout for the DD rooted at ``root`` (a diagram of
+    ``package``; a root of another package raises ``DDError``)."""
     if root.is_zero:
         raise VisualizationError("cannot lay out the zero decision diagram")
+    # Pre-order, so every layer starts in DFS order.
+    nodes = package.walk(root)
     top_level = root.node.var
     # layers[d] holds level top_level - d; a scalar DD has none.
-    layers: List[List[Node]] = [[] for _ in range(top_level + 1)]
-    # One pre-order walk records every node's non-zero, non-terminal
-    # children, a child reached by two edges twice.
-    children: Dict[Node, List[Node]] = {}
-    stack = [] if root.node.is_terminal else [root.node]
-    zero = ComplexTable.ZERO
-    while stack:
-        node = stack.pop()
-        if node in children:
-            continue
-        # `var >= 0`: not the terminal (Node.is_terminal, inlined).
-        kids = [edge.node for edge in node.edges if edge.weight != zero and edge.node.var >= 0]
-        children[node] = kids
-        layers[top_level - node.var].append(node)
-        stack.extend(reversed(kids))
+    layers: List[List[Hashable]] = [[] for _ in range(top_level + 1)]
+    # A child reached by two edges lists its parent twice.
+    parents: Dict[Hashable, List[Hashable]] = {key: [] for key in nodes}
+    for key, (var, edges) in nodes.items():
+        layers[top_level - var].append(key)
+        for child, _weight in edges:
+            # Zero stubs and terminal edges lead to no key of the walk.
+            if child in parents:
+                parents[child].append(key)
 
-    parents: Dict[Node, List[Node]] = {node: [] for node in children}
-    for node, kids in children.items():
-        for kid in kids:
-            parents[kid].append(node)
-    index_of = {node: position for layer in layers for position, node in enumerate(layer)}
+    index_of = {key: position for layer in layers for position, key in enumerate(layer)}
     for _ in range(barycenter_passes):
         moved = False
         for layer in layers[1:]:
@@ -95,15 +96,15 @@ def compute_layout(root: Edge, barycenter_passes: int = 3) -> Layout:
                 continue
             # Only the root has no parent, and its layer is never sorted.
             barycenter = {
-                node: sum(map(index_of.__getitem__, parents[node])) / len(parents[node])
-                for node in layer
+                key: sum(map(index_of.__getitem__, parents[key])) / len(parents[key])
+                for key in layer
             }
             order = sorted(layer, key=barycenter.__getitem__)
             if order != layer:
                 moved = True
                 layer[:] = order
-                for position, node in enumerate(layer):
-                    index_of[node] = position
+                for position, key in enumerate(layer):
+                    index_of[key] = position
         if not moved:
             break  # every later pass would sort the same keys again
 
@@ -111,16 +112,18 @@ def compute_layout(root: Edge, barycenter_passes: int = 3) -> Layout:
     # layers at all; `default=0` and the terminal fallback below keep the
     # degenerate drawing well-formed instead of raising.
     widest = max(map(len, layers), default=0)
-    columns: Dict[Node, int] = {}
+    columns: Dict[Hashable, int] = {}
     for layer in layers:
         first = widest - len(layer)
-        for position, node in enumerate(layer):
-            columns[node] = first + 2 * position
+        for position, key in enumerate(layer):
+            columns[key] = first + 2 * position
     terminal_column = max(widest - 1, 0)
     return Layout(
+        nodes=nodes,
         layers=layers,
         columns=columns,
-        root_column=terminal_column if root.node.is_terminal else columns[root.node],
+        # The walk lists the root first.
+        root_column=columns[next(iter(nodes))] if nodes else terminal_column,
         terminal_cell=(terminal_column, len(layers) + 1),
         width=2 * MARGIN + terminal_column * H_SPACING,
         height=2 * MARGIN + (len(layers) + 1) * V_SPACING,

@@ -212,17 +212,19 @@ def dd_to_svg(
     qubit_labels: Optional[Sequence[str]] = None,
     title: Optional[str] = None,
 ) -> str:
-    """Render a vector or matrix DD as a standalone SVG document."""
+    """Render a vector or matrix DD of ``package`` as a standalone SVG
+    document, read from the package's arrays (:meth:`DDPackage.walk`)."""
     if style is None:
         style = DDStyle.classic()
     if root.is_zero:
         raise VisualizationError("cannot render the zero decision diagram")
-    layout = compute_layout(root)
+    layout = compute_layout(package, root)
     modern = style.mode is RenderMode.MODERN
     colored, weighted, dashed = (style.colored_edges, style.weighted_thickness,
                                  style.dashed_nonunit)
     edge_labels = style.edge_labels
     retract = style.retract_zero_stubs
+    nodes = layout.nodes
     columns = layout.columns
     terminal_column, terminal_row = layout.terminal_cell
     # Level 0 sits on the last node row; level v, v rows above it.
@@ -248,31 +250,30 @@ def dd_to_svg(
     # Edges.  A scalar DD's root edge points straight at the terminal, so
     # the terminal box must be drawn even though no node edge reaches it.
     for row, layer in enumerate(layout.layers, 1):
-        for node in layer:
-            column = columns[node]
-            edges = node.edges
+        for key in layer:
+            column = columns[key]
+            edges = nodes[key][1]
             count = len(edges)
-            for slot, child in enumerate(edges):
-                weight = child.weight
+            for slot, (child, weight) in enumerate(edges):
                 if weight == _ZERO:
                     elements.append(_zero_stub(column, row, count, slot, modern, retract))
                     continue
                 label = pretty_complex(weight) if edge_labels and weight != _ONE else ""
                 stroke = _visuals(weight, colored, weighted, dashed)[1]
-                target = child.node
-                if target.is_terminal:
+                target = nodes.get(child)
+                if target is None:  # the terminal
                     uses_terminal = True
                     elements.append(_edge(column, row, count, slot, terminal_column,
                                           terminal_row, True, modern, stroke, label))
                 else:
-                    elements.append(_edge(column, row, count, slot, columns[target],
-                                          bottom_row - target.var, False, modern, stroke,
+                    elements.append(_edge(column, row, count, slot, columns[child],
+                                          bottom_row - target[0], False, modern, stroke,
                                           label))
 
     # Nodes.
     for row, layer in enumerate(layout.layers, 1):
-        for node in layer:
-            var = node.var
+        for key in layer:
+            var, edges = nodes[key]
             if qubit_labels is not None and var < len(qubit_labels):
                 label = qubit_labels[var]
             else:
@@ -280,10 +281,10 @@ def dd_to_svg(
             fills = None
             if modern:
                 fills = tuple(
-                    "#f0f0f0" if child.weight == _ZERO else _phase_color(child.weight)
-                    for child in node.edges
+                    "#f0f0f0" if weight == _ZERO else _phase_color(weight)
+                    for _child, weight in edges
                 )
-            elements.append(_node(columns[node], row, label, fills))
+            elements.append(_node(columns[key], row, label, fills))
 
     if uses_terminal:
         elements.append(_terminal(terminal_column, terminal_row))

@@ -120,7 +120,7 @@ def test_all_identity_product_shows_its_chain():
     assert package.node_count(product) == num_qubits
     assert np.allclose(package.to_matrix(product), np.eye(1 << num_qubits))
 
-    layout = compute_layout(product)
+    layout = compute_layout(package, product)
     assert [len(layer) for layer in layout.layers] == [1] * num_qubits
     assert dd_to_svg(package, product).count("<circle") >= num_qubits
 

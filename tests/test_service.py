@@ -223,6 +223,31 @@ class TestSimulationSessions:
         assert response.status == 200
         assert app.handle(Request("GET", f"/sessions/{sid}")).status == 404
 
+    def test_too_deep_step_is_413_and_keeps_the_session(self, app):
+        # 256 qubits pass the parser's register cap, but the DD recursion
+        # overflows the interpreter's stack near 250 levels, part-way
+        # through the circuit.
+        response = _post(app, "/sessions", {"kind": "simulation",
+                                            "qasm": library.ghz_state(256).to_qasm()})
+        assert response.status == 201
+        sid = _json(response)["session_id"]
+        response = _post(app, f"/sessions/{sid}/step", {"action": "to_end"})
+        assert response.status == 413
+        assert _json(response)["error"]["type"] == "CircuitTooLargeError"
+
+        response = app.handle(Request("GET", f"/sessions/{sid}"))
+        assert response.status == 200
+        status = _json(response)
+        position = status["position"]
+        assert 0 < position < status["total"] and not status["at_end"]
+        # The last completed step: one frame per position, the initial one too.
+        assert len(app.store.get(sid).session.frames) == position + 1
+        assert app.handle(Request("GET", f"/sessions/{sid}/text")).status == 200
+
+        response = _post(app, f"/sessions/{sid}/step", {"action": "backward"})
+        assert response.status == 200
+        assert _json(response)["position"] == position - 1
+
     def test_measurement_dialog_over_http(self, app):
         qasm = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[1];\ncreg c[1];\nh q[0];\nmeasure q[0] -> c[0];\n"
         sid = _json(_post(app, "/sessions", {"kind": "simulation",

@@ -35,8 +35,8 @@ def _parse_svg(text: str) -> ET.Element:
 # ----------------------------------------------------------------------
 
 class TestScalarDD:
-    def test_layout_of_terminal_root(self):
-        layout = compute_layout(ONE_EDGE)
+    def test_layout_of_terminal_root(self, package):
+        layout = compute_layout(package, ONE_EDGE)
         assert layout.layers == []
         assert layout.width > 0 and layout.height > 0
         # Root anchor and terminal line up on the (degenerate) spine.
@@ -67,7 +67,7 @@ class TestScalarDD:
         with pytest.raises(VisualizationError):
             dd_to_svg(package, ZERO_EDGE)
         with pytest.raises(VisualizationError):
-            compute_layout(ZERO_EDGE)
+            compute_layout(package, ZERO_EDGE)
 
     def test_zero_qubit_state_renders(self, package):
         """A 0-qubit state is a scalar: the package API refuses to build
