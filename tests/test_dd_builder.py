@@ -9,6 +9,7 @@ from repro.qc.dd_builder import apply_gate, circuit_to_dd, gate_to_dd
 from repro.qc.operations import GateOp
 from repro.simulation import build_unitary
 from repro.simulation.statevector import gate_unitary
+from repro.verification.alternating import _Engine
 
 
 class TestGateToDD:
@@ -45,6 +46,17 @@ class TestGateToDD:
         op = GateOp(gate="iswap", targets=(1, 0), controls=(2,))
         with pytest.raises(GateError):
             gate_to_dd(package, op, 3)
+
+    @pytest.mark.parametrize(
+        "entry", ["apply_gate", "preview_left", "preview_right"]
+    )
+    def test_controlled_iswap_rejected_when_applied(self, package, entry):
+        op = GateOp(gate="iswap", targets=(1, 0), controls=(2,))
+        with pytest.raises(GateError, match="controlled two-qubit gate"):
+            if entry == "apply_gate":
+                apply_gate(package, package.zero_state(3), op, 3)
+            else:
+                getattr(_Engine(package, 3), entry)(op)
 
     def test_condition_ignored_in_dd(self, package):
         plain = GateOp(gate="x", targets=(0,))

@@ -30,10 +30,11 @@ import pytest
 
 from repro.dd.package import DDPackage
 from repro.qc.circuit import QuantumCircuit
-from repro.qc.dd_builder import circuit_to_dd
+from repro.qc.dd_builder import circuit_to_dd, gate_to_dd
 from repro.qc.operations import GateOp
 from repro.simulation.simulator import DDSimulator
 from repro.simulation.statevector import StatevectorSimulator
+from repro.verification.alternating import _Engine
 
 TOLERANCE = 1e-10
 NUM_CASES = 200
@@ -236,3 +237,41 @@ def test_fuzzer_covers_every_kernel():
             else:
                 plain += 1
     assert min(controlled, swaps, iswaps, plain) > 0
+
+
+#: Cases of the matrix-side sweep.  A random 6-qubit operator DD is nearly
+#: dense, so this sweep takes the first quarter of the cases; those hold
+#: dozens of SWAP, Fredkin and iSWAP gates at every base seed tried.
+MATRIX_CASES = NUM_CASES // 4
+
+
+@pytest.mark.parametrize("case", range(MATRIX_CASES))
+def test_matrix_side_kernels_match_gate_dd_products(case):
+    """The alternating checker's kernels against gate-DD products.
+
+    From the left, applying every gate to the identity lands on exactly the
+    root edge of :func:`circuit_to_dd`.  From the right, every application
+    of a gate's inverse equals multiplying the current operator by the
+    inverse's gate DD.  SWAP, Fredkin and iSWAP run through the matrix-side
+    stage decompositions here.
+    """
+    circuit = _case_circuit(case)
+    num_qubits = circuit.num_qubits
+    package = DDPackage()
+    label = f"case {case} (base seed {BASE_SEED}): {circuit.name}"
+
+    left = _Engine(package, num_qubits)
+    for index, gate in enumerate(circuit):
+        left.commit("G", index, left.preview_left(gate))
+    assert left.current == circuit_to_dd(package, circuit), label
+
+    right = _Engine(package, num_qubits)
+    for index, gate in enumerate(circuit):
+        result = right.preview_right(gate)
+        expected = package.multiply(
+            right.current, gate_to_dd(package, gate.inverse(), num_qubits)
+        )
+        assert result == expected, f"{label}: gate {index} ({gate.label()})"
+        right.commit("G'", index, result)
+    left.close()
+    right.close()
