@@ -17,11 +17,7 @@ permuting circuit wires before simulation
 The central entry point is :class:`repro.dd.DDPackage`.
 """
 
-from repro.dd.apply import (
-    apply_controlled,
-    apply_single_qubit,
-    apply_swap,
-)
+from repro.dd.apply import apply_controlled, apply_single_qubit
 from repro.dd.complex_table import ComplexTable
 from repro.dd.edge import Edge
 from repro.dd.governance import GcStats, MemoryBudget, PressureLevel, ResourceGovernor
@@ -47,7 +43,6 @@ __all__ = [
     "ResourceGovernor",
     "apply_controlled",
     "apply_single_qubit",
-    "apply_swap",
     "Edge",
     "MatrixNode",
     "Node",

@@ -9,13 +9,19 @@ over the state diagram alone — no gate DD is ever constructed, so no
 matrix nodes are allocated and levels the gate does not touch are copied
 by reference.
 
-This module implements those kernels for
+One dispatcher, :func:`apply_operation`, applies a circuit gate to
 
-* **vector DDs** (one simulation step, paper Sec. III-B): ``g |psi>``;
-* **matrix DDs** from either side (the alternating equivalence scheme of
+* a **vector DD** (one simulation step, paper Sec. III-B): ``g |psi>``;
+* a **matrix DD** from either side (the alternating equivalence scheme of
   paper Sec. III-C / Ex. 12): ``g . E`` and ``E . g``.
 
-Kernel taxonomy (reported through the ``dd_apply_total`` counter):
+The operand picks the kernel mode: ``"v"`` for a vector DD, ``"ml"`` or
+``"mr"`` for a matrix DD taking the gate from the left or the right.  One
+stage table (:func:`_stages`) splits every gate into 2x2 kernel stages in
+product order; the right side runs them in reverse.
+
+Kernel taxonomy (reported through the ``dd_apply_total`` counter, once
+per applied gate):
 
 ``diagonal``
     ``Z``/``S``/``T``/``P``/``RZ``-like gates touch only edge weights —
@@ -31,8 +37,9 @@ Kernel taxonomy (reported through the ``dd_apply_total`` counter):
     target use the identity ``CU = I + P (U - I)`` with a projector-chain
     recursion (``P`` zeroes the inactive control branches).
 ``swap``
-    SWAP / Fredkin via three CX kernel applications; iSWAP via
-    ``SWAP . CZ . (S x S)``.
+    Every multi-stage gate: SWAP / Fredkin as three CX stages; iSWAP as
+    ``SWAP . CZ . (S x S)``.  A controlled iSWAP has no decomposition and
+    raises :class:`~repro.errors.GateError`.
 
 The recursion itself is :class:`repro.dd.pooled.PooledApplyKernel`, which
 works on the engine's node and weight indices; this module builds kernels,
@@ -59,16 +66,15 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.dd.edge import Edge
+from repro.dd.node import MatrixNode
 from repro.dd.pooled import PooledApplyKernel
-from repro.errors import DDError
+from repro.errors import DDError, GateError
 from repro.obs.metrics import DEFAULT_TIME_BUCKETS
 
 __all__ = [
     "apply_single_qubit",
     "apply_controlled",
-    "apply_swap",
     "apply_operation",
-    "apply_operation_matrix",
     "KERNEL_NAMES",
 ]
 
@@ -109,7 +115,7 @@ def _observe(package, kernel: str, start: Optional[float]) -> None:
 
 
 # ----------------------------------------------------------------------
-# public vector-DD API
+# kernels and the 2x2 vector-DD API
 # ----------------------------------------------------------------------
 def _make_kernel(package, mode, matrix, target, controls):
     """Build (or reuse) the pooled engine's kernel for one gate."""
@@ -178,155 +184,70 @@ def apply_controlled(
     return result
 
 
-def apply_swap(
-    package,
-    state: Edge,
-    line_a: int,
-    line_b: int,
-    controls: Sequence[int] = (),
-    negative_controls: Sequence[int] = (),
-) -> Edge:
-    """Apply a (controlled) SWAP via three CX kernel applications.
-
-    The standard Fredkin decomposition ``cx(c,b); ccx(ctrls+b, c); cx(c,b)``
-    with all extra controls attached to the middle Toffoli — mirroring the
-    SWAP gate DD so both produce the same operator.
-    """
-    if line_a == line_b:
-        raise DDError("SWAP needs two distinct lines")
-    package._maybe_gc()
-    mapping = _control_map(controls, negative_controls)
-    start = perf_counter() if package._obs_on else None
-    outer = _make_kernel(package, "v", _X_MATRIX, line_a, {line_b: 1})
-    mapping[line_a] = 1
-    inner = _make_kernel(package, "v", _X_MATRIX, line_b, mapping)
-    result = outer.run(inner.run(outer.run(state)))
-    if start is not None:
-        _observe(package, "swap", start)
-    return result
-
-
-def _iswap_stages(targets: Tuple[int, int], sign: int):
-    """iSWAP = SWAP . CZ . (S x S); the adjoint uses S† (``sign=-1``)."""
-    high, low = targets
-    phase = _S_MATRIX if sign > 0 else _SDG_MATRIX
-    return (
-        (phase, high, {}),
-        (phase, low, {}),
-        (_Z_MATRIX, high, {low: 1}),
-    )
-
-
 # ----------------------------------------------------------------------
 # circuit-IR dispatch
 # ----------------------------------------------------------------------
-def apply_operation(package, state: Edge, operation, num_qubits: int):
-    """Apply one :class:`~repro.qc.operations.GateOp` to a vector DD.
+def _swap_stages(line_a: int, line_b: int, controls: Dict[int, int]):
+    """SWAP as ``cx(b->a) . ccx(controls + a -> b) . cx(b->a)``: the
+    Fredkin decomposition with every extra control on the middle Toffoli,
+    as in the SWAP gate DD, so both give the same operator."""
+    outer = (_X_MATRIX, line_a, {line_b: 1})
+    controls[line_a] = 1
+    return (outer, (_X_MATRIX, line_b, controls), outer)
 
-    Returns the new state edge, or ``None`` when the operation has no
-    direct kernel (the caller falls back to gate DD + multiply).
-    """
+
+def _stages(operation) -> Tuple[Tuple[np.ndarray, int, Dict[int, int]], ...]:
+    """The 2x2 kernel stages ``(matrix, target, controls)`` of a gate in
+    *product order*: the first stage is the rightmost factor, the one a
+    state meets first."""
     matrix = operation.matrix_readonly()
-    targets = operation.targets
+    controls = _control_map(operation.controls, operation.negative_controls)
     if matrix.shape == (2, 2):
-        return apply_controlled(
-            package,
-            state,
-            matrix,
-            targets[0],
-            controls=operation.controls,
-            negative_controls=operation.negative_controls,
-        )
+        return ((matrix, operation.targets[0], controls),)
+    line_a, line_b = operation.targets
     if operation.gate == "swap":
-        return apply_swap(
-            package,
-            state,
-            targets[0],
-            targets[1],
-            controls=operation.controls,
-            negative_controls=operation.negative_controls,
+        return _swap_stages(line_a, line_b, controls)
+    if controls:
+        raise GateError(
+            f"controlled two-qubit gate {operation.gate!r} is not supported; "
+            "decompose it into controlled single-qubit gates and CNOTs"
         )
-    if operation.gate in ("iswap", "iswapdg") and operation.num_controls == 0:
-        start = perf_counter() if package._obs_on else None
-        sign = 1 if operation.gate == "iswap" else -1
-        result = state
-        for gate_matrix, target, ctrls in _iswap_stages(targets, sign):
-            result = _make_kernel(package, "v", gate_matrix, target, ctrls).run(result)
-        result = apply_swap(package, result, targets[0], targets[1])
-        if start is not None:
-            _observe(package, "swap", start)
-        return result
-    return None
+    # iSWAP = SWAP . CZ . (S x S); its adjoint uses S-dagger.
+    phase = _S_MATRIX if operation.gate == "iswap" else _SDG_MATRIX
+    return (
+        (phase, line_a, {}),
+        (phase, line_b, {}),
+        (_Z_MATRIX, line_a, {line_b: 1}),
+    ) + _swap_stages(line_a, line_b, {})
 
 
-def apply_operation_matrix(
-    package, operand: Edge, operation, num_qubits: int, side: str = "left"
-):
-    """Apply a gate to a *matrix* DD from the left (``g . E``) or right
-    (``E . g``) — the two moves of the alternating equivalence scheme.
+def apply_operation(package, operand: Edge, operation, side: str = "left") -> Edge:
+    """Apply one :class:`~repro.qc.operations.GateOp` to a DD.
 
-    Returns ``None`` when the operation has no direct kernel.
+    A vector DD takes the gate from the left (``g |psi>``, one simulation
+    step).  A matrix DD takes it from the left (``g . E``) or from the
+    right (``E . g``), the two moves of the alternating equivalence scheme.
+    Raises :class:`~repro.errors.GateError` for a controlled iSWAP, which
+    has no decomposition here and no gate DD either.
     """
     if side not in ("left", "right"):
         raise DDError(f"side must be 'left' or 'right', got {side!r}")
-    package._maybe_gc()
-    mode = "ml" if side == "left" else "mr"
-    matrix = operation.matrix_readonly()
-    targets = operation.targets
-    if matrix.shape == (2, 2):
-        kernel = _make_kernel(
-            package,
-            mode,
-            matrix,
-            targets[0],
-            _control_map(operation.controls, operation.negative_controls),
-        )
-        if not package._obs_on:
-            return kernel.run(operand)
-        start = perf_counter()
-        result = kernel.run(operand)
-        _observe(package, kernel.kernel, start)
-        return result
-    if matrix.shape != (4, 4):
-        return None
-    stages = _matrix_stages(package, operation, targets)
-    if stages is None:
-        return None
-    start = perf_counter() if package._obs_on else None
-    if side == "left":
-        # (Fk ... F1) . E groups as Fk . (... . (F1 . E)): the first product
-        # factor (stages are listed in application order) multiplies first.
-        ordered = stages
+    if isinstance(operand.node, MatrixNode):
+        mode = "ml" if side == "left" else "mr"
+    elif side == "left":
+        mode = "v"
     else:
+        raise DDError("only a matrix DD can take a gate from the right")
+    stages = _stages(operation)
+    if side == "right":
         # E . (Fk ... F1) groups as ((E . Fk) . ...) . F1: the last factor
         # multiplies first from the right.
-        ordered = tuple(reversed(stages))
-    result = operand
-    for gate_matrix, target, ctrls in ordered:
-        result = _make_kernel(package, mode, gate_matrix, target, ctrls).run(result)
+        stages = stages[::-1]
+    package._maybe_gc()
+    start = perf_counter() if package._obs_on else None
+    for matrix, target, controls in stages:
+        kernel = _make_kernel(package, mode, matrix, target, controls)
+        operand = kernel.run(operand)
     if start is not None:
-        _observe(package, "swap", start)
-    return result
-
-
-def _matrix_stages(package, operation, targets):
-    """Decompose a supported 4x4 gate into 2x2 stages in *product order*
-    (first stage = rightmost factor, applied first to a state)."""
-    extra = _control_map(operation.controls, operation.negative_controls)
-    if operation.gate == "swap":
-        cx_outer = (_X_MATRIX, targets[0], {targets[1]: 1})
-        inner_controls = dict(extra)
-        inner_controls[targets[0]] = 1
-        cx_inner = (_X_MATRIX, targets[1], inner_controls)
-        return (cx_outer, cx_inner, cx_outer)
-    if operation.gate in ("iswap", "iswapdg") and not extra:
-        sign = 1 if operation.gate == "iswap" else -1
-        high, low = targets
-        swap_stages = (
-            (_X_MATRIX, high, {low: 1}),
-            (_X_MATRIX, low, {high: 1}),
-            (_X_MATRIX, high, {low: 1}),
-        )
-        # Product order: SWAP . CZ . (S x S) — the phase layer acts first.
-        return _iswap_stages(targets, sign) + swap_stages
-    return None
+        _observe(package, kernel.kernel if len(stages) == 1 else "swap", start)
+    return operand

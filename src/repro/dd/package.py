@@ -91,7 +91,7 @@ class DDPackage:
     Gates are applied by the direct kernels of :mod:`repro.dd.apply`
     (:func:`repro.qc.dd_builder.apply_gate`).  :meth:`multiply`, :meth:`kron`
     and the gate-DD builders stay the paper's operations (Figs. 3-4), for
-    functionality construction and for gates without a kernel.
+    functionality construction and as the kernels' differential oracle.
 
     Parameters
     ----------
@@ -561,60 +561,6 @@ class DDPackage:
             kind,
             engine.kron(kind, engine.from_edge(top), engine.from_edge(bottom), shift),
             top.node.var + shift,
-        )
-
-    # ------------------------------------------------------------------
-    # direct gate application (no gate DD is constructed)
-    # ------------------------------------------------------------------
-    def apply_single_qubit_gate(
-        self, state: Edge, matrix: np.ndarray, target: int
-    ) -> Edge:
-        """Apply a single-qubit gate directly to a vector DD.
-
-        Unlike :meth:`single_qubit_gate` + :meth:`multiply`, no full-system
-        matrix DD is built — the kernel recurses over the state diagram
-        alone (:mod:`repro.dd.apply`).
-        """
-        from repro.dd import apply as apply_kernels
-
-        self._check_line(self.num_qubits(state), target)
-        return apply_kernels.apply_single_qubit(self, state, matrix, target)
-
-    def apply_controlled_gate(
-        self,
-        state: Edge,
-        matrix: np.ndarray,
-        target: int,
-        controls: Sequence[int] = (),
-        negative_controls: Sequence[int] = (),
-    ) -> Edge:
-        """Apply a (multi-)controlled single-qubit gate directly to a
-        vector DD (the direct counterpart of :meth:`controlled_gate`)."""
-        from repro.dd import apply as apply_kernels
-
-        num_qubits = self.num_qubits(state)
-        for line in (target, *controls, *negative_controls):
-            self._check_line(num_qubits, line)
-        return apply_kernels.apply_controlled(
-            self, state, matrix, target, controls, negative_controls
-        )
-
-    def apply_swap_gate(
-        self,
-        state: Edge,
-        line_a: int,
-        line_b: int,
-        controls: Sequence[int] = (),
-        negative_controls: Sequence[int] = (),
-    ) -> Edge:
-        """Apply a (controlled) SWAP directly to a vector DD."""
-        from repro.dd import apply as apply_kernels
-
-        num_qubits = self.num_qubits(state)
-        for line in (line_a, line_b, *controls, *negative_controls):
-            self._check_line(num_qubits, line)
-        return apply_kernels.apply_swap(
-            self, state, line_a, line_b, controls, negative_controls
         )
 
     def adjoint(self, operation: Edge) -> Edge:

@@ -132,11 +132,7 @@ def apply_gate(
     """Apply one gate to a state DD (one simulation step, paper Sec. III-B).
 
     The gate is applied directly by the kernels of :mod:`repro.dd.apply`;
-    no full-system gate DD is constructed.  Only a gate without a direct
-    kernel is built as a gate DD and multiplied onto the state (Fig. 4).
+    no full-system gate DD is constructed.  ``num_qubits`` is the state's
+    width; the kernels read it from the diagram.
     """
-    result = apply_kernels.apply_operation(package, state, operation, num_qubits)
-    if result is not None:
-        return result
-    gate_dd = gate_to_dd(package, operation, num_qubits)
-    return package.multiply(gate_dd, state)
+    return apply_kernels.apply_operation(package, state, operation)

@@ -23,14 +23,13 @@ import enum
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from repro.dd.apply import apply_operation_matrix
+from repro.dd.apply import apply_operation
 from repro.dd.edge import Edge
 from repro.dd.package import DDPackage
 from repro.errors import VerificationError
 from repro.obs.metrics import DEFAULT_COUNT_BUCKETS
 from repro.obs.tracing import Tracer, default_tracer
 from repro.qc.circuit import QuantumCircuit
-from repro.qc.dd_builder import gate_to_dd
 from repro.qc.operations import BarrierOp, GateOp
 from repro.verification.checker import EquivalenceResult, _compare_roots
 
@@ -84,7 +83,6 @@ class _Engine:
         tracer: Optional[Tracer] = None,
     ):
         self.package = package
-        self.num_qubits = num_qubits
         # The evolving E is a governor-registered root so a GC triggered
         # by an interleaved application never sweeps its weight.
         self.current = package.incref(package.identity(num_qubits))
@@ -106,23 +104,12 @@ class _Engine:
         self._m_peak_nodes.set_max(self.peak)
 
     def preview_left(self, gate: GateOp) -> Edge:
-        result = apply_operation_matrix(
-            self.package, self.current, gate, self.num_qubits, side="left"
-        )
-        if result is not None:
-            return result
-        gate_dd = gate_to_dd(self.package, gate, self.num_qubits)
-        return self.package.multiply(gate_dd, self.current)
+        return apply_operation(self.package, self.current, gate)
 
     def preview_right(self, gate: GateOp) -> Edge:
-        inverse = gate.inverse()
-        result = apply_operation_matrix(
-            self.package, self.current, inverse, self.num_qubits, side="right"
+        return apply_operation(
+            self.package, self.current, gate.inverse(), side="right"
         )
-        if result is not None:
-            return result
-        inverse_dd = gate_to_dd(self.package, inverse, self.num_qubits)
-        return self.package.multiply(self.current, inverse_dd)
 
     def commit(self, side: str, gate_index: int, result: Edge) -> None:
         self.package.decref(self.current)

@@ -8,7 +8,9 @@
 * the kernel path's unique/compute-table footprint never exceeds that of
   multiplying one full-system gate DD per gate onto the state;
 * ``clear_caches`` drops the apply table (and ``stats`` reports it), and
-  a cleared package replays a circuit to the identical root edge.
+  a cleared package replays a circuit to the identical root edge;
+* every applied gate counts once in the kernel metrics, on a vector and
+  on a matrix operand alike.
 """
 
 from __future__ import annotations
@@ -16,13 +18,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.dd.apply import apply_controlled
+from repro.dd.apply import KERNEL_NAMES, apply_controlled
 from repro.dd.package import DDPackage
 from repro.dd.pooled import PooledApplyKernel
+from repro.obs.metrics import MetricsRegistry
 from repro.qc import library
 from repro.qc.dd_builder import apply_gate, gate_to_dd
 from repro.qc.operations import GateOp
 from repro.simulation.simulator import DDSimulator
+from repro.verification.alternating import _Engine
 
 from tests.test_differential_apply import random_mixed_circuit
 
@@ -182,3 +186,51 @@ def test_cleared_package_replays_to_identical_root_edge():
     replayed = run()
     assert replayed.node is first.node
     assert replayed.weight == first.weight
+
+
+_COUNTED_OPS = [
+    (GateOp(gate="swap", targets=(2, 0)), "swap"),
+    (GateOp(gate="swap", targets=(2, 1), controls=(0,)), "swap"),
+    (GateOp(gate="iswap", targets=(2, 1)), "swap"),
+    (GateOp(gate="iswapdg", targets=(1, 0)), "swap"),
+    (GateOp(gate="h", targets=(1,)), "generic"),
+    (GateOp(gate="t", targets=(0,)), "diagonal"),
+    (GateOp(gate="x", targets=(2,)), "antidiagonal"),
+    (GateOp(gate="x", targets=(0,), controls=(2,)), "controlled"),
+]
+
+
+def _kernel_counts(registry: MetricsRegistry):
+    counts = {}
+    for name in KERNEL_NAMES:
+        counter = registry.get("dd_apply_total", {"kernel": name})
+        timer = registry.get("dd_apply_seconds", {"kernel": name})
+        counts[name] = (
+            counter.value if counter is not None else 0,
+            timer.count if timer is not None else 0,
+        )
+    return counts
+
+
+@pytest.mark.parametrize("operand", ["vector", "matrix-left", "matrix-right"])
+@pytest.mark.parametrize(
+    "operation, kernel", _COUNTED_OPS, ids=[op.gate for op, _ in _COUNTED_OPS]
+)
+def test_each_gate_is_counted_once_under_its_kernel(operation, kernel, operand):
+    """One applied gate adds exactly 1 to one ``dd_apply_total`` label and
+    one observation to ``dd_apply_seconds``; a multi-stage gate (SWAP,
+    Fredkin, iSWAP, iSWAP-dagger) counts under ``swap``."""
+    registry = MetricsRegistry(enabled=True)
+    package = DDPackage(registry=registry)
+    state = package.zero_state(3)
+    engine = _Engine(package, 3)
+    before = _kernel_counts(registry)
+    if operand == "vector":
+        apply_gate(package, state, operation, 3)
+    elif operand == "matrix-left":
+        engine.preview_left(operation)
+    else:
+        engine.preview_right(operation)
+    expected = dict(before)
+    expected[kernel] = (before[kernel][0] + 1, before[kernel][1] + 1)
+    assert _kernel_counts(registry) == expected
