@@ -24,16 +24,17 @@ Implements the paper's Sec. III-B / IV-B semantics:
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.dd.apply import apply_single_qubit
 from repro.dd.edge import Edge
-from repro.dd.node import Node, VectorNode
+from repro.dd.node import VectorNode
 from repro.dd.normalization import NormalizationScheme
 from repro.dd.package import DDPackage
 from repro.dd.pool import WeightPool
+from repro.dd.pooled import TERMINAL_KEY
 from repro.errors import DDError, InvalidStateError
 
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -43,19 +44,6 @@ _P1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
 #: Callback deciding a measurement outcome given ``(p0, p1)``; mirrors the
 #: web tool's pop-up dialog (paper Sec. IV-B).
 OutcomeChooser = Callable[[float, float], int]
-
-
-def _subtree_norms(edge: Edge, cache: Dict[Node, float]) -> float:
-    """Squared norm of the sub-vector represented by ``edge``."""
-    if edge.is_zero:
-        return 0.0
-    if edge.node.is_terminal:
-        return abs(edge.weight) ** 2
-    node_norm = cache.get(edge.node)
-    if node_norm is None:
-        node_norm = sum(_subtree_norms(child, cache) for child in edge.node.edges)
-        cache[edge.node] = node_norm
-    return abs(edge.weight) ** 2 * node_norm
 
 
 def branch_probabilities(package: DDPackage, state: Edge) -> Tuple[float, float]:
@@ -68,43 +56,39 @@ def qubit_probabilities(
 ) -> Tuple[float, float]:
     """Probabilities ``(p0, p1)`` of measuring ``qubit`` in ``state``.
 
-    Works for any normalization scheme by accumulating path probabilities
-    down to the qubit's level, then using (cached) subtree norms.
+    Works for any normalization scheme: reads the diagram once through
+    :meth:`DDPackage.walk` (no node views) and folds it bottom-up into each
+    node's squared subtree norm and, at and above the qubit's level, the
+    mass of outcome 1 within that subtree.
     """
     if state.is_zero:
         raise InvalidStateError("cannot measure the zero vector")
     num_qubits = package.num_qubits(state)
     if not 0 <= qubit < num_qubits:
         raise DDError(f"qubit {qubit} out of range for {num_qubits} qubits")
-    cache: Dict[Node, float] = {}
-    total = _subtree_norms(state, cache)
+    nodes = package.walk(state)
+    # Every child key that is not a walked node is the terminal, whose
+    # sub-vector is the scalar 1; a zero stub's weight zeroes its term.
+    norms: Dict[Hashable, float] = {TERMINAL_KEY: 1.0}
+    masses: Dict[Hashable, float] = {TERMINAL_KEY: 0.0}
+    # Vector DDs skip no level, so ascending levels finish every child
+    # before its parents.
+    for key in sorted(nodes, key=lambda key: nodes[key][0]):
+        var, ((low, w_low), (high, w_high)) = nodes[key]
+        high_norm = abs(w_high) ** 2 * norms[high]
+        norms[key] = abs(w_low) ** 2 * norms[low] + high_norm
+        if var == qubit:
+            masses[key] = high_norm
+        elif var > qubit:
+            masses[key] = (
+                abs(w_low) ** 2 * masses[low] + abs(w_high) ** 2 * masses[high]
+            )
+    root = next(iter(nodes))
+    weight = abs(state.weight) ** 2
+    total = weight * norms[root]
     if total <= 0.0:
         raise InvalidStateError("state has zero norm")
-
-    # mass_cache[node] = probability mass of `outcome` within the
-    # sub-vector rooted at `node` (memoized per node, so shared structure
-    # is visited once instead of once per path).
-    mass_cache: Dict[Node, float] = {}
-
-    def mass(edge: Edge, outcome: int) -> float:
-        if edge.is_zero:
-            return 0.0
-        if edge.node.is_terminal:
-            # The measured qubit was skipped by a zero stub - impossible for
-            # a non-zero path, because stubs only stand for zero vectors.
-            return 0.0
-        node_mass = mass_cache.get(edge.node)
-        if node_mass is None:
-            if edge.node.var == qubit:
-                node_mass = _subtree_norms(edge.node.edges[outcome], cache)
-            else:
-                node_mass = sum(
-                    mass(child, outcome) for child in edge.node.edges
-                )
-            mass_cache[edge.node] = node_mass
-        return abs(edge.weight) ** 2 * node_mass
-
-    p1 = mass(state, 1) / total
+    p1 = weight * masses[root] / total
     p1 = min(max(p1, 0.0), 1.0)
     return 1.0 - p1, p1
 

@@ -1,5 +1,6 @@
 """Unit tests for measurement, sampling and reset (paper Sec. III-B/IV-B)."""
 
+import gc
 import math
 
 import numpy as np
@@ -57,6 +58,21 @@ class TestProbabilities:
         state = _bell(package)
         assert sampling.branch_probabilities(package, state) == (0.5, 0.5)
 
+    def test_measurement_creates_no_node_views(self, rng):
+        """The probabilities read the pool arrays, so the measured state's
+        diagram gets no node views that its root would then keep alive."""
+        from tests.conftest import random_state
+
+        package = DDPackage(sanitize_every=0)
+        state = package.from_state_vector(random_state(6, rng))
+        views = package._pooled._views[0]
+        gc.collect()
+        before = len(views)
+        for qubit in range(6):
+            sampling.qubit_probabilities(package, state, qubit)
+        gc.collect()
+        assert len(views) == before
+
     def test_works_with_max_normalization(self, max_package):
         state = _bell(max_package)
         p0, p1 = sampling.qubit_probabilities(max_package, state, 0)
@@ -108,6 +124,19 @@ class TestSample:
             sampling.sample_counts(package, ZERO_EDGE, 5, rng)
 
 
+def _subtree_norms(edge, cache):
+    """Squared norm of the sub-vector represented by ``edge`` (view walk)."""
+    if edge.is_zero:
+        return 0.0
+    if edge.node.is_terminal:
+        return abs(edge.weight) ** 2
+    node_norm = cache.get(edge.node)
+    if node_norm is None:
+        node_norm = sum(_subtree_norms(child, cache) for child in edge.node.edges)
+        cache[edge.node] = node_norm
+    return abs(edge.weight) ** 2 * node_norm
+
+
 def _reference_sample(package, state, rng, cache):
     """One shot by the per-shot view walk: two ``Edge`` views per level."""
     if state.is_zero:
@@ -121,8 +150,8 @@ def _reference_sample(package, state, rng, cache):
         if local:
             p0 = abs(zero_child.weight) ** 2
         else:
-            mass0 = sampling._subtree_norms(zero_child, cache)
-            mass1 = sampling._subtree_norms(one_child, cache)
+            mass0 = _subtree_norms(zero_child, cache)
+            mass1 = _subtree_norms(one_child, cache)
             p0 = mass0 / (mass0 + mass1)
         outcome = 0 if rng.random() < p0 else 1
         bits[num_qubits - 1 - edge.node.var] = outcome
