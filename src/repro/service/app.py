@@ -114,12 +114,10 @@ class ServiceConfig:
     max_body_bytes: int = 1 << 20
     rate_limit: float = 0.0  # requests/second; 0 disables the limiter
     rate_burst: int = 32
-    job_timeout: float = 120.0
     drain_timeout: float = 10.0
-    #: Per-request wall-clock deadline enforced by the worker watchdog
-    #: (overrunning workers are killed and respawned); 0 falls back to
-    #: ``job_timeout``.
-    request_deadline: float = 0.0
+    #: Per-request wall-clock deadline in seconds, enforced by the worker
+    #: watchdog (an overrunning worker is killed and respawned: 504).
+    request_deadline: float = 120.0
     #: Per-job package memory budget: max unique-table nodes (0 = no limit).
     budget_nodes: int = 0
     #: Per-job package memory budget: max estimated table bytes (0 = no limit).
@@ -266,7 +264,6 @@ class ServiceApp:
         )
         self.pool = WorkerPool(
             workers=self.config.workers,
-            job_timeout=self.config.job_timeout,
             registry=self.registry,
             request_deadline=self.config.request_deadline,
             budget_nodes=self.config.budget_nodes,

@@ -328,8 +328,8 @@ class _Shard:
 class WorkerPool:
     """A fixed pool of watchdog-supervised worker shards (or inline).
 
-    ``request_deadline`` is the per-request wall-clock limit enforced by
-    the watchdog (0 falls back to ``job_timeout``).  ``budget_nodes`` /
+    ``request_deadline`` is the per-request wall-clock limit in seconds
+    enforced by the watchdog; it must be positive.  ``budget_nodes`` /
     ``budget_bytes`` configure the :class:`~repro.dd.governance.MemoryBudget`
     of every job's package (0 disables a limit).
     """
@@ -340,16 +340,18 @@ class WorkerPool:
     def __init__(
         self,
         workers: int = 2,
-        job_timeout: float = 120.0,
         registry: Optional[MetricsRegistry] = None,
-        request_deadline: float = 0.0,
+        request_deadline: float = 120.0,
         budget_nodes: int = 0,
         budget_bytes: int = 0,
         event_bus=None,
     ):
         self.workers = max(0, int(workers))
-        self.job_timeout = job_timeout
-        self.request_deadline = request_deadline if request_deadline > 0 else job_timeout
+        if not request_deadline > 0:
+            raise ValueError(
+                f"request_deadline must be positive, got {request_deadline!r}"
+            )
+        self.request_deadline = request_deadline
         self.budget = MemoryBudget(
             max_nodes=int(budget_nodes) or None,
             max_bytes=int(budget_bytes) or None,

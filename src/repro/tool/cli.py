@@ -181,12 +181,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="largest accepted request body")
     serve.add_argument("--rate-limit", type=float, default=0.0,
                        help="global requests/second cap (0 = unlimited)")
-    serve.add_argument("--job-timeout", type=float, default=120.0,
-                       help="seconds before a batch job returns 504")
-    serve.add_argument("--request-deadline", type=float, default=0.0,
+    serve.add_argument("--request-deadline", type=float, default=120.0,
                        help="per-request wall-clock deadline in seconds; an "
-                            "overrunning worker is killed and replaced "
-                            "(0 = fall back to --job-timeout)")
+                            "overrunning worker is killed and replaced and "
+                            "the request gets 504")
     serve.add_argument("--budget-nodes", type=int, default=0,
                        help="per-job DD node budget before garbage "
                             "collection kicks in (0 = unlimited)")
@@ -516,7 +514,6 @@ def _cmd_serve(args) -> int:
         cache_capacity=args.cache_size,
         max_body_bytes=args.max_body_bytes,
         rate_limit=args.rate_limit,
-        job_timeout=args.job_timeout,
         request_deadline=args.request_deadline,
         budget_nodes=args.budget_nodes,
         budget_bytes=args.budget_bytes,
