@@ -660,6 +660,15 @@ def test_answers_do_not_depend_on_job_history(workers):
     assert simulated["counts"] == counts
 
 
+def test_one_job_deadline_defaults_to_120_seconds():
+    assert ServiceConfig().request_deadline == 120.0
+    with WorkerPool(workers=0) as pool:
+        assert pool.request_deadline == 120.0
+    for deadline in (0.0, -1.0):
+        with pytest.raises(ValueError, match="request_deadline"):
+            WorkerPool(workers=0, request_deadline=deadline)
+
+
 #: Runs in a fresh interpreter: a worker forked from the test process would
 #: inherit every module the suite has already imported.
 _WORKER_MODULES_PROBE = """
