@@ -192,8 +192,7 @@ def _swap_stages(line_a: int, line_b: int, controls: Dict[int, int]):
     Fredkin decomposition with every extra control on the middle Toffoli,
     as in the SWAP gate DD, so both give the same operator."""
     outer = (_X_MATRIX, line_a, {line_b: 1})
-    controls[line_a] = 1
-    return (outer, (_X_MATRIX, line_b, controls), outer)
+    return (outer, (_X_MATRIX, line_b, {**controls, line_a: 1}), outer)
 
 
 def _stages(operation) -> Tuple[Tuple[np.ndarray, int, Dict[int, int]], ...]:
