@@ -348,7 +348,7 @@ class WorkerPool:
     ):
         self.workers = max(0, int(workers))
         if not request_deadline > 0:
-            raise ValueError(
+            raise ServiceError(
                 f"request_deadline must be positive, got {request_deadline!r}"
             )
         self.request_deadline = request_deadline

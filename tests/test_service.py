@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.dd import DDPackage, sampling
-from repro.errors import SessionLimitError, SessionNotFoundError
+from repro.errors import ServiceError, SessionLimitError, SessionNotFoundError
 from repro.obs.metrics import MetricsRegistry
 from repro.qc import library
 from repro.qc.qasm.parser import parse_qasm
@@ -25,6 +25,7 @@ from repro.service import (
 )
 from repro.service.workers import WorkerPool, simulate_job, verify_job
 from repro.simulation.simulator import DDSimulator
+from repro.tool.cli import main
 from tests.test_qasm_parser import doubling_chain
 
 
@@ -660,13 +661,16 @@ def test_answers_do_not_depend_on_job_history(workers):
     assert simulated["counts"] == counts
 
 
-def test_one_job_deadline_defaults_to_120_seconds():
+def test_one_job_deadline_defaults_to_120_seconds(capsys):
     assert ServiceConfig().request_deadline == 120.0
     with WorkerPool(workers=0) as pool:
         assert pool.request_deadline == 120.0
     for deadline in (0.0, -1.0):
-        with pytest.raises(ValueError, match="request_deadline"):
+        with pytest.raises(ServiceError, match="request_deadline"):
             WorkerPool(workers=0, request_deadline=deadline)
+    # 0 no longer means "fall back"; the CLI refuses it in one line.
+    assert main(["serve", "--request-deadline", "0", "--port", "0"]) == 2
+    assert "request_deadline must be positive" in capsys.readouterr().err
 
 
 #: Runs in a fresh interpreter: a worker forked from the test process would
