@@ -172,16 +172,21 @@ def apply_controlled(
     negative_controls: Sequence[int] = (),
 ) -> Edge:
     """Apply a (multi-)controlled single-qubit gate directly to a vector DD."""
+    stage = (matrix, target, _control_map(controls, negative_controls))
+    return _run_stages(package, state, "v", (stage,))
+
+
+def _run_stages(package, operand: Edge, mode: str, stages) -> Edge:
+    """Run 2x2 kernel stages in order: one GC check and one observation
+    per gate, under the single stage's kernel or under ``swap``."""
     package._maybe_gc()
-    kernel = _make_kernel(
-        package, "v", matrix, target, _control_map(controls, negative_controls)
-    )
-    if not package._obs_on:
-        return kernel.run(state)
-    start = perf_counter()
-    result = kernel.run(state)
-    _observe(package, kernel.kernel, start)
-    return result
+    start = perf_counter() if package._obs_on else None
+    for matrix, target, controls in stages:
+        kernel = _make_kernel(package, mode, matrix, target, controls)
+        operand = kernel.run(operand)
+    if start is not None:
+        _observe(package, kernel.kernel if len(stages) == 1 else "swap", start)
+    return operand
 
 
 # ----------------------------------------------------------------------
@@ -242,11 +247,4 @@ def apply_operation(package, operand: Edge, operation, side: str = "left") -> Ed
         # E . (Fk ... F1) groups as ((E . Fk) . ...) . F1: the last factor
         # multiplies first from the right.
         stages = stages[::-1]
-    package._maybe_gc()
-    start = perf_counter() if package._obs_on else None
-    for matrix, target, controls in stages:
-        kernel = _make_kernel(package, mode, matrix, target, controls)
-        operand = kernel.run(operand)
-    if start is not None:
-        _observe(package, kernel.kernel if len(stages) == 1 else "swap", start)
-    return operand
+    return _run_stages(package, operand, mode, stages)
