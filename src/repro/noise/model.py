@@ -109,7 +109,5 @@ class NoisySimulator(DensityMatrixSimulator):
                 raise ValueError(
                     "fidelity_with_ideal requires a unitary circuit"
                 )
-            ideal = apply_unitary_gate(
-                self.package, ideal, operation, self.circuit.num_qubits
-            )
+            ideal = apply_unitary_gate(self.package, ideal, operation)
         return density.fidelity_with_state(self.package, self.state(), ideal)

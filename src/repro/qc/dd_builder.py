@@ -126,13 +126,11 @@ def circuit_to_dd(
     return result
 
 
-def apply_gate(
-    package: DDPackage, state: Edge, operation: GateOp, num_qubits: int
-) -> Edge:
+def apply_gate(package: DDPackage, state: Edge, operation: GateOp) -> Edge:
     """Apply one gate to a state DD (one simulation step, paper Sec. III-B).
 
     The gate is applied directly by the kernels of :mod:`repro.dd.apply`;
-    no full-system gate DD is constructed.  ``num_qubits`` is the state's
-    width; the kernels read it from the diagram.
+    no full-system gate DD is constructed, and the state's width is read
+    from the diagram.
     """
     return apply_kernels.apply_operation(package, state, operation)

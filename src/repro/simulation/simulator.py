@@ -243,9 +243,7 @@ class DDSimulator:
             ):
                 record = self._record(operation, StepKind.GATE_SKIPPED, state)
             else:
-                state = apply_gate(
-                    self.package, state, operation, self.circuit.num_qubits
-                )
+                state = apply_gate(self.package, state, operation)
                 if self.approximation_threshold:
                     state = self._approximate(state)
                 record = self._record(operation, StepKind.GATE, state)

@@ -55,7 +55,7 @@ def _run(package: DDPackage, circuit: QuantumCircuit, state: Edge) -> Edge:
             raise VerificationError(
                 "ancillary-aware checking requires purely unitary circuits"
             )
-        state = apply_gate(package, state, operation, circuit.num_qubits)
+        state = apply_gate(package, state, operation)
     return state
 
 

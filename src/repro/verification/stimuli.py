@@ -43,7 +43,7 @@ def _simulate(package: DDPackage, circuit: QuantumCircuit, state):
             raise VerificationError(
                 "stimuli-based checking requires purely unitary circuits"
             )
-        state = apply_gate(package, state, operation, circuit.num_qubits)
+        state = apply_gate(package, state, operation)
     return state
 
 

@@ -57,7 +57,7 @@ def test_apply_preserves_norm(operation):
     package = DDPackage()
     rng = np.random.default_rng(11)
     state = _random_state(package, 4, rng)
-    applied = apply_gate(package, state, operation, 4)
+    applied = apply_gate(package, state, operation)
     assert package.norm_squared(applied) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -66,8 +66,8 @@ def test_apply_then_inverse_is_identity_on_the_dd(operation):
     package = DDPackage()
     rng = np.random.default_rng(23)
     state = _random_state(package, 4, rng)
-    applied = apply_gate(package, state, operation, 4)
-    returned = apply_gate(package, applied, operation.inverse(), 4)
+    applied = apply_gate(package, state, operation)
+    returned = apply_gate(package, applied, operation.inverse())
     # Canonicity: the round trip lands on the very same node object.
     assert returned.node is state.node
     assert package.complex_table.approx_equal(returned.weight, state.weight)
@@ -158,7 +158,7 @@ def test_clear_caches_drops_apply_table_and_stats_reports_it():
     state = package.zero_state(3)
     circuit = library.qft(3)
     for operation in circuit:
-        state = apply_gate(package, state, operation, 3)
+        state = apply_gate(package, state, operation)
     assert len(package._apply_cache) > 0
     stats = package.stats()
     assert "apply" in stats
@@ -178,7 +178,7 @@ def test_cleared_package_replays_to_identical_root_edge():
         state = package.zero_state(3)
         for operation in circuit:
             if isinstance(operation, GateOp):
-                state = apply_gate(package, state, operation, 3)
+                state = apply_gate(package, state, operation)
         return state
 
     first = run()
@@ -226,7 +226,7 @@ def test_each_gate_is_counted_once_under_its_kernel(operation, kernel, operand):
     engine = _Engine(package, 3)
     before = _kernel_counts(registry)
     if operand == "vector":
-        apply_gate(package, state, operation, 3)
+        apply_gate(package, state, operation)
     elif operand == "matrix-left":
         engine.preview_left(operation)
     else:

@@ -54,7 +54,7 @@ class TestGateToDD:
         op = GateOp(gate="iswap", targets=(1, 0), controls=(2,))
         with pytest.raises(GateError, match="controlled two-qubit gate"):
             if entry == "apply_gate":
-                apply_gate(package, package.zero_state(3), op, 3)
+                apply_gate(package, package.zero_state(3), op)
             else:
                 getattr(_Engine(package, 3), entry)(op)
 
@@ -113,7 +113,7 @@ class TestApplyGate:
         vector = random_state(3, rng)
         state = package.from_state_vector(vector)
         op = GateOp(gate="h", targets=(1,))
-        result = apply_gate(package, state, op, 3)
+        result = apply_gate(package, state, op)
         assert np.allclose(
             package.to_vector(result, 3), gate_unitary(op, 3) @ vector
         )
