@@ -38,7 +38,7 @@ from repro.dd.governance import GcStats, MemoryBudget, ResourceGovernor
 from repro.dd.node import MatrixNode, TERMINAL
 from repro.dd.normalization import NormalizationScheme
 from repro.dd.pool import WeightPool
-from repro.dd.pooled import MATRIX, PooledEngine, PooledUniqueAdapter, VECTOR, WalkEntry
+from repro.dd.pooled import MATRIX, PooledEngine, VECTOR, WalkEntry
 from repro.errors import DDError, DimensionMismatchError, InvalidStateError
 from repro.obs.metrics import DEFAULT_TIME_BUCKETS, MetricsRegistry
 
@@ -184,12 +184,8 @@ class DDPackage:
                 "apply": self._apply_cache,
             },
         )
-        self._vector_unique = PooledUniqueAdapter(
-            self._pooled, "vector", registry=self.registry
-        )
-        self._matrix_unique = PooledUniqueAdapter(
-            self._pooled, "matrix", registry=self.registry
-        )
+        self._vector_unique = self._pooled._vunique
+        self._matrix_unique = self._pooled._munique
         # Operation counters/timers cover only the *public* entry points;
         # the recursive workers below them stay uninstrumented so the hot
         # recursion pays nothing.
@@ -238,12 +234,17 @@ class DDPackage:
         """Sample table occupancy into gauges (export-time collector)."""
         registry = self.registry
         registry.gauge("dd_complex_table_entries").set(len(self.complex_table))
-        registry.gauge("dd_unique_table_entries", {"kind": "vector"}).set(
-            len(self._vector_unique)
-        )
-        registry.gauge("dd_unique_table_entries", {"kind": "matrix"}).set(
-            len(self._matrix_unique)
-        )
+        for kind, table in (
+            ("vector", self._vector_unique), ("matrix", self._matrix_unique)
+        ):
+            labels = {"kind": kind}
+            registry.gauge("dd_unique_table_entries", labels).set(len(table))
+            registry.counter("dd_unique_table_hits_total", labels).set_value(
+                table.hits
+            )
+            registry.counter("dd_unique_table_misses_total", labels).set_value(
+                table.misses
+            )
         for table in self._compute_tables():
             registry.gauge(
                 "dd_compute_table_entries", {"table": table.name}

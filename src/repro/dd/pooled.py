@@ -25,14 +25,14 @@ materialized lazily from the pool arrays, once per view.  Matrix views show
 the paper's dense DD: a skipped level appears as a
 :class:`PooledIdentityNode` ``(level, child)``, and a boundary matrix edge
 points at the view for its full width, so a root that skips top levels
-still shows its chain of identity nodes.  Views keep ``isinstance`` checks,
-serialization and the sanitizer working unchanged, and they double as GC
-roots: a diagram is live exactly while some view of it is reachable from
+still shows its chain of identity nodes.  Views keep ``isinstance`` checks
+and serialization working unchanged, and they double as GC roots: a diagram is live exactly while some view of it is reachable from
 Python, so ordinary references govern liveness.  The renderers create no
 views below the root: :meth:`PooledEngine.walk` reads the same dense DD
 straight from the arrays.
 
-Index invariants (enforced by the sanitizer's ``pool-*`` checks):
+Index invariants (enforced by the sanitizer's ``pool-*`` and ``unique-key``
+checks, which read the pool arrays and create no views):
 
 * every live node's successor indices point at live slots (or the terminal),
 * every live node's weight indices point at live weight-pool entries,
@@ -57,21 +57,18 @@ from repro.dd.edge import Edge, ZERO_EDGE
 from repro.dd.node import MatrixNode, Node, TERMINAL, VectorNode
 from repro.dd.normalization import NormalizationScheme
 from repro.dd.pool import (
-    FREED_VAR,
     NodePool,
     PooledUniqueTable,
     TERMINAL_INDEX,
     WeightPool,
 )
 from repro.errors import DDError, DimensionMismatchError
-from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
     "PooledEngine",
     "PooledVectorNode",
     "PooledMatrixNode",
     "PooledIdentityNode",
-    "PooledUniqueAdapter",
     "PooledApplyKernel",
     "TERMINAL_KEY",
 ]
@@ -114,10 +111,8 @@ class _PooledViewMixin:
        only in ``alloc``, so a live slot's successors never change;
     3. the weights of a marked node survive ``WeightPool.sweep_indices``.
 
-    The ``edges`` *setter* stores its value in the same slot; fault
-    injection uses it to model post-consing mutation.  The sanitizer
-    compares the stored tuple against the pool-derived signature, so a node
-    mutated after consing no longer matches its stored table key.
+    ``edges`` is read-only: the sanitizer and the fault injector work on
+    the pool arrays, never on a view.
     """
 
     __slots__ = ()
@@ -136,10 +131,6 @@ class _PooledViewMixin:
         if edges is None:
             edges = self._edges = self._engine.view_edges(self._KIND, self._index)
         return edges
-
-    @edges.setter
-    def edges(self, value):
-        self._edges = value
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = type(self).__name__
@@ -174,7 +165,7 @@ class PooledIdentityNode(MatrixNode):
     level down.  Memoized per ``(level, index)`` pair by the engine.  The
     view holds the stored child's view, so a sweep marks the child while
     the identity view lives.  It has no pool slot and no unique-table
-    entry: the sanitizer never sees it as a stored node.
+    entry, and the sanitizer reads only pool slots, so it never sees one.
     """
 
     __slots__ = ("_engine", "_index", "_child", "_edges")
@@ -201,97 +192,6 @@ class PooledIdentityNode(MatrixNode):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<PooledIdentityNode q{self.var} #{self.uid} @{self._index}>"
-
-
-# ----------------------------------------------------------------------
-# unique-table adapter
-# ----------------------------------------------------------------------
-class PooledUniqueAdapter:
-    """Object-API facade over one pooled unique table.
-
-    Exposes the unique-table surface the rest of the package relies on —
-    ``len``, ``hits``/``misses``, ``audit_entries``, ``clear`` —
-    backed by the open-addressed table and the node pool.
-    ``audit_entries`` rebuilds the stored signature from the *pool arrays*
-    while the paired view reports its (possibly fault-overridden)
-    ``edges``, so the sanitizer's ``unique-key`` comparison retains its
-    mutation-detection power.
-    """
-
-    def __init__(
-        self,
-        engine: "PooledEngine",
-        kind: str,
-        registry: Optional[MetricsRegistry] = None,
-    ):
-        self._engine = engine
-        self.kind = kind
-        self._kindbit = VECTOR if kind == "vector" else MATRIX
-        if registry is not None and registry.enabled:
-            self._register(registry, {"kind": kind})
-
-    def _register(self, registry: MetricsRegistry, labels: dict) -> None:
-        hits = registry.counter("dd_unique_table_hits_total", labels)
-        misses = registry.counter("dd_unique_table_misses_total", labels)
-        ref = weakref.ref(self)
-
-        def sync() -> None:
-            adapter = ref()
-            if adapter is not None:
-                hits.set_value(adapter.hits)
-                misses.set_value(adapter.misses)
-
-        registry.add_collector(sync)
-
-    @property
-    def _raw(self) -> PooledUniqueTable:
-        return (
-            self._engine._vunique
-            if self._kindbit == VECTOR
-            else self._engine._munique
-        )
-
-    @property
-    def _pool(self) -> NodePool:
-        return self._engine.vpool if self._kindbit == VECTOR else self._engine.mpool
-
-    @property
-    def hits(self) -> int:
-        return self._raw.hits
-
-    @property
-    def misses(self) -> int:
-        return self._raw.misses
-
-    def __len__(self) -> int:
-        return len(self._raw)
-
-    def audit_entries(self) -> list:
-        engine = self._engine
-        kind = self._kindbit
-        pool = self._pool
-        weights = engine.weights
-        entries = []
-        for index in self._raw.iter_indices():
-            if pool.var[index] == FREED_VAR:
-                continue  # dangling table slot; flagged by the pool checks
-            var = pool.var[index]
-            signature = (var,) + tuple(
-                (self._child_uid(var, succ, wsucc), weights.value(wsucc))
-                for succ, wsucc in pool.edges_of(index)
-            )
-            entries.append((signature, engine.view(kind, index)))
-        return entries
-
-    def _child_uid(self, var: int, succ: int, wsucc: int) -> int:
-        """Uid of the successor a view shows for one stored edge."""
-        if self._kindbit == MATRIX:
-            return self._engine.dense_child(var, succ, wsucc).uid
-        return TERMINAL.uid if succ < 0 else self._pool.order[succ]
-
-    def clear(self) -> None:
-        """Drop the consing table (pool slots are reclaimed at the next sweep)."""
-        self._raw.clear()
 
 
 # ----------------------------------------------------------------------
@@ -1118,17 +1018,16 @@ class PooledEngine:
     # ------------------------------------------------------------------
     # fault-injection support
     # ------------------------------------------------------------------
-    def clone_node_for_fault(self, view: Node) -> int:
-        """Allocate a structural clone bypassing hash consing (test-only).
+    def clone_node_for_fault(self, kind: int, index: int) -> int:
+        """Allocate a structural clone of node ``index`` bypassing hash
+        consing (test-only).
 
         Plants the aliasing corruption the ``alias-unique-entry`` fault
         models: two live pool nodes with the same signature, both reachable
         through the unique table's probe chains.
         """
-        kind = view._KIND
         pool = self.vpool if kind == VECTOR else self.mpool
         unique = self._vunique if kind == VECTOR else self._munique
-        index = view._index
         base = index * pool.arity
         var = pool.var[index]
         successors = list(pool.succ[base : base + pool.arity])

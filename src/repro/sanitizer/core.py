@@ -5,7 +5,7 @@ per ``(var, successors, weights)`` signature, edge weights are normalized
 representatives from the complex table, and the node counts of the examples
 (Ex. 12: peak 9 instead of 21) follow from that canonicity.  Nothing in a
 hash-consed package re-checks those invariants after construction, so a
-silent break — a mutated edge tuple, an aliased table entry, a swept-away
+silent break — a rewritten successor slot, an aliased table entry, a swept-away
 weight representative — corrupts every downstream figure while the test
 suite stays green.
 
@@ -20,10 +20,12 @@ Invariant families
 ------------------
 
 ``unique-*``
-    Hash-consing canonicity: no two live nodes share a structural
-    signature, every stored table key matches its node's recomputed
-    signature, successor levels strictly decrease, and node arity matches
-    its kind (2 successors for vector nodes, 4 for matrix nodes).
+    Hash-consing canonicity: no two live nodes share a stored signature
+    ``(var, successor indices, weight indices)`` (``unique-duplicate``),
+    and every live node is reachable through the unique-table probe chain
+    of its own current key (``unique-key``: a node whose stored fields
+    changed after consing, or a table that stranded it, fails this).
+    Successor levels strictly decrease (``successor-order``).
 
 ``weight-*``
     Edge-weight hygiene on live nodes: weights are finite, zero weights
@@ -57,10 +59,13 @@ Invariant families
 ``pool-*``
     Pooled-storage index integrity: every live node's successor indices
     point at live pool slots (never into the free-list), every weight
-    index points at a live weight-pool entry, the free-list holds exactly
-    the freed slots with no duplicates, and every live node is reachable
-    through its own unique-table probe chain (open addressing never
-    strands a live entry).
+    index points at a live weight-pool entry, and the free-list holds
+    exactly the freed slots with no duplicates.
+
+The node families read one pass over the live pool slots
+(``NodePool.var``/``succ``/``wsucc`` and ``WeightPool`` values); the
+sanitizer creates no node views, so running it leaves the set of live
+views, and with it what a GC sweep keeps, unchanged.
 """
 
 from __future__ import annotations
@@ -68,21 +73,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.dd.complex_table import ComplexTable
-from repro.dd.node import Node, VectorNode
 from repro.dd.normalization import NormalizationScheme
+from repro.dd.pool import FREED_VAR, TERMINAL_INDEX
 from repro.errors import SanitizerError
 
 __all__ = ["DDSanitizer", "SanitizeReport", "Violation", "NORM_SLACK_FACTOR"]
-
-
-def _signature(var: int, edges) -> tuple:
-    """A node's hash-consing key: its level plus each successor's
-    ``(uid, weight)``.  Node uids suffice because successors are themselves
-    hash-consed, and canonical weights compare exactly."""
-    return (var,) + tuple((edge.node.uid, edge.weight) for edge in edges)
 
 
 #: Normalization checks allow this many tolerances of slack: canonical
@@ -171,8 +169,8 @@ class DDSanitizer:
     """Walks one package's tables and verifies structural invariants.
 
     The sanitizer only *reads* the tables; it never mutates package state
-    and never allocates nodes or weights, so it is safe to run between any
-    two operations (the same contract as garbage collection).
+    and never allocates nodes, weights or node views, so it is safe to run
+    between any two operations (the same contract as garbage collection).
     """
 
     def __init__(self, package):
@@ -184,161 +182,11 @@ class DDSanitizer:
     def run(self) -> SanitizeReport:
         start = perf_counter()
         report = SanitizeReport()
-        self._check_unique_table(
-            self.package._vector_unique, "vector", report
-        )
-        self._check_unique_table(
-            self.package._matrix_unique, "matrix", report
-        )
+        self._check_pools(report)
         self._check_complex_table(report)
         self._check_roots(report)
-        self._check_pools(report)
         report.duration_seconds = perf_counter() - start
         return report
-
-    # ------------------------------------------------------------------
-    # unique tables: canonicity, weight hygiene, normalization
-    # ------------------------------------------------------------------
-    def _check_unique_table(self, table, kind: str, report: SanitizeReport) -> None:
-        entries = table.audit_entries()
-        report.nodes_checked += len(entries)
-        by_signature: Dict[tuple, Node] = {}
-        expected_arity = 2 if kind == "vector" else 4
-        if kind == "vector":
-            scheme = self.package.vector_scheme
-        else:
-            scheme = NormalizationScheme.MAX_MAGNITUDE
-        for stored_key, node in entries:
-            location = f"{kind} node #{node.uid} (q{node.var})"
-            if len(node.edges) != expected_arity:
-                report.violations.append(Violation(
-                    "unique-arity",
-                    f"{len(node.edges)} successors (expected {expected_arity})",
-                    location,
-                ))
-                continue
-            signature = _signature(node.var, node.edges)
-            if signature != stored_key:
-                report.violations.append(Violation(
-                    "unique-key",
-                    "stored table key does not match the node's recomputed "
-                    "signature (node mutated after hash consing)",
-                    location,
-                ))
-            previous = by_signature.get(signature)
-            if previous is not None and previous is not node:
-                report.violations.append(Violation(
-                    "unique-duplicate",
-                    f"aliases node #{previous.uid}: two live nodes share "
-                    "signature (var, successors, weights)",
-                    location,
-                ))
-            else:
-                by_signature[signature] = node
-            self._check_node_edges(node, location, report)
-            self._check_normalization(node, scheme, location, report)
-
-    def _check_node_edges(
-        self, node: Node, location: str, report: SanitizeReport
-    ) -> None:
-        tolerance = self.package.complex_table.tolerance
-        find = self.package.complex_table.find
-        for index, edge in enumerate(node.edges):
-            weight = edge.weight
-            where = f"{location} edge {index}"
-            if not (math.isfinite(weight.real) and math.isfinite(weight.imag)):
-                report.violations.append(Violation(
-                    "weight-nonfinite", f"weight {weight!r}", where
-                ))
-                continue
-            if not edge.node.is_terminal and edge.node.var >= node.var:
-                report.violations.append(Violation(
-                    "successor-order",
-                    f"successor level q{edge.node.var} not below q{node.var}",
-                    where,
-                ))
-            if weight == ComplexTable.ZERO:
-                if not edge.node.is_terminal:
-                    report.violations.append(Violation(
-                        "zero-edge-form",
-                        "zero-weight edge keeps a live successor instead of "
-                        "the canonical zero stub",
-                        where,
-                    ))
-                continue
-            if abs(weight) < tolerance:
-                report.violations.append(Violation(
-                    "weight-near-zero",
-                    f"unclamped near-zero weight {weight!r} "
-                    f"(|w| < tolerance {tolerance:g})",
-                    where,
-                ))
-                continue
-            if find(weight) != weight:
-                report.violations.append(Violation(
-                    "weight-noncanonical",
-                    f"weight {weight!r} is not an exact canonical "
-                    "representative of the complex table",
-                    where,
-                ))
-
-    def _check_normalization(
-        self,
-        node: Node,
-        scheme: NormalizationScheme,
-        location: str,
-        report: SanitizeReport,
-    ) -> None:
-        weights = [edge.weight for edge in node.edges]
-        if any(
-            not (math.isfinite(w.real) and math.isfinite(w.imag))
-            for w in weights
-        ):
-            return  # already reported as weight-nonfinite
-        slack = NORM_SLACK_FACTOR * self.package.complex_table.tolerance
-        nonzero = [w for w in weights if w != ComplexTable.ZERO]
-        if not nonzero:
-            report.violations.append(Violation(
-                "norm-all-zero",
-                "all successors are zero (the node itself should have "
-                "collapsed to the zero stub)",
-                location,
-            ))
-            return
-        if scheme is NormalizationScheme.L2 and isinstance(node, VectorNode):
-            norm_sq = sum(abs(w) ** 2 for w in weights)
-            if abs(norm_sq - 1.0) > slack:
-                report.violations.append(Violation(
-                    "norm-l2",
-                    f"successor weights have squared norm {norm_sq!r} "
-                    "(expected 1)",
-                    location,
-                ))
-            first = nonzero[0]
-            if abs(first.imag) > slack or first.real < -slack:
-                report.violations.append(Violation(
-                    "norm-l2-phase",
-                    f"first non-zero weight {first!r} is not real "
-                    "non-negative",
-                    location,
-                ))
-        else:
-            # MAX_MAGNITUDE (all matrix nodes; vector nodes under the
-            # ablation scheme): the pivot carries an exact canonical 1 and
-            # nothing exceeds magnitude 1.
-            if not any(w == ComplexTable.ONE for w in nonzero):
-                report.violations.append(Violation(
-                    "norm-max-pivot",
-                    "no successor carries the exact canonical weight 1",
-                    location,
-                ))
-            peak = max(abs(w) for w in nonzero)
-            if peak > 1.0 + slack:
-                report.violations.append(Violation(
-                    "norm-max-magnitude",
-                    f"successor magnitude {peak!r} exceeds 1",
-                    location,
-                ))
 
     # ------------------------------------------------------------------
     # complex table: representative uniqueness within tolerance
@@ -420,43 +268,22 @@ class DDSanitizer:
                     where,
                 ))
 
-
     # ------------------------------------------------------------------
-    # pooled storage: index integrity
+    # node pools: one walk over the live slots
     # ------------------------------------------------------------------
     def _check_pools(self, report: SanitizeReport) -> None:
         engine = self.package._pooled
-        from repro.dd.pool import FREED_VAR, TERMINAL_INDEX
-
-        weights = engine.weights
-        for kind, pool, unique in (
-            ("vector", engine.vpool, engine._vunique),
-            ("matrix", engine.mpool, engine._munique),
+        for kind, pool, unique, scheme in (
+            ("vector", engine.vpool, engine._vunique, self.package.vector_scheme),
+            ("matrix", engine.mpool, engine._munique,
+             NormalizationScheme.MAX_MAGNITUDE),
         ):
-            free = set(pool.free_list)
-            if len(free) != len(pool.free_list):
-                report.violations.append(Violation(
-                    "pool-free-list",
-                    "free-list contains duplicate slot indices",
-                    f"{kind} pool",
-                ))
-            for index in pool.free_list:
-                if not 0 <= index < pool.slot_count:
-                    report.violations.append(Violation(
-                        "pool-free-list",
-                        f"free-list index {index} out of range "
-                        f"(0..{pool.slot_count - 1})",
-                        f"{kind} pool",
-                    ))
-                elif pool.var[index] != FREED_VAR:
-                    report.violations.append(Violation(
-                        "pool-free-list",
-                        f"free-list slot @{index} aliases a live node "
-                        f"(q{pool.var[index]})",
-                        f"{kind} pool",
-                    ))
+            free = self._check_free_list(kind, pool, report)
+            arity = pool.arity
+            by_signature: Dict[tuple, int] = {}
             for index in range(pool.slot_count):
-                freed_mark = pool.var[index] == FREED_VAR
+                var = pool.var[index]
+                freed_mark = var == FREED_VAR
                 if freed_mark or index in free:
                     if freed_mark != (index in free):
                         report.violations.append(Violation(
@@ -465,38 +292,187 @@ class DDSanitizer:
                             f"{kind} pool",
                         ))
                     continue
-                location = f"{kind} pool node @{index} (q{pool.var[index]})"
-                pool_edges = list(pool.edges_of(index))
-                if kind == "matrix":
-                    self._check_unreduced(pool_edges, location, report)
-                for offset, (succ, wsucc) in enumerate(pool_edges):
-                    where = f"{location} edge {offset}"
-                    if succ != TERMINAL_INDEX and not pool.is_live(succ):
-                        report.violations.append(Violation(
-                            "pool-dangling-successor",
-                            f"successor index {succ} points at a freed or "
-                            "out-of-range pool slot",
-                            where,
-                        ))
-                    if not weights.index_is_live(wsucc):
-                        report.violations.append(Violation(
-                            "pool-stale-weight",
-                            f"weight index {wsucc} points at a freed or "
-                            "out-of-range weight-pool entry",
-                            where,
-                        ))
-                if not unique.contains_index(index):
+                report.nodes_checked += 1
+                location = f"{kind} node @{index} (q{var})"
+                base = index * arity
+                succ = tuple(pool.succ[base : base + arity])
+                wsucc = tuple(pool.wsucc[base : base + arity])
+                previous = by_signature.setdefault((var, succ, wsucc), index)
+                if previous != index:
                     report.violations.append(Violation(
-                        "pool-probe-chain",
-                        "live node is not reachable through its own "
-                        "unique-table probe chain",
+                        "unique-duplicate",
+                        f"aliases node @{previous}: two live nodes share "
+                        "signature (var, successors, weights)",
                         location,
                     ))
+                if not unique.contains_index(index):
+                    report.violations.append(Violation(
+                        "unique-key",
+                        "live node is not reachable through the probe chain "
+                        "of its own key (node mutated after hash consing, or "
+                        "stranded by the table)",
+                        location,
+                    ))
+                if kind == "matrix":
+                    self._check_unreduced(succ, wsucc, location, report)
+                values = self._check_edges(pool, var, succ, wsucc, location, report)
+                if values is not None:
+                    self._check_normalization(values, scheme, location, report)
 
-    def _check_unreduced(self, edges, location, report) -> None:
+    def _check_free_list(self, kind: str, pool, report: SanitizeReport) -> set:
+        """Check the free-list's own integrity; returns it as a set."""
+        free = set(pool.free_list)
+        if len(free) != len(pool.free_list):
+            report.violations.append(Violation(
+                "pool-free-list",
+                "free-list contains duplicate slot indices",
+                f"{kind} pool",
+            ))
+        for index in pool.free_list:
+            if not 0 <= index < pool.slot_count:
+                report.violations.append(Violation(
+                    "pool-free-list",
+                    f"free-list index {index} out of range "
+                    f"(0..{pool.slot_count - 1})",
+                    f"{kind} pool",
+                ))
+            elif pool.var[index] != FREED_VAR:
+                report.violations.append(Violation(
+                    "pool-free-list",
+                    f"free-list slot @{index} aliases a live node "
+                    f"(q{pool.var[index]})",
+                    f"{kind} pool",
+                ))
+        return free
+
+    def _check_edges(
+        self, pool, var: int, succ: tuple, wsucc: tuple, location: str,
+        report: SanitizeReport,
+    ) -> Optional[List[complex]]:
+        """Index integrity and weight hygiene of one node's stored edges.
+
+        Returns the successor weights, or ``None`` when one is stale or
+        non-finite (normalization is then not checked)."""
+        weights = self.package._pooled.weights
+        tolerance = weights.tolerance
+        values: Optional[List[complex]] = []
+        for offset, (child, widx) in enumerate(zip(succ, wsucc)):
+            where = f"{location} edge {offset}"
+            if child != TERMINAL_INDEX:
+                if not pool.is_live(child):
+                    report.violations.append(Violation(
+                        "pool-dangling-successor",
+                        f"successor index {child} points at a freed or "
+                        "out-of-range pool slot",
+                        where,
+                    ))
+                elif pool.var[child] >= var:
+                    report.violations.append(Violation(
+                        "successor-order",
+                        f"successor level q{pool.var[child]} not below q{var}",
+                        where,
+                    ))
+            if not weights.index_is_live(widx):
+                report.violations.append(Violation(
+                    "pool-stale-weight",
+                    f"weight index {widx} points at a freed or "
+                    "out-of-range weight-pool entry",
+                    where,
+                ))
+                values = None
+                continue
+            weight = weights.value(widx)
+            if not (math.isfinite(weight.real) and math.isfinite(weight.imag)):
+                report.violations.append(Violation(
+                    "weight-nonfinite", f"weight {weight!r}", where
+                ))
+                values = None
+                continue
+            if values is not None:
+                values.append(weight)
+            if weight == ComplexTable.ZERO:
+                if child != TERMINAL_INDEX:
+                    report.violations.append(Violation(
+                        "zero-edge-form",
+                        "zero-weight edge keeps a live successor instead of "
+                        "the canonical zero stub",
+                        where,
+                    ))
+                continue
+            if abs(weight) < tolerance:
+                report.violations.append(Violation(
+                    "weight-near-zero",
+                    f"unclamped near-zero weight {weight!r} "
+                    f"(|w| < tolerance {tolerance:g})",
+                    where,
+                ))
+                continue
+            if weights.find(weight) != weight:
+                report.violations.append(Violation(
+                    "weight-noncanonical",
+                    f"weight {weight!r} is not an exact canonical "
+                    "representative of the complex table",
+                    where,
+                ))
+        return values
+
+    def _check_normalization(
+        self,
+        weights: List[complex],
+        scheme: NormalizationScheme,
+        location: str,
+        report: SanitizeReport,
+    ) -> None:
+        slack = NORM_SLACK_FACTOR * self.package.complex_table.tolerance
+        nonzero = [w for w in weights if w != ComplexTable.ZERO]
+        if not nonzero:
+            report.violations.append(Violation(
+                "norm-all-zero",
+                "all successors are zero (the node itself should have "
+                "collapsed to the zero stub)",
+                location,
+            ))
+            return
+        if scheme is NormalizationScheme.L2:
+            norm_sq = sum(abs(w) ** 2 for w in weights)
+            if abs(norm_sq - 1.0) > slack:
+                report.violations.append(Violation(
+                    "norm-l2",
+                    f"successor weights have squared norm {norm_sq!r} "
+                    "(expected 1)",
+                    location,
+                ))
+            first = nonzero[0]
+            if abs(first.imag) > slack or first.real < -slack:
+                report.violations.append(Violation(
+                    "norm-l2-phase",
+                    f"first non-zero weight {first!r} is not real "
+                    "non-negative",
+                    location,
+                ))
+        else:
+            # MAX_MAGNITUDE (all matrix nodes; vector nodes under the
+            # ablation scheme): the pivot carries an exact canonical 1 and
+            # nothing exceeds magnitude 1.
+            if not any(w == ComplexTable.ONE for w in nonzero):
+                report.violations.append(Violation(
+                    "norm-max-pivot",
+                    "no successor carries the exact canonical weight 1",
+                    location,
+                ))
+            peak = max(abs(w) for w in nonzero)
+            if peak > 1.0 + slack:
+                report.violations.append(Violation(
+                    "norm-max-magnitude",
+                    f"successor magnitude {peak!r} exceeds 1",
+                    location,
+                ))
+
+    def _check_unreduced(self, succ, wsucc, location, report) -> None:
         """A stored matrix node must not be an identity over its level
         (weight index 0 is the canonical zero)."""
-        (n0, w0), (n1, w1), (n2, w2), (n3, w3) = edges
+        n0, _n1, _n2, n3 = succ
+        w0, w1, w2, w3 = wsucc
         if w1 == 0 and w2 == 0 and w0 != 0 and (n0, w0) == (n3, w3):
             report.violations.append(Violation(
                 "skip-level-unreduced",

@@ -7,20 +7,29 @@ a hash-consed DD package — directly into a package's tables;
 ``tests/test_fault_injection.py`` asserts that every fault class is
 detected by its expected check and that a clean package stays clean.
 
-Fault classes and the check expected to fire:
+Every fault is written into storage the engine reads — the node pools'
+``succ``/``wsucc`` arrays, the weight pool, the unique tables, the complex
+table's representatives or the governor's roots — never into a node view,
+so it survives the injector's result being dropped and a Python garbage
+collection.  Fault classes and the check expected to fire:
 
 =============================  ===========================================
 fault                          detected by
 =============================  ===========================================
-``perturb-weight``             ``unique-key`` (node mutated after consing)
+``perturb-weight``             ``unique-key`` (a live node's ``wsucc``
+                               slot rewritten to a nearby weight after
+                               consing)
 ``alias-unique-entry``         ``unique-duplicate`` (two nodes, one
                                signature)
 ``skew-refcount``              ``root-count`` (refcount drops to zero
                                early)
 ``orphan-root-weight``         ``root-weight-missing`` (rep swept while
                                live)
-``unclamp-near-zero``          ``weight-near-zero`` (sub-tolerance weight)
-``poison-nonfinite``           ``weight-nonfinite`` (NaN amplitude)
+``unclamp-near-zero``          ``weight-near-zero`` (a ``wsucc`` slot
+                               pointed at a sub-tolerance value stored
+                               unclamped in the weight pool)
+``poison-nonfinite``           ``weight-nonfinite`` (a weight-pool value
+                               a live edge indexes overwritten with NaN)
 ``duplicate-complex-rep``      ``complex-duplicate`` (two reps in one
                                ball)
 ``pooled-dangling-successor``  ``pool-dangling-successor`` (edge index
@@ -44,11 +53,11 @@ deployment cannot be asked to crash itself.
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.dd.complex_table import ComplexTable
-from repro.dd.edge import Edge
-from repro.dd.node import Node
+from repro.dd.pool import TERMINAL_INDEX, WeightPool
+from repro.dd.pooled import MATRIX, VECTOR
 from repro.errors import DDError
 
 __all__ = [
@@ -88,6 +97,9 @@ EXPECTED_CHECKS: Dict[str, str] = {
 }
 
 
+_KIND_NAMES = {VECTOR: "vector", MATRIX: "matrix"}
+
+
 class FaultInjector:
     """Plants deterministic corruptions into one package's tables.
 
@@ -95,59 +107,46 @@ class FaultInjector:
     construction, and candidate nodes/roots/representatives are sorted
     before sampling, so a given ``(package history, seed)`` always plants
     the same fault — failures reproduce exactly from the reported seed.
-
-    The injector keeps strong references to any node views it corrupts
-    (``_pinned``), so a planted edge override cannot be silently
-    garbage-collected before the sanitizer gets to see it.
     """
 
     def __init__(self, package, seed: int = 0):
         self.package = package
         self.seed = seed
         self.rng = random.Random(seed)
-        # Pins live on the *package* (not the injector): planted objects
-        # must survive the injector going out of scope, or the weakly cached
-        # node view silently drops the corruption before the sanitizer runs.
-        if not hasattr(package, "_fault_pins"):
-            package._fault_pins = []
-        self._pinned: List[Any] = package._fault_pins
 
     # ------------------------------------------------------------------
     # candidate selection (deterministic under the seed)
     # ------------------------------------------------------------------
-    def _live_entries(self) -> List[Tuple[Any, tuple, Node]]:
-        """All live ``(unique table, stored key, node)`` entries, by uid."""
-        entries = []
-        for table in (self.package._vector_unique, self.package._matrix_unique):
-            for key, node in table.audit_entries():
-                entries.append((table, key, node))
-        entries.sort(key=lambda item: item[2].uid)
-        return entries
-
-    def _pick_entry(self) -> Tuple[Any, tuple, Node]:
-        entries = self._live_entries()
-        if not entries:
-            raise DDError("fault injection needs at least one live node")
-        return self.rng.choice(entries)
-
-    def _pick_nonzero_edge(self, node: Node) -> int:
-        candidates = [
-            index
-            for index, edge in enumerate(node.edges)
-            if edge.weight != ComplexTable.ZERO
+    def _live_nodes(self) -> List[Tuple[int, Any, int]]:
+        """Every live ``(kind, node pool, index)``, vector pool first."""
+        engine = self.package._pooled
+        return [
+            (kind, pool, index)
+            for kind, pool in ((VECTOR, engine.vpool), (MATRIX, engine.mpool))
+            for index in pool.live_indices()
         ]
-        if not candidates:
-            raise DDError("node has no non-zero edge to corrupt")
-        return self.rng.choice(candidates)
 
-    def _replace_edge_weight(self, node: Node, index: int, weight: complex) -> None:
-        edges = list(node.edges)
-        edges[index] = Edge(edges[index].node, weight)
-        node.edges = tuple(edges)
-        # Pooled views are weakly cached per index: pin the mutated view so
-        # the sanitizer sees *this* object (with its edge override) rather
-        # than a freshly minted, uncorrupted view of the same pool slot.
-        self._pinned.append(node)
+    def _corrupt_edge_weight(self, fault: str, corrupt) -> Dict[str, Any]:
+        """Store ``corrupt(weight index)`` in one live non-zero edge's
+        ``wsucc`` slot, after consing."""
+        edges = [
+            (kind, pool, index, offset)
+            for kind, pool, index in self._live_nodes()
+            for offset, (_succ, wsucc) in enumerate(pool.edges_of(index))
+            if wsucc != WeightPool.ZERO_INDEX
+        ]
+        if not edges:
+            raise DDError("fault injection needs a live node with a non-zero edge")
+        kind, pool, index, offset = self.rng.choice(edges)
+        slot = index * pool.arity + offset
+        pool.wsucc[slot] = corrupt(pool.wsucc[slot])
+        return {
+            "fault": fault,
+            "kind": _KIND_NAMES[kind],
+            "index": index,
+            "edge": offset,
+            "weight_index": pool.wsucc[slot],
+        }
 
     def _live_roots(self) -> List[Tuple[Tuple[int, complex], list]]:
         roots = [
@@ -162,17 +161,16 @@ class FaultInjector:
     # fault classes
     # ------------------------------------------------------------------
     def perturb_weight(self, delta: float = 1e-3) -> Dict[str, Any]:
-        """Silently nudge one live edge weight (bit-rot / race corruption)."""
-        _table, _key, node = self._pick_entry()
-        index = self._pick_nonzero_edge(node)
-        old = node.edges[index].weight
-        self._replace_edge_weight(node, index, old + complex(delta, 0.0))
-        return {
-            "fault": "perturb-weight",
-            "node": node.uid,
-            "edge": index,
-            "delta": delta,
-        }
+        """Silently nudge one live edge weight (bit-rot / race corruption):
+        its ``wsucc`` slot now names the representative of a nearby value,
+        so the node no longer sits under its own key in the unique table."""
+        table = self.package.complex_table
+        detail = self._corrupt_edge_weight(
+            "perturb-weight",
+            lambda index: table.lookup_index(table.value(index) + delta),
+        )
+        detail["delta"] = delta
+        return detail
 
     def alias_unique_entry(self) -> Dict[str, Any]:
         """Insert a structural clone of a live node into the unique table.
@@ -181,9 +179,9 @@ class FaultInjector:
         the probe path — exactly the aliasing a buggy table resize or
         rehash would produce.
         """
-        _table, _key, node = self._pick_entry()
-        clone_index = self.package._pooled.clone_node_for_fault(node)
-        return {"fault": "alias-unique-entry", "node": node.uid, "clone": clone_index}
+        kind, _pool, index = self.rng.choice(self._live_nodes())
+        clone = self.package._pooled.clone_node_for_fault(kind, index)
+        return {"fault": "alias-unique-entry", "index": index, "clone": clone}
 
     def skew_refcount(self) -> Dict[str, Any]:
         """Zero a live root's refcount without removing the registration."""
@@ -221,19 +219,24 @@ class FaultInjector:
         return {"fault": "orphan-root-weight", "root": key[0], "weight": repr(weight)}
 
     def unclamp_near_zero(self) -> Dict[str, Any]:
-        """Set a live edge weight into the open interval (0, tolerance)."""
-        _table, _key, node = self._pick_entry()
-        index = self._pick_nonzero_edge(node)
-        tiny = complex(self.package.complex_table.tolerance * 0.25, 0.0)
-        self._replace_edge_weight(node, index, tiny)
-        return {"fault": "unclamp-near-zero", "node": node.uid, "edge": index}
+        """Point a live edge at a value in the open interval (0, tolerance),
+        stored in the weight pool without the clamp to zero."""
+        table = self.package.complex_table
+        tiny = complex(table.tolerance * 0.25, 0.0)
+        return self._corrupt_edge_weight(
+            "unclamp-near-zero", lambda _index: table._insert(tiny)
+        )
 
     def poison_nonfinite(self) -> Dict[str, Any]:
-        """Set a live edge weight to NaN (overflow / uninitialised read)."""
-        _table, _key, node = self._pick_entry()
-        index = self._pick_nonzero_edge(node)
-        self._replace_edge_weight(node, index, complex(float("nan"), 0.0))
-        return {"fault": "poison-nonfinite", "node": node.uid, "edge": index}
+        """Overwrite the weight-pool value a live edge indexes with NaN
+        (overflow / uninitialised read); every edge sharing it reads NaN."""
+        values = self.package.complex_table._values
+
+        def poison(index: int) -> int:
+            values[index] = complex(float("nan"), 0.0)
+            return index
+
+        return self._corrupt_edge_weight("poison-nonfinite", poison)
 
     def duplicate_complex_rep(self) -> Dict[str, Any]:
         """Insert a second representative inside an existing tolerance ball."""
@@ -263,25 +266,22 @@ class FaultInjector:
         the free-list (and may be recycled into an unrelated node) while
         parents still hold its index.
         """
-        from repro.dd.pooled import MATRIX, VECTOR
-
-        engine = self.package._pooled
-        candidates = []
-        for kind, pool in ((VECTOR, engine.vpool), (MATRIX, engine.mpool)):
-            for index in pool.live_indices():
-                for offset, (succ, _wsucc) in enumerate(pool.edges_of(index)):
-                    if succ >= 0:
-                        candidates.append((kind, index, offset, succ))
+        candidates = [
+            (kind, index, offset, succ)
+            for kind, pool, index in self._live_nodes()
+            for offset, (succ, _wsucc) in enumerate(pool.edges_of(index))
+            if succ >= 0
+        ]
         if not candidates:
             raise DDError(
                 "fault injection needs a live node with a non-terminal successor"
             )
         kind, parent, offset, succ = self.rng.choice(sorted(candidates))
-        pool = engine.vpool if kind == VECTOR else engine.mpool
-        pool.free(succ)
+        engine = self.package._pooled
+        (engine.vpool if kind == VECTOR else engine.mpool).free(succ)
         return {
             "fault": "pooled-dangling-successor",
-            "kind": "vector" if kind == VECTOR else "matrix",
+            "kind": _KIND_NAMES[kind],
             "parent": parent,
             "edge": offset,
             "freed": succ,
@@ -295,16 +295,13 @@ class FaultInjector:
         but against a weight that is still referenced, modelling a mark
         phase that missed it.
         """
-        from repro.dd.pooled import MATRIX, VECTOR
-
-        engine = self.package._pooled
-        weights = engine.weights
-        referenced = set()
-        for pool in (engine.vpool, engine.mpool):
-            for index in pool.live_indices():
-                for _succ, wsucc in pool.edges_of(index):
-                    if wsucc >= weights._seed_count:
-                        referenced.add(wsucc)
+        weights = self.package._pooled.weights
+        referenced = {
+            wsucc
+            for _kind, pool, index in self._live_nodes()
+            for _succ, wsucc in pool.edges_of(index)
+            if wsucc >= weights._seed_count
+        }
         if not referenced:
             raise DDError(
                 "fault injection needs a live edge with a non-seed weight"
@@ -329,16 +326,8 @@ class FaultInjector:
         operator has two stored forms and hash consing no longer shares
         them.  ``c`` is a live matrix node or the terminal.
         """
-        from repro.dd.node import MatrixNode
-        from repro.dd.pool import TERMINAL_INDEX, WeightPool
-        from repro.dd.pooled import MATRIX
-
         engine = self.package._pooled
-        children = [TERMINAL_INDEX] + [
-            node._index
-            for _table, _key, node in self._live_entries()
-            if isinstance(node, MatrixNode)
-        ]
+        children = [TERMINAL_INDEX] + engine.mpool.live_indices()
         child = self.rng.choice(children)
         level = engine.var_of(MATRIX, child) + 1
         one = WeightPool.ONE_INDEX
@@ -346,9 +335,7 @@ class FaultInjector:
             MATRIX, level, (child, TERMINAL_INDEX, TERMINAL_INDEX, child),
             (one, 0, 0, one),
         )
-        node = engine.view(MATRIX, index)
-        self._pinned.append(node)
-        return {"fault": "skip-across-level", "node": node.uid, "child": child}
+        return {"fault": "skip-across-level", "index": index, "child": child}
 
     # ------------------------------------------------------------------
     # dispatch

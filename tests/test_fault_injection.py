@@ -9,6 +9,7 @@ serving wrong answers.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 
@@ -163,6 +164,18 @@ class TestFaultDetection:
         assert EXPECTED_CHECKS[fault] in report.checks_failed, (
             f"{fault} (seed={seed}) missed: {report.summary()}"
         )
+
+    @pytest.mark.parametrize("fault", sorted(FAULT_CLASSES))
+    def test_fault_survives_garbage_collection(self, fault):
+        """Each fault sits in storage the engine reads, not in an object
+        the injector hands back: dropping both and collecting keeps it."""
+        package = _seeded_package()
+        injector = FaultInjector(package, seed=3)
+        detail = injector.inject(fault)
+        del injector, detail
+        gc.collect()
+        report = package.sanitize()
+        assert EXPECTED_CHECKS[fault] in report.checks_failed, report.summary()
 
     @pytest.mark.parametrize("fault", sorted(FAULT_CLASSES))
     def test_injection_is_deterministic(self, fault):

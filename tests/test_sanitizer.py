@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from repro.dd import DDPackage, NormalizationScheme
+from repro.dd.pooled import MATRIX, VECTOR
 from repro.errors import SanitizerError
 from repro.qc import library
 from repro.qc.gates import gate_matrix
@@ -93,6 +95,28 @@ def test_clean_through_verification_and_gc():
     assert pkg.sanitize_violations == 0
     assert pkg.last_sanitize_report is not None
     assert pkg.last_sanitize_report.ok
+
+
+def test_sanitize_creates_no_node_views():
+    """The sanitizer reads the pool arrays: one run leaves every view
+    cache of the engine as it found it."""
+    pkg = DDPackage()
+    simulator = DDSimulator(library.random_circuit(8, 60, seed=10), package=pkg)
+    simulator.run_all()
+    engine = pkg._pooled
+
+    def view_counts():
+        gc.collect()
+        return (
+            len(engine._views[VECTOR]),
+            len(engine._views[MATRIX]),
+            len(engine._identity_views),
+        )
+
+    before = view_counts()
+    assert pkg.sanitize().ok
+    assert view_counts() == before
+    simulator.close()
 
 
 def test_example_12_peak_unchanged_with_sanitizer():

@@ -129,12 +129,11 @@ def test_rendering_creates_no_views(renderer, kind):
     assert _view_counts(package) == before
 
 
-def test_session_keeps_no_views_beyond_its_roots():
-    # The sanitizer's audits read every stored node through its view, so
-    # this package never runs it, whatever REPRO_SANITIZE_EVERY says.
+@pytest.mark.parametrize("sanitize_every", [0, 1])
+def test_session_keeps_no_views_beyond_its_roots(sanitize_every):
     session = SimulationSession(
         library.random_circuit(6, 60, seed=1), seed=0,
-        package=DDPackage(sanitize_every=0),
+        package=DDPackage(sanitize_every=sanitize_every),
     )
     session.to_end(stop_at_breakpoints=False)
     gc.collect()
