@@ -189,86 +189,6 @@ class DDSanitizer:
         return report
 
     # ------------------------------------------------------------------
-    # complex table: representative uniqueness within tolerance
-    # ------------------------------------------------------------------
-    def _check_complex_table(self, report: SanitizeReport) -> None:
-        table = self.package.complex_table
-        tolerance = table.tolerance
-        entries = table.entries()
-        report.complex_entries_checked += len(entries)
-        reported_pairs = set()
-        for stored_cell, value in entries:
-            where = f"complex entry {value!r}"
-            if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-                report.violations.append(Violation(
-                    "complex-nonfinite", f"stored value {value!r}", where
-                ))
-                continue
-            expected_cell = table.cell(value)
-            if expected_cell != stored_cell:
-                report.violations.append(Violation(
-                    "complex-bucket-key",
-                    f"stored under cell {stored_cell} but belongs in "
-                    f"{expected_cell}",
-                    where,
-                ))
-            for component, name in ((value.real, "real"), (value.imag, "imag")):
-                if component != 0.0 and abs(component) < tolerance:
-                    report.violations.append(Violation(
-                        "complex-near-zero",
-                        f"{name} component {component!r} sits unclamped in "
-                        f"(0, tolerance)",
-                        where,
-                    ))
-            # Representative uniqueness: no *other* stored value within the
-            # tolerance ball, found by the table's own search window.
-            for other in table.near(value):
-                if other is value:
-                    continue
-                pair = frozenset((id(value), id(other)))
-                if pair in reported_pairs:
-                    continue
-                reported_pairs.add(pair)
-                report.violations.append(Violation(
-                    "complex-duplicate",
-                    f"representatives {value!r} and {other!r} are within "
-                    f"tolerance {tolerance:g} of each other",
-                    where,
-                ))
-
-    # ------------------------------------------------------------------
-    # governance roots
-    # ------------------------------------------------------------------
-    def _check_roots(self, report: SanitizeReport) -> None:
-        governor = self.package.governor
-        find = self.package.complex_table.find
-        for (uid, weight), entry in list(governor._roots.items()):
-            ref, count = entry[0], entry[1]
-            report.roots_checked += 1
-            where = f"root (node #{uid}, weight {weight!r})"
-            if count <= 0:
-                report.violations.append(Violation(
-                    "root-count",
-                    f"registered root has non-positive refcount {count} "
-                    "(decref should have removed the entry)",
-                    where,
-                ))
-            if ref() is None:
-                continue  # dead root: purged lazily by the next GC mark
-            if not (math.isfinite(weight.real) and math.isfinite(weight.imag)):
-                report.violations.append(Violation(
-                    "root-weight-nonfinite", f"weight {weight!r}", where
-                ))
-                continue
-            if weight != ComplexTable.ZERO and find(weight) != weight:
-                report.violations.append(Violation(
-                    "root-weight-missing",
-                    "live root's weight has no exact representative in the "
-                    "complex table (swept while still referenced)",
-                    where,
-                ))
-
-    # ------------------------------------------------------------------
     # node pools: one walk over the live slots
     # ------------------------------------------------------------------
     def _check_pools(self, report: SanitizeReport) -> None:
@@ -481,6 +401,86 @@ class DDSanitizer:
                 "reduction rule",
                 location,
             ))
+
+    # ------------------------------------------------------------------
+    # complex table: representative uniqueness within tolerance
+    # ------------------------------------------------------------------
+    def _check_complex_table(self, report: SanitizeReport) -> None:
+        table = self.package.complex_table
+        tolerance = table.tolerance
+        entries = table.entries()
+        report.complex_entries_checked += len(entries)
+        reported_pairs = set()
+        for stored_cell, value in entries:
+            where = f"complex entry {value!r}"
+            if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+                report.violations.append(Violation(
+                    "complex-nonfinite", f"stored value {value!r}", where
+                ))
+                continue
+            expected_cell = table.cell(value)
+            if expected_cell != stored_cell:
+                report.violations.append(Violation(
+                    "complex-bucket-key",
+                    f"stored under cell {stored_cell} but belongs in "
+                    f"{expected_cell}",
+                    where,
+                ))
+            for component, name in ((value.real, "real"), (value.imag, "imag")):
+                if component != 0.0 and abs(component) < tolerance:
+                    report.violations.append(Violation(
+                        "complex-near-zero",
+                        f"{name} component {component!r} sits unclamped in "
+                        f"(0, tolerance)",
+                        where,
+                    ))
+            # Representative uniqueness: no *other* stored value within the
+            # tolerance ball, found by the table's own search window.
+            for other in table.near(value):
+                if other is value:
+                    continue
+                pair = frozenset((id(value), id(other)))
+                if pair in reported_pairs:
+                    continue
+                reported_pairs.add(pair)
+                report.violations.append(Violation(
+                    "complex-duplicate",
+                    f"representatives {value!r} and {other!r} are within "
+                    f"tolerance {tolerance:g} of each other",
+                    where,
+                ))
+
+    # ------------------------------------------------------------------
+    # governance roots
+    # ------------------------------------------------------------------
+    def _check_roots(self, report: SanitizeReport) -> None:
+        governor = self.package.governor
+        find = self.package.complex_table.find
+        for (uid, weight), entry in list(governor._roots.items()):
+            ref, count = entry[0], entry[1]
+            report.roots_checked += 1
+            where = f"root (node #{uid}, weight {weight!r})"
+            if count <= 0:
+                report.violations.append(Violation(
+                    "root-count",
+                    f"registered root has non-positive refcount {count} "
+                    "(decref should have removed the entry)",
+                    where,
+                ))
+            if ref() is None:
+                continue  # dead root: purged lazily by the next GC mark
+            if not (math.isfinite(weight.real) and math.isfinite(weight.imag)):
+                report.violations.append(Violation(
+                    "root-weight-nonfinite", f"weight {weight!r}", where
+                ))
+                continue
+            if weight != ComplexTable.ZERO and find(weight) != weight:
+                report.violations.append(Violation(
+                    "root-weight-missing",
+                    "live root's weight has no exact representative in the "
+                    "complex table (swept while still referenced)",
+                    where,
+                ))
 
 
 def sanitize_package(

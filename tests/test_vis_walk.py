@@ -129,17 +129,18 @@ def test_rendering_creates_no_views(renderer, kind):
     assert _view_counts(package) == before
 
 
-@pytest.mark.parametrize("sanitize_every", [0, 1])
-def test_session_keeps_no_views_beyond_its_roots(sanitize_every):
-    session = SimulationSession(
-        library.random_circuit(6, 60, seed=1), seed=0,
-        package=DDPackage(sanitize_every=sanitize_every),
-    )
-    session.to_end(stop_at_breakpoints=False)
-    gc.collect()
-    retained = len(session.simulator._states)
-    assert retained == len(session.frames)
-    assert len(session.simulator.package._pooled._views[VECTOR]) <= retained
+def test_session_keeps_no_views_beyond_its_roots():
+    for sanitize_every in (0, 1):
+        session = SimulationSession(
+            library.random_circuit(6, 60, seed=1), seed=0,
+            package=DDPackage(sanitize_every=sanitize_every),
+        )
+        session.to_end(stop_at_breakpoints=False)
+        gc.collect()
+        retained = len(session.simulator._states)
+        assert retained == len(session.frames)
+        views = session.simulator.package._pooled._views[VECTOR]
+        assert len(views) <= retained, f"sanitize_every={sanitize_every}"
 
 
 @pytest.mark.parametrize("kind", sorted(_ROOTS))
